@@ -25,7 +25,6 @@ from .core import (
 )
 from .engine import (
     DEFAULT_MAX_CONFIGS,
-    AlignmentConfig,
     Bounds,
     DeviationResult,
     ShiftAssignment,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "AlignmentConfig",
     "Bounds",
     "BruteForceResult",
     "CnfFormula",

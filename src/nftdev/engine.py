@@ -7,13 +7,18 @@ exact supremum when it is finite:
 1. trim; an empty result means the relation is empty (deviation 0);
 2. propagate state shifts from the initial states; an inconsistency is a
    witness that the transducer is not length-preserving (deviation INF);
-3. otherwise explore the alignment-configuration graph whose nodes pair a
-   state with the buffer of unmatched letters (the lag).  Edges carry the
-   number of freshly compared mismatching positions.  A positive-weight
-   edge on a cycle of useful configurations can be pumped, so the
-   deviation is INF; otherwise every cycle weighs 0 and the deviation is
-   the maximum edge-weight sum over paths from an initial to an accepting
-   configuration, computed over the condensation order.
+3. otherwise explore the alignment-configuration graph.  A configuration
+   is a state q with the buffer of unmatched letters (the lag); the lag
+   holds |s_q| letters, of the input when s_q > 0 and of the output when
+   s_q < 0, so (q, lag) determines it.  Edges carry the number of freshly
+   compared mismatching positions.  Every reachable configuration is also
+   co-reachable: each transition of the trimmed transducer applies to
+   every configuration at its source state, every state reaches a final
+   state, and s_f = 0 empties the lag there.  So a positive-weight edge
+   on any cycle can be pumped, and the deviation is INF; otherwise every
+   cycle weighs 0 and the deviation is the maximum edge-weight sum over
+   paths from an initial to an accepting configuration, computed over
+   the condensation order.
 
 For a length-preserving trimmed transducer every lag stays within the
 state-shift bound b = min(smax * |Q|, repr_size), so the graph is finite;
@@ -24,8 +29,9 @@ max_configs budget.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
 from .transform import is_trim, trim_with_maps
@@ -93,37 +99,6 @@ class ShiftAssignment:
     conflict_witness: ShiftConflict | None = None
 
 
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """A node of the analysis graph: a state plus the unmatched lag.
-
-    side is 0 when input and output are even (lag empty), +1 when the
-    input is ahead by the letters of `lag`, -1 when the output is ahead.
-    """
-
-    state: int
-    side: int
-    lag: str = ""
-
-    def __post_init__(self):
-        if self.side not in (-1, 0, 1):
-            raise ValueError("side must be -1, 0 or +1")
-        if (self.side == 0) != (self.lag == ""):
-            raise ValueError("lag must be nonempty exactly on the ahead sides")
-
-    @classmethod
-    def even(cls, state: int) -> "AlignmentConfig":
-        return cls(state, 0, "")
-
-    @classmethod
-    def input_ahead(cls, state: int, lag: str) -> "AlignmentConfig":
-        return cls(state, 1, lag)
-
-    @classmethod
-    def output_ahead(cls, state: int, lag: str) -> "AlignmentConfig":
-        return cls(state, -1, lag)
-
-
 class Verdict(str, Enum):
     BOUNDED = "bounded"
     UNBOUNDED = "unbounded"
@@ -176,13 +151,38 @@ def _by_src(t: Nft) -> list[list[tuple[int, object]]]:
     return adj
 
 
-def _parent_chain(parent: dict[int, tuple[int, int] | None], q: int) -> tuple[int, ...]:
+def _parent_chain(parent, q: int) -> tuple[int, ...]:
+    """Labels of the parent links from q back to a root, in path order.
+
+    parent[x] is (predecessor, label), or None at a root.
+    """
     steps: list[int] = []
     while parent[q] is not None:
-        q, idx = parent[q]
-        steps.append(idx)
+        q, label = parent[q]
+        steps.append(label)
     steps.reverse()
     return tuple(steps)
+
+
+def _bfs_path(src: int, targets, edges) -> tuple[int, ...]:
+    """Labels of a shortest path from src to a node in `targets`.
+
+    edges(u) yields the (label, v) pairs of the edges leaving u.
+    """
+    if src in targets:
+        return ()
+    parent: dict[int, tuple[int, int] | None] = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for label, v in edges(u):
+            if v in parent:
+                continue
+            parent[v] = (u, label)
+            if v in targets:
+                return _parent_chain(parent, v)
+            queue.append(v)
+    raise AssertionError("no path from the source to a target")
 
 
 def shift_assignment(t: Nft) -> ShiftAssignment:
@@ -229,29 +229,8 @@ def shift_assignment(t: Nft) -> ShiftAssignment:
 
 def _path_to_final(t: Nft, start: int) -> tuple[int, ...]:
     """Transitions of a shortest run from `start` to some final state."""
-    if start in t.finals:
-        return ()
     adj = _by_src(t)
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p = queue.popleft()
-        for idx, tr in adj[p]:
-            if tr.dst in seen:
-                continue
-            seen.add(tr.dst)
-            parent[tr.dst] = (p, idx)
-            if tr.dst in t.finals:
-                steps = []
-                q = tr.dst
-                while q != start:
-                    q, i = parent[q]
-                    steps.append(i)
-                steps.reverse()
-                return tuple(steps)
-            queue.append(tr.dst)
-    raise AssertionError("trimmed state cannot reach a final state")
+    return _bfs_path(start, t.finals, lambda p: ((idx, tr.dst) for idx, tr in adj[p]))
 
 
 def _unbalanced_accepting_run(t: Nft, conflict: ShiftConflict) -> Run:
@@ -266,11 +245,13 @@ def _unbalanced_accepting_run(t: Nft, conflict: ShiftConflict) -> Run:
     raise AssertionError("conflicting runs cannot both extend to balanced accepting runs")
 
 
-def _advance(side: int, lag: str, x: str, y: str) -> tuple[int, str, int]:
+def _advance(side: int, lag: str, x: str, y: str) -> tuple[str, int]:
     """Align one transition against the pending lag.
 
-    Returns (new_side, new_lag, mismatches) after appending x to the input
-    stream and y to the output stream and comparing the overlap.
+    side is +1 when the lag is unmatched input, -1 when it is unmatched
+    output and 0 when it is empty.  Returns (new_lag, mismatches) after
+    appending x to the input stream and y to the output stream and
+    comparing the overlap; the new lag is the rest of the longer stream.
     """
     pin = lag + x if side > 0 else x
     pout = lag + y if side < 0 else y
@@ -279,32 +260,7 @@ def _advance(side: int, lag: str, x: str, y: str) -> tuple[int, str, int]:
     for i in range(k):
         if pin[i] != pout[i]:
             w += 1
-    if len(pin) > k:
-        return 1, pin[k:], w
-    if len(pout) > k:
-        return -1, pout[k:], w
-    return 0, "", w
-
-
-@dataclass
-class _Pending:
-    """Config graph of a trimmed, length-preserving transducer, ready for
-    the longest-path computation."""
-
-    trimmed: Nft
-    state_map: list[int]
-    trans_map: list[int]
-    bounds: Bounds
-    shift: ShiftAssignment
-    nodes: list[tuple[int, int, str]]
-    succ: list[list[tuple[int, int, int]]]
-    parent: list[tuple[int, int] | None]
-    starts: list[int]
-    accepts: list[int]
-    useful: set[int]
-    comp: list[int]
-    comps: list[list[int]]
-    result: DeviationResult | None = field(default=None)
+    return pin[k:] + pout[k:], w
 
 
 def _map_run(steps, trans_map) -> Run:
@@ -329,10 +285,36 @@ def _map_shift(sa: ShiftAssignment, state_map, trans_map) -> ShiftAssignment:
     )
 
 
+class _Graph(NamedTuple):
+    """Config graph of a trimmed, length-preserving transducer, ready for
+    the longest-path computation.
+
+    Node ids number the configurations (q, lag) in breadth-first discovery
+    order.  succ[u] lists the (v, weight, transition) edges leaving u,
+    parent[u] is the (node, transition) that discovered u (None at the
+    starts), and comps holds the strongly connected components in reverse
+    topological order, comp[u] being the index of u's component.
+    """
+
+    trimmed: Nft
+    state_map: list[int]
+    trans_map: list[int]
+    bounds: Bounds
+    shift: ShiftAssignment
+    nodes: list[tuple[int, str]]
+    succ: list[list[tuple[int, int, int]]]
+    parent: list[tuple[int, int] | None]
+    starts: list[int]
+    accepts: set[int]
+    comp: list[int]
+    comps: list[list[int]]
+
+
 def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs: int):
     adj = _by_src(trimmed)
-    nodes: list[tuple[int, int, str]] = []
-    node_id: dict[tuple[int, int, str], int] = {}
+    side = [(sa.per_state[q] > 0) - (sa.per_state[q] < 0) for q in range(trimmed.num_states)]
+    nodes: list[tuple[int, str]] = []
+    node_id: dict[tuple[int, str], int] = {}
     succ: list[list[tuple[int, int, int]]] = []
     parent: list[tuple[int, int] | None] = []
 
@@ -340,7 +322,10 @@ def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs:
         nid = node_id.get(key)
         if nid is None:
             if len(nodes) >= max_configs:
-                raise StateBudgetExceeded("state budget exceeded")
+                raise StateBudgetExceeded(
+                    f"state budget exceeded: {len(nodes)} configurations reached,"
+                    f" b={bounds.b}, |Q|={trimmed.num_states}"
+                )
             nid = len(nodes)
             node_id[key] = nid
             nodes.append(key)
@@ -348,47 +333,23 @@ def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs:
             parent.append(origin)
         return nid
 
-    starts = [intern((q, 0, ""), None) for q in sorted(trimmed.initials)]
-    queue = deque(starts)
-    explored = set(starts)
-    while queue:
-        nid = queue.popleft()
-        q, side, lag = nodes[nid]
+    starts = [intern((q, ""), None) for q in sorted(trimmed.initials)]
+    # nodes doubles as the BFS queue: intern appends each new node once
+    for nid, (q, lag) in enumerate(nodes):
+        edges = succ[nid]
         for ti, tr in adj[q]:
-            nside, nlag, w = _advance(side, lag, tr.input, tr.output)
+            nlag, w = _advance(side[q], lag, tr.input, tr.output)
             if len(nlag) > bounds.b:
                 raise AssertionError(
                     "lag exceeded the state-shift bound on a length-preserving transducer"
                 )
-            kid = intern((tr.dst, nside, nlag), (nid, ti))
-            succ[nid].append((kid, w, ti))
-            if kid not in explored:
-                explored.add(kid)
-                queue.append(kid)
-    accepts = [
-        i for i, (q, side, _) in enumerate(nodes) if side == 0 and q in trimmed.finals
-    ]
+            edges.append((intern((tr.dst, nlag), (nid, ti)), w, ti))
+    accepts = {nid for nid, (q, _) in enumerate(nodes) if q in trimmed.finals}
     return nodes, succ, parent, starts, accepts
 
 
-def _co_reachable(succ, accepts) -> set[int]:
-    pred: list[list[int]] = [[] for _ in succ]
-    for u, edges in enumerate(succ):
-        for v, _, _ in edges:
-            pred[v].append(u)
-    seen = set(accepts)
-    queue = deque(accepts)
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
-def _tarjan(n: int, succ, active: set[int]) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the useful subgraph.
+def _tarjan(n: int, succ) -> tuple[list[int], list[list[int]]]:
+    """Strongly connected components of the configuration graph.
 
     Returns (comp, comps) where comps is in Tarjan pop order, i.e. the
     reverse topological order of the condensation.
@@ -401,7 +362,7 @@ def _tarjan(n: int, succ, active: set[int]) -> tuple[list[int], list[list[int]]]
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if root not in active or index[root] != -1:
+        if index[root] != -1:
             continue
         work = [(root, 0)]
         while work:
@@ -416,8 +377,6 @@ def _tarjan(n: int, succ, active: set[int]) -> tuple[list[int], list[list[int]]]
             while pi < len(edges):
                 w = edges[pi][0]
                 pi += 1
-                if w not in active:
-                    continue
                 if index[w] == -1:
                     work[-1] = (v, pi)
                     work.append((w, 0))
@@ -445,176 +404,129 @@ def _tarjan(n: int, succ, active: set[int]) -> tuple[list[int], list[list[int]]]
     return comp, comps
 
 
-def _bfs_edge_path(succ, allowed, src: int, targets: set[int]) -> list[int]:
-    """Transition indices of a shortest edge path from src to a target,
-    following only edges between `allowed` nodes."""
-    if src in targets:
-        return []
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, _, ti in succ[u]:
-            if v not in allowed or v in seen:
-                continue
-            seen.add(v)
-            parent[v] = (u, ti)
-            if v in targets:
-                steps = []
-                w = v
-                while w != src:
-                    w, i = parent[w]
-                    steps.append(i)
-                steps.reverse()
-                return steps
-            queue.append(v)
-    raise AssertionError("no path inside the strongly connected component")
-
-
-def _prepare(t: Nft, max_configs: int) -> _Pending:
+def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
+    """The finished result when the verdict is EMPTY, NOT_LENGTH_PRESERVING
+    or UNBOUNDED, otherwise the configuration graph for _longest_path."""
     trimmed, state_map, trans_map = trim_with_maps(t)
     bounds = Bounds.from_nft(trimmed)
-    pending = _Pending(
+    if trimmed.num_states == 0:
+        return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
+
+    sa = shift_assignment(trimmed)
+    shift = _map_shift(sa, state_map, trans_map)
+    if not sa.consistent:
+        witness = _unbalanced_accepting_run(trimmed, sa.conflict_witness)
+        return DeviationResult(
+            verdict=Verdict.NOT_LENGTH_PRESERVING,
+            bounds=bounds,
+            witness=_map_run(witness.transitions, trans_map),
+            shift=shift,
+        )
+
+    nodes, succ, parent, starts, accepts = _build_graph(trimmed, sa, bounds, max_configs)
+    comp, comps = _tarjan(len(nodes), succ)
+    g = _Graph(
         trimmed=trimmed,
         state_map=state_map,
         trans_map=trans_map,
         bounds=bounds,
-        shift=None,  # type: ignore[arg-type]
-        nodes=[],
-        succ=[],
-        parent=[],
-        starts=[],
-        accepts=[],
-        useful=set(),
-        comp=[],
-        comps=[],
+        shift=shift,
+        nodes=nodes,
+        succ=succ,
+        parent=parent,
+        starts=starts,
+        accepts=accepts,
+        comp=comp,
+        comps=comps,
     )
-    if trimmed.num_states == 0:
-        pending.result = DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
-        return pending
-
-    sa = shift_assignment(trimmed)
-    pending.shift = _map_shift(sa, state_map, trans_map)
-    if not sa.consistent:
-        witness = _unbalanced_accepting_run(trimmed, sa.conflict_witness)
-        pending.result = DeviationResult(
-            verdict=Verdict.NOT_LENGTH_PRESERVING,
-            bounds=bounds,
-            witness=_map_run(witness.transitions, trans_map),
-            shift=pending.shift,
-        )
-        return pending
-
-    nodes, succ, parent, starts, accepts = _build_graph(trimmed, sa, bounds, max_configs)
-    useful = _co_reachable(succ, accepts)
-    # every discovered node is reachable; useful = reachable and co-reachable
-    fsucc = [
-        [(v, w, ti) for v, w, ti in edges if v in useful] if u in useful else []
-        for u, edges in enumerate(succ)
-    ]
-    comp, comps = _tarjan(len(nodes), fsucc, useful)
-
-    pending.nodes = nodes
-    pending.succ = fsucc
-    pending.parent = parent
-    pending.starts = starts
-    pending.accepts = [a for a in accepts if a in useful]
-    pending.useful = useful
-    pending.comp = comp
-    pending.comps = comps
-
-    for u in sorted(useful):
-        for v, w, ti in fsucc[u]:
+    # No co-reachability pass: every configuration reaches an accepting one
+    # (see the module docstring), so any positive edge in a component pumps.
+    for u, edges in enumerate(succ):
+        for v, w, ti in edges:
             if w > 0 and comp[u] == comp[v]:
-                pending.result = _unbounded_result(pending, u, v, ti)
-                return pending
-    return pending
+                return _unbounded_result(g, u, v, ti)
+    return g
 
 
-def _unbounded_result(p: _Pending, u: int, v: int, ti: int) -> DeviationResult:
-    members = set(p.comps[p.comp[u]])
-    cycle = [ti] + _bfs_edge_path(p.succ, members, v, {u})
-    prefix = list(_parent_chain_nodes(p.parent, u))
-    suffix = _bfs_edge_path(p.succ, p.useful, u, set(p.accepts))
-    anchor = p.state_map[p.nodes[u][0]]
+def _within(succ, members: set[int]):
+    """The edges argument of _bfs_path for the edges between `members`."""
+    return lambda u: ((ti, v) for v, _, ti in succ[u] if v in members)
+
+
+def _unbounded_result(g: _Graph, u: int, v: int, ti: int) -> DeviationResult:
+    cycle = (ti,) + _bfs_path(v, {u}, _within(g.succ, set(g.comps[g.comp[u]])))
+    prefix = _parent_chain(g.parent, u)
+    suffix = _bfs_path(u, g.accepts, lambda x: ((i, y) for y, _, i in g.succ[x]))
     return DeviationResult(
         verdict=Verdict.UNBOUNDED,
-        bounds=p.bounds,
-        cycle_witness=_map_run(cycle, p.trans_map),
-        anchor_state=anchor,
-        cycle_prefix=_map_run(prefix, p.trans_map),
-        cycle_suffix=_map_run(suffix, p.trans_map),
-        shift=p.shift,
+        bounds=g.bounds,
+        cycle_witness=_map_run(cycle, g.trans_map),
+        anchor_state=g.state_map[g.nodes[u][0]],
+        cycle_prefix=_map_run(prefix, g.trans_map),
+        cycle_suffix=_map_run(suffix, g.trans_map),
+        shift=g.shift,
     )
 
 
-def _parent_chain_nodes(parent, nid: int) -> tuple[int, ...]:
-    steps = []
-    while parent[nid] is not None:
-        nid, ti = parent[nid]
-        steps.append(ti)
-    steps.reverse()
-    return tuple(steps)
-
-
-def _longest_path(p: _Pending) -> DeviationResult:
+def _longest_path(g: _Graph) -> DeviationResult:
     """Maximum-weight start-to-accept path over the condensation.
 
     All cycles weigh 0 at this point, so the value is a plain DP in the
     reverse topological order Tarjan produced; ties are broken by the
     smallest node id, which makes the reconstructed witness deterministic.
     """
-    accept_set = set(p.accepts)
-    n_comps = len(p.comps)
+    n_comps = len(g.comps)
     best = [-1] * n_comps
     choice: list[tuple | None] = [None] * n_comps
-    for ci, members in enumerate(p.comps):
+    for ci, members in enumerate(g.comps):
         b = -1
         ch = None
         for m in members:
-            if m in accept_set:
+            if m in g.accepts:
                 b = 0
                 ch = ("accept", m)
                 break
         for u in members:
-            for v, w, ti in p.succ[u]:
-                cj = p.comp[v]
-                if cj == ci or best[cj] < 0:
+            for v, w, ti in g.succ[u]:
+                cj = g.comp[v]
+                if cj == ci:
                     continue
                 cand = w + best[cj]
                 if cand > b:
                     b = cand
                     ch = ("edge", u, v, ti)
+        if b < 0:
+            raise AssertionError("configuration cannot reach acceptance")
         best[ci] = b
         choice[ci] = ch
 
-    start = max(p.starts, key=lambda s: (best[p.comp[s]], -s))
-    value = best[p.comp[start]]
-    assert value >= 0, "useful start configuration must reach acceptance"
+    start = max(g.starts, key=lambda s: (best[g.comp[s]], -s))
+    value = best[g.comp[start]]
 
     steps: list[int] = []
     cur = start
     while True:
-        ch = choice[p.comp[cur]]
-        members = set(p.comps[p.comp[cur]])
+        ch = choice[g.comp[cur]]
+        within = _within(g.succ, set(g.comps[g.comp[cur]]))
         if ch[0] == "accept":
-            steps.extend(_bfs_edge_path(p.succ, members, cur, {ch[1]}))
+            steps.extend(_bfs_path(cur, {ch[1]}, within))
             break
         _, u, v, ti = ch
-        steps.extend(_bfs_edge_path(p.succ, members, cur, {u}))
+        steps.extend(_bfs_path(cur, {u}, within))
         steps.append(ti)
         cur = v
 
-    u, vv = run_words(p.trimmed, Run(tuple(steps)))
-    assert hamming_distance(u, vv) == value, "witness must realize the computed deviation"
-    assert value <= p.bounds.B, "bounded deviation exceeds the quadratic bound"
+    u, vv = run_words(g.trimmed, Run(tuple(steps)))
+    if hamming_distance(u, vv) != value:
+        raise AssertionError("witness must realize the computed deviation")
+    if value > g.bounds.B:
+        raise AssertionError("bounded deviation exceeds the quadratic bound")
     return DeviationResult(
         verdict=Verdict.BOUNDED,
-        bounds=p.bounds,
+        bounds=g.bounds,
         value=value,
-        witness=_map_run(steps, p.trans_map),
-        shift=p.shift,
+        witness=_map_run(steps, g.trans_map),
+        shift=g.shift,
     )
 
 
@@ -624,17 +536,17 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     Raises StateBudgetExceeded when the configuration graph would exceed
     max_configs nodes.
     """
-    pending = _prepare(t, max_configs)
-    if pending.result is not None:
-        return pending.result
-    return _longest_path(pending)
+    prepared = _prepare(t, max_configs)
+    if isinstance(prepared, DeviationResult):
+        return prepared
+    return _longest_path(prepared)
 
 
 def is_bounded(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """True iff the deviation is finite (the empty relation counts as 0)."""
-    pending = _prepare(t, max_configs)
-    if pending.result is not None:
-        return pending.result.verdict is Verdict.EMPTY
+    prepared = _prepare(t, max_configs)
+    if isinstance(prepared, DeviationResult):
+        return prepared.verdict is Verdict.EMPTY
     return True
 
 
@@ -647,14 +559,12 @@ def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """
     if k < 0:
         raise ValueError("threshold expects a natural number")
-    pending = _prepare(t, max_configs)
-    if pending.result is not None:
-        if pending.result.verdict is Verdict.EMPTY:
-            return True
-        return False
-    if k >= pending.bounds.B:
+    prepared = _prepare(t, max_configs)
+    if isinstance(prepared, DeviationResult):
+        return prepared.verdict is Verdict.EMPTY
+    if k >= prepared.bounds.B:
         return True
-    return _longest_path(pending).value <= k
+    return _longest_path(prepared).value <= k
 
 
 def exact(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:

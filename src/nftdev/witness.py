@@ -194,8 +194,10 @@ def _rebuild_cycle(t, p, parent, goal, s):
                 i = n_r + marker[1]
         n_r += len(tr.input)
         n_w += len(tr.output)
-    assert i is not None and j is not None
-    assert j - i == s.per_state[p]
+    if i is None or j is None:
+        raise AssertionError("nonconjugate cycle lacks a witness position")
+    if j - i != s.per_state[p]:
+        raise AssertionError("witness positions are not offset by the anchor shift")
     return p, Run(tuple(run)), i, j
 
 
@@ -248,7 +250,8 @@ def find_threshold_witness(t: Nft, k: int) -> Run | None:
             io = o2 - d0
             if io > len(x):
                 out_marks.append((io - len(x), y[o2 - 1]))
-        assert not (in_marks and out_marks), "marks cannot straddle both streams"
+        if in_marks and out_marks:
+            raise AssertionError("marks cannot straddle both streams")
         options = [((), 0)]
         options.extend((chosen, 1) for chosen in _mark_subsets(tuple(in_marks))[1:])
         options.extend((chosen, -1) for chosen in _mark_subsets(tuple(out_marks))[1:])

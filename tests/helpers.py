@@ -47,6 +47,47 @@ def random_trimmed_nft(rng: random.Random, max_states: int = 5, max_transitions:
     return trimmed if trimmed.num_states > 0 else None
 
 
+def random_length_preserving_nft(rng: random.Random):
+    """One random trimmed length-preserving NFT with 2 to 6 states, or None
+    when trimming empties the draw.
+
+    The alphabet is {a, b, c}.  Each state q gets a potential s_q in
+    [-3, 3], 0 exactly at the initial and final states, and every
+    transition p -> q has |x| - |y| = s_q - s_p, so the lags reach 3
+    letters.
+    """
+    nq = rng.randint(2, 6)
+    initials = {0}
+    finals = {nq - 1, rng.randrange(nq)}
+    shifts = (-3, -2, -1, 1, 2, 3)
+    potential = [0 if q in initials | finals else rng.choice(shifts) for q in range(nq)]
+    # half the draws only go up in state number: acyclic, hence bounded
+    acyclic = rng.random() < 0.5
+    transitions = []
+    for _ in range(rng.randint(nq, 2 * nq)):
+        p, q = rng.randrange(nq), rng.randrange(nq)
+        if acyclic:
+            if p == q:
+                continue
+            p, q = min(p, q), max(p, q)
+        d = potential[q] - potential[p]
+        base = rng.randint(0, 1)
+        nx, ny = (base + d, base) if d >= 0 else (base, base - d)
+        x = "".join(rng.choice("abc") for _ in range(nx))
+        y = "".join(rng.choice("abc") for _ in range(ny))
+        transitions.append(Transition(p, x, y, q))
+    t = Nft(
+        states=tuple(f"s{i}" for i in range(nq)),
+        alphabet=frozenset("abc"),
+        initials=frozenset(initials),
+        finals=frozenset(finals),
+        transitions=tuple(transitions),
+        name="rand-lp",
+    )
+    trimmed = trim(t)
+    return trimmed if trimmed.num_states > 0 else None
+
+
 def make_corpus(count: int, seed: int) -> list[Nft]:
     rng = random.Random(seed)
     corpus = []

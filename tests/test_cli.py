@@ -164,7 +164,10 @@ def test_missing_file_exit_code(tmp_path, capsys):
 def test_budget_exit_code(tmp_path, capsys):
     fam = _write_family4(tmp_path)
     assert main(["analyze", fam, "--max-configs", "2"]) == 3
-    assert "state budget exceeded" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "state budget exceeded" in err
+    assert "2 configurations reached" in err
+    assert "b=8" in err and "|Q|=8" in err
 
 
 def test_usage_exit_code(capsys):

@@ -1,6 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from helpers import simple_cycles_shifts
+from helpers import random_length_preserving_nft, simple_cycles_shifts
+
+import nftdev
 
 from nftdev import (
     INF,
@@ -254,23 +262,6 @@ def test_bounds_formulas():
     assert bounds.Lwit == 8 * st.smax * 512 == 4096
 
 
-def test_alignment_config_type():
-    from nftdev import AlignmentConfig
-
-    even = AlignmentConfig.even(3)
-    assert even.side == 0 and even.lag == ""
-    ahead = AlignmentConfig.input_ahead(1, "ab")
-    assert ahead.side == 1 and ahead.lag == "ab"
-    behind = AlignmentConfig.output_ahead(1, "b")
-    assert behind.side == -1
-    with pytest.raises(ValueError):
-        AlignmentConfig(0, 1, "")
-    with pytest.raises(ValueError):
-        AlignmentConfig(0, 0, "ab")
-    with pytest.raises(ValueError):
-        AlignmentConfig(0, 2, "a")
-
-
 def test_zero_state_nft():
     empty = Nft((), frozenset("a"), frozenset(), frozenset(), ())
     res = analyze_deviation(empty)
@@ -318,3 +309,47 @@ def test_threshold_consistent_with_exact_value(corpus):
         else:
             for k in (0, 1, res.bounds.B + 7):
                 assert not threshold(t, k)
+
+
+def test_wider_lags_match_oracle():
+    # 3 letters and state shifts up to 3, beyond the 2-letter corpus
+    rng = random.Random(4711)
+    agreed = lagged = 0
+    for _ in range(250):
+        t = random_length_preserving_nft(rng)
+        if t is None:
+            continue
+        res = analyze_deviation(t)
+        orc = brute_force_deviation(t, node_budget=20_000)
+        if orc.saturated:
+            assert res.deviation >= orc.max_seen
+        else:
+            assert res.deviation == orc.max_seen
+            agreed += 1
+            lagged += max(abs(s) for s in res.shift.per_state.values()) == 3
+        if res.verdict is Verdict.BOUNDED:
+            assert hamming_distance(*run_words(t, res.witness)) == res.value
+    assert agreed >= 100 and lagged >= 5
+
+
+def test_invariant_checks_survive_optimize():
+    # a wrong distance function must trip the witness check even under -O
+    script = (
+        "import nftdev.engine as engine\n"
+        "from nftdev import gen_family\n"
+        "engine.hamming_distance = lambda u, v: -1\n"
+        "try:\n"
+        "    engine.analyze_deviation(gen_family(3).nft)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    src = str(Path(nftdev.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: witness must realize"), proc.stdout

@@ -17,8 +17,10 @@ exact supremum when it is finite:
    state, and s_f = 0 empties the lag there.  So a positive-weight edge
    on any cycle can be pumped, and the deviation is INF; otherwise every
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
-   paths from an initial to an accepting configuration, computed over
-   the condensation order.
+   paths from an initial to an accepting configuration.  One Tarjan walk
+   of the built graph decides and values it: components pop in reverse
+   topological order, so as each pops it is checked for a positive inner
+   edge and valued from the final values of the components it leads to.
 
 For a length-preserving trimmed transducer every lag stays within the
 state-shift bound b = min(smax * |Q|, repr_size), so the graph is finite;
@@ -28,8 +30,10 @@ max_configs budget.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from enum import Enum
 from typing import NamedTuple
 
@@ -194,6 +198,12 @@ def shift_assignment(t: Nft) -> ShiftAssignment:
     """
     if not is_trim(t):
         raise ValueError("engine requires trimmed Nft")
+    return _shift_potential(t)
+
+
+def _shift_potential(t: Nft) -> ShiftAssignment:
+    """shift_assignment without its trimness check, for callers that have
+    just trimmed."""
     adj = _by_src(t)
     s: dict[int, int] = {}
     parent: dict[int, tuple[int, int] | None] = {}
@@ -286,14 +296,18 @@ def _map_shift(sa: ShiftAssignment, state_map, trans_map) -> ShiftAssignment:
 
 
 class _Graph(NamedTuple):
-    """Config graph of a trimmed, length-preserving transducer, ready for
-    the longest-path computation.
+    """Config graph of a trimmed, length-preserving transducer, with the
+    component values of its one walk after the build.
 
     Node ids number the configurations (q, lag) in breadth-first discovery
-    order.  succ[u] lists the (v, weight, transition) edges leaving u,
+    order.  succ[u] lists the (v, weight, transition) edges leaving u and
     parent[u] is the (node, transition) that discovered u (None at the
-    starts), and comps holds the strongly connected components in reverse
-    topological order, comp[u] being the index of u's component.
+    starts).  comp, best and choice come from _value_components, which
+    decides and values each strongly connected component as Tarjan pops
+    it: comp[u] is the index of u's component in that reverse topological
+    order, best[c] the heaviest path weight from component c to
+    acceptance, and choice[c] the (u, v, transition) edge that path leaves
+    c by, or (m, None, None) when it ends at the accepting member m.
     """
 
     trimmed: Nft
@@ -307,10 +321,12 @@ class _Graph(NamedTuple):
     starts: list[int]
     accepts: set[int]
     comp: list[int]
-    comps: list[list[int]]
+    best: list[int]
+    choice: list[tuple]
 
 
 def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs: int):
+    began = time.perf_counter()
     adj = _by_src(trimmed)
     side = [(sa.per_state[q] > 0) - (sa.per_state[q] < 0) for q in range(trimmed.num_states)]
     nodes: list[tuple[int, str]] = []
@@ -324,7 +340,8 @@ def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs:
             if len(nodes) >= max_configs:
                 raise StateBudgetExceeded(
                     f"state budget exceeded: {len(nodes)} configurations reached,"
-                    f" b={bounds.b}, |Q|={trimmed.num_states}"
+                    f" b={bounds.b}, |Q|={trimmed.num_states},"
+                    f" {time.perf_counter() - began:.2f} s elapsed"
                 )
             nid = len(nodes)
             node_id[key] = nid
@@ -348,71 +365,82 @@ def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs:
     return nodes, succ, parent, starts, accepts
 
 
-def _tarjan(n: int, succ) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the configuration graph.
+def _value_components(succ, accepts):
+    """Decide and value every strongly connected component as Tarjan pops it.
 
-    Returns (comp, comps) where comps is in Tarjan pop order, i.e. the
-    reverse topological order of the condensation.
+    Returns (comp, best, choice, pumped).  pumped is the first positive
+    (u, v, transition) edge found inside a component, and then the walk
+    stops there; otherwise it is None and best and choice are complete.
+    Components pop in reverse topological order, so every edge leaving a
+    component reaches one whose best value is already final.  Members are
+    scanned in node order, an accepting member first and then strictly
+    heavier edges, so ties go to the smallest node id.
     """
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n  # -1 on a visited node means it is still on the stack
+    best: list[int] = []
+    choice: list[tuple] = []
     stack: list[int] = []
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
+    tick = count()
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = next(tick)
+        work = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            edges = succ[v]
-            while pi < len(edges):
-                w = edges[pi][0]
-                pi += 1
+            v, edges, height = work[-1]
+            for w, _, _ in edges:
                 if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = next(tick)
+                    work.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = len(comps)
-                    members.append(w)
-                    if w == v:
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                ci = len(best)
+                members = sorted(stack[height:])
+                del stack[height:]
+                for m in members:
+                    comp[m] = ci
+                b, ch = -1, None
+                for m in members:
+                    if m in accepts:
+                        b, ch = 0, (m, None, None)
                         break
-                members.sort()
-                comps.append(members)
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comp, comps
+                for u in members:
+                    for w, weight, ti in succ[u]:
+                        cj = comp[w]
+                        if cj == ci:
+                            if weight > 0:
+                                return comp, best, choice, (u, w, ti)
+                        elif weight + best[cj] > b:
+                            b, ch = weight + best[cj], (u, w, ti)
+                if b < 0:
+                    raise AssertionError("configuration cannot reach acceptance")
+                best.append(b)
+                choice.append(ch)
+    return comp, best, choice, None
 
 
 def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
     """The finished result when the verdict is EMPTY, NOT_LENGTH_PRESERVING
-    or UNBOUNDED, otherwise the configuration graph for _longest_path."""
+    or UNBOUNDED, otherwise the valued configuration graph for
+    _longest_path."""
     trimmed, state_map, trans_map = trim_with_maps(t)
     bounds = Bounds.from_nft(trimmed)
     if trimmed.num_states == 0:
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
-    sa = shift_assignment(trimmed)
+    sa = _shift_potential(trimmed)
     shift = _map_shift(sa, state_map, trans_map)
     if not sa.consistent:
         witness = _unbalanced_accepting_run(trimmed, sa.conflict_witness)
@@ -424,7 +452,9 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
         )
 
     nodes, succ, parent, starts, accepts = _build_graph(trimmed, sa, bounds, max_configs)
-    comp, comps = _tarjan(len(nodes), succ)
+    # Every configuration reaches an accepting one (see the module
+    # docstring), so a positive edge inside a component pumps.
+    comp, best, choice, pumped = _value_components(succ, accepts)
     g = _Graph(
         trimmed=trimmed,
         state_map=state_map,
@@ -437,24 +467,22 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
         starts=starts,
         accepts=accepts,
         comp=comp,
-        comps=comps,
+        best=best,
+        choice=choice,
     )
-    # No co-reachability pass: every configuration reaches an accepting one
-    # (see the module docstring), so any positive edge in a component pumps.
-    for u, edges in enumerate(succ):
-        for v, w, ti in edges:
-            if w > 0 and comp[u] == comp[v]:
-                return _unbounded_result(g, u, v, ti)
+    if pumped is not None:
+        return _unbounded_result(g, *pumped)
     return g
 
 
-def _within(succ, members: set[int]):
-    """The edges argument of _bfs_path for the edges between `members`."""
-    return lambda u: ((ti, v) for v, _, ti in succ[u] if v in members)
+def _within(g: _Graph, c: int):
+    """The edges argument of _bfs_path for the edges inside component c."""
+    succ, comp = g.succ, g.comp
+    return lambda u: ((ti, v) for v, _, ti in succ[u] if comp[v] == c)
 
 
 def _unbounded_result(g: _Graph, u: int, v: int, ti: int) -> DeviationResult:
-    cycle = (ti,) + _bfs_path(v, {u}, _within(g.succ, set(g.comps[g.comp[u]])))
+    cycle = (ti,) + _bfs_path(v, {u}, _within(g, g.comp[u]))
     prefix = _parent_chain(g.parent, u)
     suffix = _bfs_path(u, g.accepts, lambda x: ((i, y) for y, _, i in g.succ[x]))
     return DeviationResult(
@@ -469,51 +497,19 @@ def _unbounded_result(g: _Graph, u: int, v: int, ti: int) -> DeviationResult:
 
 
 def _longest_path(g: _Graph) -> DeviationResult:
-    """Maximum-weight start-to-accept path over the condensation.
-
-    All cycles weigh 0 at this point, so the value is a plain DP in the
-    reverse topological order Tarjan produced; ties are broken by the
-    smallest node id, which makes the reconstructed witness deterministic.
-    """
-    n_comps = len(g.comps)
-    best = [-1] * n_comps
-    choice: list[tuple | None] = [None] * n_comps
-    for ci, members in enumerate(g.comps):
-        b = -1
-        ch = None
-        for m in members:
-            if m in g.accepts:
-                b = 0
-                ch = ("accept", m)
-                break
-        for u in members:
-            for v, w, ti in g.succ[u]:
-                cj = g.comp[v]
-                if cj == ci:
-                    continue
-                cand = w + best[cj]
-                if cand > b:
-                    b = cand
-                    ch = ("edge", u, v, ti)
-        if b < 0:
-            raise AssertionError("configuration cannot reach acceptance")
-        best[ci] = b
-        choice[ci] = ch
-
-    start = max(g.starts, key=lambda s: (best[g.comp[s]], -s))
-    value = best[g.comp[start]]
+    """The BOUNDED result: the best start, and a witness rebuilt by
+    following each component's choice; ties go to the smallest node id."""
+    start = max(g.starts, key=lambda s: (g.best[g.comp[s]], -s))
+    value = g.best[g.comp[start]]
 
     steps: list[int] = []
     cur = start
-    while True:
-        ch = choice[g.comp[cur]]
-        within = _within(g.succ, set(g.comps[g.comp[cur]]))
-        if ch[0] == "accept":
-            steps.extend(_bfs_path(cur, {ch[1]}, within))
-            break
-        _, u, v, ti = ch
-        steps.extend(_bfs_path(cur, {u}, within))
-        steps.append(ti)
+    while cur is not None:
+        c = g.comp[cur]
+        u, v, ti = g.choice[c]
+        steps.extend(_bfs_path(cur, {u}, _within(g, c)))
+        if v is not None:
+            steps.append(ti)
         cur = v
 
     u, vv = run_words(g.trimmed, Run(tuple(steps)))

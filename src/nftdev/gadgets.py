@@ -282,7 +282,8 @@ def gen_3sat(f: CnfFormula) -> GadgetInstance:
         transitions=nft.transitions,
         name=f"sat3_n{n}m{m}",
     )
-    assert nft.num_states == (2 * n + 1) * (m + 1)
+    if nft.num_states != (2 * n + 1) * (m + 1):
+        raise AssertionError("3-SAT gadget has the wrong number of states")
     sat = sat_brute_force(f) is not None
     k = n * (m + 1) - 1
     expected = GroundTruth(

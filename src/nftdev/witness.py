@@ -15,15 +15,8 @@ from collections import deque
 from itertools import combinations
 
 from .core import Nft, Run
-from .engine import ShiftAssignment, shift_assignment
+from .engine import ShiftAssignment, _by_src, shift_assignment
 from .transform import is_trim
-
-
-def _by_src(t: Nft):
-    adj = [[] for _ in range(t.num_states)]
-    for i, tr in enumerate(t.transitions):
-        adj[tr.src].append((i, tr))
-    return adj
 
 
 def _walk_back(parent, key, stop=None):

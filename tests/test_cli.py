@@ -1,4 +1,5 @@
 import json
+import re
 
 from nftdev import deviation_to_comparison, gen_family, parse_nft, serialize_nft
 from nftdev.cli import main
@@ -168,6 +169,7 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "state budget exceeded" in err
     assert "2 configurations reached" in err
     assert "b=8" in err and "|Q|=8" in err
+    assert re.search(r"\|Q\|=8, \d+\.\d\d s elapsed", err)
 
 
 def test_usage_exit_code(capsys):

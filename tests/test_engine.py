@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -32,6 +33,7 @@ from nftdev import (
     threshold,
     trim,
 )
+from nftdev.engine import _value_components
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -353,3 +355,59 @@ def test_invariant_checks_survive_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: witness must realize"), proc.stdout
+
+
+def test_no_bare_asserts_in_package():
+    # python -O strips assert statements; package invariants must raise
+    package = Path(nftdev.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_value_components_zero_weight_component():
+    # 0 -> 1 -> 2 -> 0 weigh 0; the component leaves by 2 -> 3 and 1 -> 4
+    # (weight 1 each, ties) and by 0 -> 5 (weight 0); 3, 4, 5 accept
+    succ = [
+        [(1, 0, 10), (5, 0, 11)],
+        [(2, 0, 12), (4, 1, 13)],
+        [(3, 1, 14), (0, 0, 15)],
+        [],
+        [],
+        [],
+    ]
+    comp, best, choice, pumped = _value_components(succ, {3, 4, 5})
+    assert pumped is None
+    assert comp[0] == comp[1] == comp[2]
+    assert len({comp[0], comp[3], comp[4], comp[5]}) == 4
+    c = comp[0]
+    assert best[c] == 1
+    assert choice[c] == (1, 4, 13)  # the tie goes to the smaller node 1
+    assert best[comp[3]] == 0 and choice[comp[3]] == (3, None, None)
+
+
+def test_value_components_accepting_member_wins_ties():
+    # the 0-weight cycle 0 <-> 1 holds the accepting node 1 and leaves by
+    # a 0-weight edge to the accepting node 2
+    succ = [[(1, 0, 0)], [(0, 0, 1), (2, 0, 2)], []]
+    comp, best, choice, pumped = _value_components(succ, {1, 2})
+    assert pumped is None
+    assert best[comp[0]] == 0 and choice[comp[0]] == (1, None, None)
+
+
+def test_value_components_reports_inner_positive_edge():
+    # 0 -> 1 -> 0 is a cycle whose edge 1 -> 0 weighs 1
+    succ = [[(1, 0, 0)], [(2, 0, 1), (0, 1, 2)], []]
+    comp, _, _, pumped = _value_components(succ, {2})
+    assert pumped == (1, 0, 2)
+    assert comp[0] == comp[1]
+
+
+def test_value_components_requires_acceptance():
+    succ = [[(1, 0, 0)], [(0, 0, 1)]]
+    with pytest.raises(AssertionError, match="cannot reach acceptance"):
+        _value_components(succ, set())

@@ -129,9 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     add_max_configs(p)
 
-    p = sub.add_parser("bounded", help="is the deviation finite?")
+    p = sub.add_parser(
+        "bounded",
+        help="is the deviation finite? (polynomial: a (state, phase) search for a"
+        " nonconjugate cycle; no configuration graph, so no budget)",
+    )
     p.add_argument("file", metavar="FILE")
-    add_max_configs(p)
 
     for name, help_text in (
         ("threshold", "is the deviation at most K?"),
@@ -148,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp = cmp_sub.add_parser(mode)
         if mode != "bounded":
             cp.add_argument("k", metavar="K")
+            add_max_configs(cp)
         cp.add_argument("file1", metavar="FILE1")
         cp.add_argument("file2", metavar="FILE2")
         cp.add_argument(
@@ -156,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="L",
             help="first compare the domains on words up to length L",
         )
-        add_max_configs(cp)
 
     p = sub.add_parser("gen", help="generate gadget instances with ground truth")
     gen_sub = p.add_subparsers(dest="generator", required=True)
@@ -202,7 +205,7 @@ def _run(args) -> int:
         return EXIT_TRUE
 
     if args.command == "bounded":
-        return _verdict_exit(is_bounded(_load_nft(args.file), args.max_configs))
+        return _verdict_exit(is_bounded(_load_nft(args.file)))
 
     if args.command == "threshold":
         return _verdict_exit(threshold(_load_nft(args.file), _parse_k(args.k), args.max_configs))
@@ -220,8 +223,9 @@ def _run(args) -> int:
                 file=sys.stderr,
             )
             return _verdict_exit(False)
-        k = _parse_k(args.k) if args.mode != "bounded" else None
-        return _verdict_exit(compare(t1, t2, args.mode, k, args.max_configs))
+        if args.mode == "bounded":
+            return _verdict_exit(compare(t1, t2, "bounded"))
+        return _verdict_exit(compare(t1, t2, args.mode, _parse_k(args.k), args.max_configs))
 
     if args.command == "gen":
         if args.generator == "family":

@@ -13,6 +13,8 @@ the identity on its own domain.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .core import Nft, Transition
 from .engine import DEFAULT_MAX_CONFIGS, exact, is_bounded, threshold
 from .transform import add_eps_self_loops, atomize, trim
@@ -24,34 +26,49 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
 
     Both operands are made input-atomic and given (eps, eps) self-loops,
     then transitions are paired on equal input x in the alphabet or eps.
-    Unreachable product states are trimmed away.
+    Only the pairs reachable from the initial pairs are built, and the
+    result is trimmed; it equals the trim of the full pair product, whose
+    pair (qa, qb) has index qa * |Q_b| + qb and whose transitions come in
+    the order of the operands' transition pairs.
     """
     a = add_eps_self_loops(atomize(t1))
     b = add_eps_self_loops(atomize(t2))
     nb = b.num_states
 
-    def pid(qa: int, qb: int) -> int:
-        return qa * nb + qb
+    a_out: list[list[tuple[int, Transition]]] = [[] for _ in range(a.num_states)]
+    for ia, ta in enumerate(a.transitions):
+        a_out[ta.src].append((ia, ta))
+    b_out: dict[tuple[int, str], list[tuple[int, Transition]]] = {}
+    for ib, tb in enumerate(b.transitions):
+        b_out.setdefault((tb.src, tb.input), []).append((ib, tb))
 
-    by_input: dict[str, list[Transition]] = {}
-    for tb in b.transitions:
-        by_input.setdefault(tb.input, []).append(tb)
-
-    states = tuple(
-        f"{sa}|{sb}" for sa in a.states for sb in b.states
-    )
-    transitions = []
-    for ta in a.transitions:
-        for tb in by_input.get(ta.input, ()):
-            transitions.append(
-                Transition(pid(ta.src, tb.src), ta.output, tb.output, pid(ta.dst, tb.dst))
-            )
+    initials = {qa * nb + qb for qa in a.initials for qb in b.initials}
+    seen = set(initials)
+    queue = deque(seen)
+    paired = []
+    while queue:
+        pair = queue.popleft()
+        qa, qb = divmod(pair, nb)
+        for ia, ta in a_out[qa]:
+            for ib, tb in b_out.get((qb, ta.input), ()):
+                dst = ta.dst * nb + tb.dst
+                paired.append((ia, ib, ta.output, tb.output, dst, pair))
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+    kept = sorted(seen)
+    new_id = {pair: i for i, pair in enumerate(kept)}
+    paired.sort()
     z = Nft(
-        states=states,
+        states=tuple(f"{a.states[pair // nb]}|{b.states[pair % nb]}" for pair in kept),
         alphabet=a.alphabet | b.alphabet,
-        initials=frozenset(pid(i, j) for i in a.initials for j in b.initials),
-        finals=frozenset(pid(i, j) for i in a.finals for j in b.finals),
-        transitions=tuple(transitions),
+        initials=frozenset(new_id[pair] for pair in initials),
+        finals=frozenset(
+            new_id[pair] for pair in kept if pair // nb in a.finals and pair % nb in b.finals
+        ),
+        transitions=tuple(
+            Transition(new_id[src], x, y, new_id[dst]) for _, _, x, y, dst, src in paired
+        ),
         name=f"{t1.name}x{t2.name}",
     )
     return trim(z)
@@ -85,7 +102,7 @@ def compare(
     """
     z = comparison_to_deviation(t1, t2)
     if mode == "bounded":
-        return is_bounded(z, max_configs)
+        return is_bounded(z)
     if mode == "threshold":
         if k is None:
             raise ValueError("threshold mode needs k")

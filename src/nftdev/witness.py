@@ -4,9 +4,11 @@ These procedures mirror the nondeterministic small-witness algorithms of
 the analysis: instead of guessing a run, they do breadth-first search
 over a finite product of the state with the few counters the guess would
 carry (length-class shift, one or two tracked letters, pending mark
-distances).  They are independent of the configuration-graph engine and
+distances).  They are independent of the configuration-graph walk and
 are used to cross-validate it; every returned witness re-verifies by
-recomputing words and distances.
+recomputing words and distances.  find_nonconjugate_cycle is the
+engine's own boundedness search (the one is_bounded answers from) behind
+this module's argument checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import deque
 from itertools import combinations
 
 from .core import Nft, Run
-from .engine import ShiftAssignment, _by_src, shift_assignment
+from .engine import ShiftAssignment, _by_src, _nonconjugate_cycle, shift_assignment
 from .transform import is_trim
 
 
@@ -85,10 +87,6 @@ def find_short_unbalanced_cycle(t: Nft) -> tuple[int, Run] | None:
     return None
 
 
-_IDLE = ("idle",)
-_DONE = ("done",)
-
-
 def find_nonconjugate_cycle(
     t: Nft, s: ShiftAssignment
 ) -> tuple[int, Run, int, int] | None:
@@ -98,100 +96,14 @@ def find_nonconjugate_cycle(
     (u, v), j - i equals s_p exactly (hence modulo |u|), and u_i != v_j;
     1-based positions.  Returns None iff no cycle of any length violates
     conjugacy, which for a length-preserving transducer is exactly
-    boundedness.
-
-    The search tracks, besides the current state, only the phase of the
-    witness pair: nothing chosen yet, one letter captured with the
-    distance until the other stream reaches its partner position, or the
-    mismatch already confirmed.  Offsets relative to the streams make the
-    product finite; any violating cycle, iterated enough times, contains
-    a pair at exact offset s_p, so searching exact offsets is complete.
+    boundedness.  This is the engine's polynomial (state, phase) search,
+    the one is_bounded decides with.
     """
     if not is_trim(t):
         raise ValueError("find_nonconjugate_cycle requires a trimmed Nft")
     if not s.consistent:
         raise ValueError("find_nonconjugate_cycle requires a length-preserving Nft")
-    adj = _by_src(t)
-
-    for p in range(t.num_states):
-        start = (p, _IDLE)
-        parent = {start: None}
-        queue = deque([start])
-        goal = (p, _DONE)
-        while queue:
-            key = queue.popleft()
-            state, phase = key
-            sq = s.per_state[state]
-            for idx, tr in adj[state]:
-                x, y = tr.input, tr.output
-                succs = []
-                if phase == _IDLE:
-                    succs.append((_IDLE, None))
-                    for o in range(1, len(x) + 1):
-                        jo = sq + o
-                        if jo > len(y):
-                            succs.append((("wo", x[o - 1], jo - len(y)), ("seta", o)))
-                        elif jo >= 1 and x[o - 1] != y[jo - 1]:
-                            succs.append((_DONE, ("setab", o, jo)))
-                    for o2 in range(1, len(y) + 1):
-                        io = o2 - sq
-                        if io > len(x):
-                            succs.append((("wi", y[o2 - 1], io - len(x)), ("setb", o2)))
-                elif phase == _DONE:
-                    succs.append((_DONE, None))
-                elif phase[0] == "wo":
-                    _, a, d = phase
-                    if d <= len(y):
-                        if a != y[d - 1]:
-                            succs.append((_DONE, ("resb", d)))
-                    else:
-                        succs.append((("wo", a, d - len(y)), None))
-                else:  # "wi"
-                    _, bl, d = phase
-                    if d <= len(x):
-                        if bl != x[d - 1]:
-                            succs.append((_DONE, ("resa", d)))
-                    else:
-                        succs.append((("wi", bl, d - len(x)), None))
-                for nphase, marker in succs:
-                    nk = (tr.dst, nphase)
-                    if nk in parent:
-                        continue
-                    parent[nk] = (key, idx, marker)
-                    if nk == goal:
-                        return _rebuild_cycle(t, p, parent, nk, s)
-                    queue.append(nk)
-    return None
-
-
-def _rebuild_cycle(t, p, parent, goal, s):
-    steps = _walk_back(parent, goal)
-    run = []
-    n_r = n_w = 0
-    i = j = None
-    for idx, marker in steps:
-        tr = t.transitions[idx]
-        run.append(idx)
-        if marker is not None:
-            kind = marker[0]
-            if kind == "seta":
-                i = n_r + marker[1]
-            elif kind == "setb":
-                j = n_w + marker[1]
-            elif kind == "setab":
-                i = n_r + marker[1]
-                j = n_w + marker[2]
-            elif kind == "resb":
-                j = n_w + marker[1]
-            elif kind == "resa":
-                i = n_r + marker[1]
-        n_r += len(tr.input)
-        n_w += len(tr.output)
-    if i is None or j is None:
-        raise AssertionError("nonconjugate cycle lacks a witness position")
-    if j - i != s.per_state[p]:
-        raise AssertionError("witness positions are not offset by the anchor shift")
-    return p, Run(tuple(run)), i, j
+    return _nonconjugate_cycle(t, s.per_state)
 
 
 def _mark_subsets(marks):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from nftdev import INF, Nft, Transition, hamming_distance, trim
+from nftdev import INF, Nft, Transition, add_eps_self_loops, atomize, hamming_distance, trim
 
 ALPHABET = ("a", "b")
 
@@ -267,3 +267,34 @@ def random_acyclic_nft(rng: random.Random, max_states: int = 4):
     )
     trimmed = trim(t)
     return trimmed if trimmed.num_states > 0 else None
+
+
+def all_pairs_product(t1: Nft, t2: Nft) -> Nft:
+    """Reference for comparison_to_deviation: every state pair of the two
+    atomized, eps-looped operands is built, pair (qa, qb) as state
+    qa * |Q_b| + qb, every transition pair on equal input in operand
+    order, and only then trimmed."""
+    a = add_eps_self_loops(atomize(t1))
+    b = add_eps_self_loops(atomize(t2))
+    nb = b.num_states
+
+    def pid(qa: int, qb: int) -> int:
+        return qa * nb + qb
+
+    by_input: dict[str, list[Transition]] = {}
+    for tb in b.transitions:
+        by_input.setdefault(tb.input, []).append(tb)
+    transitions = [
+        Transition(pid(ta.src, tb.src), ta.output, tb.output, pid(ta.dst, tb.dst))
+        for ta in a.transitions
+        for tb in by_input.get(ta.input, ())
+    ]
+    z = Nft(
+        states=tuple(f"{sa}|{sb}" for sa in a.states for sb in b.states),
+        alphabet=a.alphabet | b.alphabet,
+        initials=frozenset(pid(i, j) for i in a.initials for j in b.initials),
+        finals=frozenset(pid(i, j) for i in a.finals for j in b.finals),
+        transitions=tuple(transitions),
+        name=f"{t1.name}x{t2.name}",
+    )
+    return trim(z)

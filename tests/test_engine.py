@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_length_preserving_nft, simple_cycles_shifts
+from helpers import (
+    make_corpus,
+    random_cnf,
+    random_digraph,
+    random_length_preserving_nft,
+    simple_cycles_shifts,
+)
+from test_acceptance import CORPUS_SEED
 
 import nftdev
 
@@ -24,6 +31,7 @@ from nftdev import (
     brute_force_deviation,
     conjugate_by,
     exact,
+    gen_3sat,
     gen_family,
     gen_reach_bounded,
     hamming_distance,
@@ -33,6 +41,7 @@ from nftdev import (
     threshold,
     trim,
 )
+from nftdev.cli import main
 from nftdev.engine import _value_components
 
 
@@ -127,6 +136,35 @@ def test_reach_gadget_verdicts():
     without = gen_reach_bounded(Digraph(3, ((1, 0),), s=0, t=2)).nft
     assert analyze_deviation(without).verdict is Verdict.BOUNDED
     assert is_bounded(without) and not is_bounded(with_path)
+
+
+def test_is_bounded_never_builds_the_graph(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("is_bounded built the configuration graph")
+
+    monkeypatch.setattr(nftdev.engine, "_build_graph", refuse)
+    assert is_bounded(gen_family(400).nft)
+    rng = random.Random(2000)
+    chain = [(v, v + 1) for v in range(1999)]
+    extra = [(rng.randrange(2000), rng.randrange(2000)) for _ in range(2000)]
+    edges = tuple(sorted({(u, v) for u, v in chain + extra if u != v}))
+    assert not is_bounded(gen_reach_bounded(Digraph(2000, edges, s=0, t=1999)).nft)
+    fam = str(tmp_path / "fam400.nft")
+    assert main(["gen", "family", "400", "-o", fam]) == 0
+    assert main(["bounded", fam]) == 0
+
+
+def test_is_bounded_agrees_with_analysis():
+    instances = make_corpus(500, seed=CORPUS_SEED)
+    rng = random.Random(31)
+    draws = (random_length_preserving_nft(rng) for _ in range(500))
+    instances += [t for t in draws if t is not None]
+    instances += [gen_family(n).nft for n in range(2, 11)]
+    rng = random.Random(7)
+    instances += [gen_reach_bounded(random_digraph(rng, max_vertices=8)).nft for _ in range(40)]
+    instances += [gen_3sat(random_cnf(rng)).nft for _ in range(10)]
+    for t in instances:
+        assert is_bounded(t) == analyze_deviation(t).bounded
 
 
 def test_not_length_preserving_verdict():

@@ -1,7 +1,7 @@
 import random
 from itertools import product
 
-from helpers import io_map, random_acyclic_nft
+from helpers import all_pairs_product, io_map, random_acyclic_nft, random_trimmed_nft
 
 from nftdev import (
     CnfFormula,
@@ -17,6 +17,7 @@ from nftdev import (
     gen_3sat,
     gen_family,
     hamming_distance,
+    union,
 )
 
 
@@ -106,6 +107,21 @@ def test_compare_agrees_with_direct_verdicts(corpus):
         else:
             assert not compare(t1, t2, "threshold", 3)
             assert not compare(t1, t2, "exact", 3)
+
+
+def test_product_matches_all_pairs_reference():
+    rng = random.Random(4242)
+    pairs = []
+    while len(pairs) < 80:
+        t1, t2, t3 = (random_trimmed_nft(rng) for _ in range(3))
+        if t1 is None or t2 is None or t3 is None:
+            continue
+        # a union gives several initial states, hence several initial pairs
+        pairs.append((t1, t2) if len(pairs) % 4 else (union(t1, t3), t2))
+    f = CnfFormula(3, ((1, -2, 3), (-1, -1, 2)))
+    pairs.append(deviation_to_comparison(gen_3sat(f).nft))
+    for t1, t2 in pairs:
+        assert comparison_to_deviation(t1, t2) == all_pairs_product(t1, t2)
 
 
 def test_product_membership_matches_oracle():

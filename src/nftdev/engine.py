@@ -17,8 +17,12 @@ exact supremum when it is finite:
    state, and s_f = 0 empties the lag there.  So a positive-weight edge
    on any cycle can be pumped, and the deviation is INF; otherwise every
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
-   paths from an initial to an accepting configuration.  One Tarjan walk
-   of the built graph decides and values it: components pop in reverse
+   paths from an initial to an accepting configuration.  The graph is
+   stored flat (see _Graph): node states and edges live in parallel int
+   lists, edges in compressed sparse rows, and lags only in per-state
+   dicts while the graph is built, so a configuration costs a few list
+   slots rather than containers of its own.  One Tarjan walk of the
+   built graph decides and values it: components pop in reverse
    topological order, so as each pops it is checked for a positive inner
    edge and valued from the final values of the components it leads to.
    is_bounded alone skips the graph: the deviation of a length-preserving
@@ -41,10 +45,12 @@ max_configs budget.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import count
 from enum import Enum
+from itertools import accumulate
+from operator import ne
 from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
@@ -265,24 +271,6 @@ def _unbalanced_accepting_run(t: Nft, conflict: ShiftConflict) -> Run:
     raise AssertionError("conflicting runs cannot both extend to balanced accepting runs")
 
 
-def _advance(side: int, lag: str, x: str, y: str) -> tuple[str, int]:
-    """Align one transition against the pending lag.
-
-    side is +1 when the lag is unmatched input, -1 when it is unmatched
-    output and 0 when it is empty.  Returns (new_lag, mismatches) after
-    appending x to the input stream and y to the output stream and
-    comparing the overlap; the new lag is the rest of the longer stream.
-    """
-    pin = lag + x if side > 0 else x
-    pout = lag + y if side < 0 else y
-    k = min(len(pin), len(pout))
-    w = 0
-    for i in range(k):
-        if pin[i] != pout[i]:
-            w += 1
-    return pin[k:] + pout[k:], w
-
-
 def _map_run(steps, trans_map) -> Run:
     return Run(tuple(trans_map[i] for i in steps))
 
@@ -310,9 +298,13 @@ class _Graph(NamedTuple):
     component values of its one walk after the build.
 
     Node ids number the configurations (q, lag) in breadth-first discovery
-    order.  succ[u] lists the (v, weight, transition) edges leaving u and
-    parent[u] is the (node, transition) that discovered u (None at the
-    starts).  comp, best and choice come from _value_components, which
+    order; state[u] is u's state (the lags are only kept while building).
+    The edges are stored flat, in compressed sparse rows: the edges
+    leaving u are the indices first[u] to first[u + 1] - 1 of the parallel
+    lists dst, wt (the weight) and lab (the transition), in the order the
+    build found them.  pred[u] is the node whose expansion discovered u
+    (-1 at the starts); the discovering edge is the first one from pred[u]
+    to u.  comp, best and choice come from _value_components, which
     decides and values each strongly connected component as Tarjan pops
     it: comp[u] is the index of u's component in that reverse topological
     order, best[c] the heaviest path weight from component c to
@@ -325,9 +317,12 @@ class _Graph(NamedTuple):
     trans_map: list[int]
     bounds: Bounds
     shift: ShiftAssignment
-    nodes: list[tuple[int, str]]
-    succ: list[list[tuple[int, int, int]]]
-    parent: list[tuple[int, int] | None]
+    state: list[int]
+    first: list[int]
+    dst: list[int]
+    wt: list[int]
+    lab: list[int]
+    pred: list[int]
     starts: list[int]
     accepts: set[int]
     comp: list[int]
@@ -336,89 +331,135 @@ class _Graph(NamedTuple):
 
 
 def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs: int):
+    """Explore the configurations breadth first; returns (state, first,
+    dst, wt, lab, pred, starts, accepts) as described on _Graph.
+
+    Each transition gets one plan (transition, dst, x, y, lag on input,
+    lag on output): the lag of a configuration at its source is
+    prepended to the stream it is unmatched on, the overlap of the two
+    streams is compared letter by letter, and the rest of the longer one
+    is the new lag.
+    """
     began = time.perf_counter()
-    adj = _by_src(trimmed)
-    side = [(sa.per_state[q] > 0) - (sa.per_state[q] < 0) for q in range(trimmed.num_states)]
-    nodes: list[tuple[int, str]] = []
-    node_id: dict[tuple[int, str], int] = {}
-    succ: list[list[tuple[int, int, int]]] = []
-    parent: list[tuple[int, int] | None] = []
+    b = bounds.b
+    plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
+    for ti, tr in enumerate(trimmed.transitions):
+        s = sa.per_state[tr.src]
+        plans[tr.src].append((ti, tr.dst, tr.input, tr.output, s > 0, s < 0))
+    node_id: list[dict[str, int]] = [{} for _ in range(trimmed.num_states)]
+    state: list[int] = []
+    lags: list[str] = []
+    pred: list[int] = []
+    first = [0]
+    dst: list[int] = []
+    wt: list[int] = []
+    lab: list[int] = []
 
-    def intern(key, origin):
-        nid = node_id.get(key)
-        if nid is None:
-            if len(nodes) >= max_configs:
-                raise StateBudgetExceeded(
-                    f"state budget exceeded: {len(nodes)} configurations reached,"
-                    f" b={bounds.b}, |Q|={trimmed.num_states},"
-                    f" {time.perf_counter() - began:.2f} s elapsed"
-                )
-            nid = len(nodes)
-            node_id[key] = nid
-            nodes.append(key)
-            succ.append([])
-            parent.append(origin)
-        return nid
+    def over_budget():
+        return StateBudgetExceeded(
+            f"state budget exceeded: {len(state)} configurations reached,"
+            f" b={b}, |Q|={trimmed.num_states},"
+            f" {time.perf_counter() - began:.2f} s elapsed"
+        )
 
-    starts = [intern((q, ""), None) for q in sorted(trimmed.initials)]
-    # nodes doubles as the BFS queue: intern appends each new node once
-    for nid, (q, lag) in enumerate(nodes):
-        edges = succ[nid]
-        for ti, tr in adj[q]:
-            nlag, w = _advance(side[q], lag, tr.input, tr.output)
-            if len(nlag) > bounds.b:
+    starts = []
+    for q in sorted(trimmed.initials):
+        if len(state) >= max_configs:
+            raise over_budget()
+        starts.append(len(state))
+        node_id[q][""] = len(state)
+        state.append(q)
+        lags.append("")
+        pred.append(-1)
+    # state doubles as the BFS queue: each new node is appended once
+    for u, q in enumerate(state):
+        lag = lags[u]
+        for ti, r, x, y, lag_in, lag_out in plans[q]:
+            if lag_in:
+                x = lag + x
+            elif lag_out:
+                y = lag + y
+            nlag = x[len(y):] if len(x) > len(y) else y[len(x):]
+            if len(nlag) > b:
                 raise AssertionError(
                     "lag exceeded the state-shift bound on a length-preserving transducer"
                 )
-            edges.append((intern((tr.dst, nlag), (nid, ti)), w, ti))
-    accepts = {nid for nid, (q, _) in enumerate(nodes) if q in trimmed.finals}
-    return nodes, succ, parent, starts, accepts
+            ids = node_id[r]
+            v = ids.get(nlag)
+            if v is None:
+                if len(state) >= max_configs:
+                    raise over_budget()
+                v = ids[nlag] = len(state)
+                state.append(r)
+                lags.append(nlag)
+                pred.append(u)
+            dst.append(v)
+            wt.append(sum(map(ne, x, y)))
+            lab.append(ti)
+        first.append(len(dst))
+    # s_f = 0, so the empty lag is the only configuration at a final state
+    accepts = {node_id[f][""] for f in trimmed.finals if "" in node_id[f]}
+    return state, first, dst, wt, lab, pred, starts, accepts
 
 
-def _value_components(succ, accepts):
+def _value_components(first, dst, wt, lab, accepts):
     """Decide and value every strongly connected component as Tarjan pops it.
 
-    Returns (comp, best, choice, pumped).  pumped is the first positive
-    (u, v, transition) edge found inside a component, and then the walk
-    stops there; otherwise it is None and best and choice are complete.
-    Components pop in reverse topological order, so every edge leaving a
-    component reaches one whose best value is already final.  Members are
-    scanned in node order, an accepting member first and then strictly
-    heavier edges, so ties go to the smallest node id.
+    The graph is in the flat layout of _Graph.  Returns (comp, best,
+    choice, pumped).  pumped is the first positive (u, v, transition)
+    edge found inside a component, and then the walk stops there;
+    otherwise it is None and best and choice are complete.  Components
+    pop in reverse topological order, so every edge leaving a component
+    reaches one whose best value is already final.  Members are scanned
+    in node order, an accepting member first and then strictly heavier
+    edges, so ties go to the smallest node id.
     """
-    n = len(succ)
+    n = len(first) - 1
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n  # -1 on a visited node means it is still on the stack
     best: list[int] = []
     choice: list[tuple] = []
     stack: list[int] = []
-    tick = count()
+    tick = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        index[root] = low[root] = next(tick)
-        work = [(root, iter(succ[root]), len(stack))]
+        index[root] = low[root] = tick
+        tick += 1
+        # the DFS path, each node with an iterator over its row of dst as
+        # its next-edge cursor
+        work = [root]
+        cursor = [iter(dst[first[root] : first[root + 1]])]
         stack.append(root)
         while work:
-            v, edges, height = work[-1]
-            for w, _, _ in edges:
+            v = work[-1]
+            for w in cursor[-1]:
                 if index[w] == -1:
-                    index[w] = low[w] = next(tick)
-                    work.append((w, iter(succ[w]), len(stack)))
+                    index[w] = low[w] = tick
+                    tick += 1
+                    work.append(w)
+                    cursor.append(iter(dst[first[w] : first[w + 1]]))
                     stack.append(w)
                     break
                 if comp[w] == -1 and index[w] < low[v]:
                     low[v] = index[w]
             else:
                 work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
+                cursor.pop()
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
                 if low[v] != index[v]:
                     continue
                 ci = len(best)
-                members = sorted(stack[height:])
-                del stack[height:]
+                if stack[-1] == v:
+                    members = [stack.pop()]
+                else:
+                    # the stack is in index order; v's component is the
+                    # part from v up
+                    height = bisect_left(stack, index[v], key=index.__getitem__)
+                    members = sorted(stack[height:])
+                    del stack[height:]
                 for m in members:
                     comp[m] = ci
                 b, ch = -1, None
@@ -427,13 +468,14 @@ def _value_components(succ, accepts):
                         b, ch = 0, (m, None, None)
                         break
                 for u in members:
-                    for w, weight, ti in succ[u]:
+                    for e in range(first[u], first[u + 1]):
+                        w = dst[e]
                         cj = comp[w]
                         if cj == ci:
-                            if weight > 0:
-                                return comp, best, choice, (u, w, ti)
-                        elif weight + best[cj] > b:
-                            b, ch = weight + best[cj], (u, w, ti)
+                            if wt[e] > 0:
+                                return comp, best, choice, (u, w, lab[e])
+                        elif wt[e] + best[cj] > b:
+                            b, ch = wt[e] + best[cj], (u, w, lab[e])
                 if b < 0:
                     raise AssertionError("configuration cannot reach acceptance")
                 best.append(b)
@@ -468,8 +510,10 @@ def _nonconjugate_cycle(t: Nft, shift: dict[int, int]) -> tuple[int, Run, int, i
     search is complete.
     """
     adj = _by_src(t)
-    state_succ = [[(tr.dst, 0, idx) for idx, tr in adj[q]] for q in range(t.num_states)]
-    comp = _value_components(state_succ, t.finals)[0]
+    first = list(accumulate(map(len, adj), initial=0))
+    dst = [tr.dst for row in adj for _, tr in row]
+    lab = [idx for row in adj for idx, _ in row]
+    comp = _value_components(first, dst, [0] * len(dst), lab, t.finals)[0]
     parent: dict[tuple, tuple | None] = {(q, _IDLE): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
@@ -574,19 +618,24 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
             shift=shift,
         )
 
-    nodes, succ, parent, starts, accepts = _build_graph(trimmed, sa, bounds, max_configs)
+    state, first, dst, wt, lab, pred, starts, accepts = _build_graph(
+        trimmed, sa, bounds, max_configs
+    )
     # Every configuration reaches an accepting one (see the module
     # docstring), so a positive edge inside a component pumps.
-    comp, best, choice, pumped = _value_components(succ, accepts)
+    comp, best, choice, pumped = _value_components(first, dst, wt, lab, accepts)
     g = _Graph(
         trimmed=trimmed,
         state_map=state_map,
         trans_map=trans_map,
         bounds=bounds,
         shift=shift,
-        nodes=nodes,
-        succ=succ,
-        parent=parent,
+        state=state,
+        first=first,
+        dst=dst,
+        wt=wt,
+        lab=lab,
+        pred=pred,
         starts=starts,
         accepts=accepts,
         comp=comp,
@@ -600,19 +649,35 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
 
 def _within(g: _Graph, c: int):
     """The edges argument of _bfs_path for the edges inside component c."""
-    succ, comp = g.succ, g.comp
-    return lambda u: ((ti, v) for v, _, ti in succ[u] if comp[v] == c)
+    first, dst, lab, comp = g.first, g.dst, g.lab, g.comp
+    return lambda u: (
+        (lab[e], dst[e]) for e in range(first[u], first[u + 1]) if comp[dst[e]] == c
+    )
+
+
+def _config_prefix(g: _Graph, u: int) -> tuple[int, ...]:
+    """Transitions of the breadth-first path from a start to u."""
+    steps: list[int] = []
+    while g.pred[u] >= 0:
+        p = g.pred[u]
+        steps.append(g.lab[g.dst.index(u, g.first[p], g.first[p + 1])])
+        u = p
+    steps.reverse()
+    return tuple(steps)
 
 
 def _unbounded_result(g: _Graph, u: int, v: int, ti: int) -> DeviationResult:
+    first, dst, lab = g.first, g.dst, g.lab
     cycle = (ti,) + _bfs_path(v, {u}, _within(g, g.comp[u]))
-    prefix = _parent_chain(g.parent, u)
-    suffix = _bfs_path(u, g.accepts, lambda x: ((i, y) for y, _, i in g.succ[x]))
+    prefix = _config_prefix(g, u)
+    suffix = _bfs_path(
+        u, g.accepts, lambda x: ((lab[e], dst[e]) for e in range(first[x], first[x + 1]))
+    )
     return DeviationResult(
         verdict=Verdict.UNBOUNDED,
         bounds=g.bounds,
         cycle_witness=_map_run(cycle, g.trans_map),
-        anchor_state=g.state_map[g.nodes[u][0]],
+        anchor_state=g.state_map[g.state[u]],
         cycle_prefix=_map_run(prefix, g.trans_map),
         cycle_suffix=_map_run(suffix, g.trans_map),
         shift=g.shift,

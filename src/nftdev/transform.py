@@ -50,11 +50,15 @@ def trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
     """Trim t and report which original states/transitions survive.
 
     Returns (trimmed, state_map, transition_map) where state_map[new_id]
-    and transition_map[new_index] give the original identifiers.
+    and transition_map[new_index] give the original identifiers.  When
+    every state survives, trimmed is t itself and both maps are the
+    identity.
     """
     reachable = _closure(t.initials, _adjacency(t))
     coreachable = _closure(t.finals, _adjacency(t, reverse=True))
     kept = sorted(reachable & coreachable)
+    if len(kept) == t.num_states:
+        return t, kept, list(range(len(t.transitions)))
     new_id = {old: new for new, old in enumerate(kept)}
     transitions = []
     trans_map = []

@@ -21,13 +21,11 @@ from .engine import ShiftAssignment, _by_src, _nonconjugate_cycle, shift_assignm
 from .transform import is_trim
 
 
-def _walk_back(parent, key, stop=None):
+def _walk_back(parent, key):
     steps = []
     while parent[key] is not None:
         key, payload = parent[key][0], parent[key][1:]
         steps.append(payload)
-        if key == stop:
-            break
     steps.reverse()
     return steps
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 from nftdev import INF, Nft, Transition, add_eps_self_loops, atomize, hamming_distance, trim
+from nftdev.transform import _adjacency, _closure
 
 ALPHABET = ("a", "b")
 
@@ -25,6 +26,12 @@ _WORD_PAIRS = (
 def random_trimmed_nft(rng: random.Random, max_states: int = 5, max_transitions: int = 8):
     """One random trimmed NFT with |Q| <= 5, |Sigma| = 2, lmax <= 2 and at
     most 8 transitions, or None when trimming empties the draw."""
+    trimmed = trim(random_untrimmed_nft(rng, max_states, max_transitions))
+    return trimmed if trimmed.num_states > 0 else None
+
+
+def random_untrimmed_nft(rng: random.Random, max_states: int = 5, max_transitions: int = 8):
+    """The draw of random_trimmed_nft before trimming."""
     nq = rng.randint(1, max_states)
     ntr = rng.randint(1, max_transitions)
     transitions = []
@@ -35,7 +42,7 @@ def random_trimmed_nft(rng: random.Random, max_states: int = 5, max_transitions:
     finals = {rng.randrange(nq)}
     if rng.random() < 0.3:
         finals.add(rng.randrange(nq))
-    t = Nft(
+    return Nft(
         states=tuple(f"s{i}" for i in range(nq)),
         alphabet=frozenset(ALPHABET),
         initials=frozenset(initials),
@@ -43,8 +50,6 @@ def random_trimmed_nft(rng: random.Random, max_states: int = 5, max_transitions:
         transitions=tuple(transitions),
         name="rand",
     )
-    trimmed = trim(t)
-    return trimmed if trimmed.num_states > 0 else None
 
 
 def random_length_preserving_nft(rng: random.Random):
@@ -298,3 +303,87 @@ def all_pairs_product(t1: Nft, t2: Nft) -> Nft:
         name=f"{t1.name}x{t2.name}",
     )
     return trim(z)
+
+
+def copying_trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
+    """Reference for trim_with_maps: always builds (and so re-validates) a
+    new Nft of the kept states and transitions, even when nothing is
+    removed."""
+    reachable = _closure(t.initials, _adjacency(t))
+    coreachable = _closure(t.finals, _adjacency(t, reverse=True))
+    kept = sorted(reachable & coreachable)
+    new_id = {old: new for new, old in enumerate(kept)}
+    transitions = []
+    trans_map = []
+    for i, tr in enumerate(t.transitions):
+        if tr.src in new_id and tr.dst in new_id:
+            transitions.append(Transition(new_id[tr.src], tr.input, tr.output, new_id[tr.dst]))
+            trans_map.append(i)
+    trimmed = Nft(
+        states=tuple(t.states[q] for q in kept),
+        alphabet=t.alphabet,
+        initials=frozenset(new_id[q] for q in t.initials if q in new_id),
+        finals=frozenset(new_id[q] for q in t.finals if q in new_id),
+        transitions=tuple(transitions),
+        name=t.name,
+    )
+    return trimmed, kept, trans_map
+
+
+def flat(succ):
+    """(first, dst, wt, lab): the compressed-sparse-row layout of the
+    engine's configuration graph, from per-node lists of (v, weight,
+    transition) edges."""
+    first, dst, wt, lab = [0], [], [], []
+    for row in succ:
+        for v, w, ti in row:
+            dst.append(v)
+            wt.append(w)
+            lab.append(ti)
+        first.append(len(dst))
+    return first, dst, wt, lab
+
+
+def _advance(side: int, lag: str, x: str, y: str) -> tuple[str, int]:
+    pin = lag + x if side > 0 else x
+    pout = lag + y if side < 0 else y
+    k = min(len(pin), len(pout))
+    w = 0
+    for i in range(k):
+        if pin[i] != pout[i]:
+            w += 1
+    return pin[k:] + pout[k:], w
+
+
+def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
+    """Reference for the engine's configuration-graph build, without its
+    budget: nodes keyed by (state, lag) tuples, one list of (v, weight,
+    transition) edges per node, and parent[v] = (u, transition) for the
+    edge that discovered v (None at the starts).  Returns (nodes, succ,
+    parent, starts, accepts)."""
+    adj = [[] for _ in range(trimmed.num_states)]
+    for i, tr in enumerate(trimmed.transitions):
+        adj[tr.src].append((i, tr))
+    side = [(shift[q] > 0) - (shift[q] < 0) for q in range(trimmed.num_states)]
+    nodes, succ, parent = [], [], []
+    node_id = {}
+
+    def intern(key, origin):
+        nid = node_id.get(key)
+        if nid is None:
+            nid = len(nodes)
+            node_id[key] = nid
+            nodes.append(key)
+            succ.append([])
+            parent.append(origin)
+        return nid
+
+    starts = [intern((q, ""), None) for q in sorted(trimmed.initials)]
+    for nid, (q, lag) in enumerate(nodes):
+        for ti, tr in adj[q]:
+            nlag, w = _advance(side[q], lag, tr.input, tr.output)
+            if len(nlag) > b:
+                raise AssertionError("lag exceeded the state-shift bound")
+            succ[nid].append((intern((tr.dst, nlag), (nid, ti)), w, ti))
+    accepts = {nid for nid, (q, _) in enumerate(nodes) if q in trimmed.finals}
+    return nodes, succ, parent, starts, accepts

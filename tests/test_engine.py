@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    flat,
     make_corpus,
     random_cnf,
     random_digraph,
     random_length_preserving_nft,
     simple_cycles_shifts,
+    tuple_keyed_graph,
 )
 from test_acceptance import CORPUS_SEED
 
@@ -20,6 +22,7 @@ import nftdev
 
 from nftdev import (
     INF,
+    Bounds,
     Digraph,
     Nft,
     Run,
@@ -42,7 +45,7 @@ from nftdev import (
     trim,
 )
 from nftdev.cli import main
-from nftdev.engine import _value_components
+from nftdev.engine import _build_graph, _value_components
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -246,6 +249,53 @@ def test_state_budget():
         analyze_deviation(gen_family(4).nft, max_configs=3)
 
 
+def test_state_budget_boundary():
+    t = gen_family(10).nft
+    bounds = Bounds.from_nft(t)
+    n = len(_build_graph(t, shift_assignment(t), bounds, 2**20)[0])
+    assert analyze_deviation(t, max_configs=n).value == 55
+    expected = (
+        rf"^state budget exceeded: {n - 1} configurations reached,"
+        rf" b={bounds.b}, \|Q\|={t.num_states}, "
+    )
+    with pytest.raises(StateBudgetExceeded, match=expected):
+        analyze_deviation(t, max_configs=n - 1)
+
+
+def _expand(first, dst, wt, lab, pred):
+    """Per-node edge lists and (node, transition) parents of a flat graph."""
+    succ = [
+        [(dst[e], wt[e], lab[e]) for e in range(first[u], first[u + 1])]
+        for u in range(len(first) - 1)
+    ]
+    parent = [
+        None if p < 0 else (p, lab[dst.index(u, first[p], first[p + 1])])
+        for u, p in enumerate(pred)
+    ]
+    return succ, parent
+
+
+def test_flat_graph_matches_tuple_keyed_reference():
+    instances = make_corpus(500, seed=CORPUS_SEED)
+    rng = random.Random(41)
+    draws = (random_length_preserving_nft(rng) for _ in range(500))
+    instances += [t for t in draws if t is not None]
+    instances += [gen_family(n).nft for n in range(2, 13)]
+    built = 0
+    for t in instances:
+        sa = shift_assignment(t)
+        if not sa.consistent:
+            continue
+        bounds = Bounds.from_nft(t)
+        state, first, dst, wt, lab, pred, starts, accepts = _build_graph(t, sa, bounds, 2**20)
+        nodes, succ, parent, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, bounds.b)
+        assert state == [q for q, _ in nodes]
+        assert _expand(first, dst, wt, lab, pred) == (succ, parent)
+        assert (starts, accepts) == (ref_starts, ref_accepts)
+        built += 1
+    assert built >= 600
+
+
 def test_oracle_equivalence(corpus):
     for t in corpus:
         res = analyze_deviation(t)
@@ -418,7 +468,7 @@ def test_value_components_zero_weight_component():
         [],
         [],
     ]
-    comp, best, choice, pumped = _value_components(succ, {3, 4, 5})
+    comp, best, choice, pumped = _value_components(*flat(succ), {3, 4, 5})
     assert pumped is None
     assert comp[0] == comp[1] == comp[2]
     assert len({comp[0], comp[3], comp[4], comp[5]}) == 4
@@ -432,7 +482,7 @@ def test_value_components_accepting_member_wins_ties():
     # the 0-weight cycle 0 <-> 1 holds the accepting node 1 and leaves by
     # a 0-weight edge to the accepting node 2
     succ = [[(1, 0, 0)], [(0, 0, 1), (2, 0, 2)], []]
-    comp, best, choice, pumped = _value_components(succ, {1, 2})
+    comp, best, choice, pumped = _value_components(*flat(succ), {1, 2})
     assert pumped is None
     assert best[comp[0]] == 0 and choice[comp[0]] == (1, None, None)
 
@@ -440,7 +490,7 @@ def test_value_components_accepting_member_wins_ties():
 def test_value_components_reports_inner_positive_edge():
     # 0 -> 1 -> 0 is a cycle whose edge 1 -> 0 weighs 1
     succ = [[(1, 0, 0)], [(2, 0, 1), (0, 1, 2)], []]
-    comp, _, _, pumped = _value_components(succ, {2})
+    comp, _, _, pumped = _value_components(*flat(succ), {2})
     assert pumped == (1, 0, 2)
     assert comp[0] == comp[1]
 
@@ -448,4 +498,4 @@ def test_value_components_reports_inner_positive_edge():
 def test_value_components_requires_acceptance():
     succ = [[(1, 0, 0)], [(0, 0, 1)]]
     with pytest.raises(AssertionError, match="cannot reach acceptance"):
-        _value_components(succ, set())
+        _value_components(*flat(succ), set())

@@ -1,6 +1,12 @@
 import random
 
-from helpers import enumerate_pairs_total, make_corpus
+from helpers import (
+    copying_trim_with_maps,
+    enumerate_pairs_total,
+    make_corpus,
+    random_digraph,
+    random_untrimmed_nft,
+)
 
 from nftdev import (
     Nft,
@@ -10,12 +16,15 @@ from nftdev import (
     concat,
     enumerate_relation,
     gen_family,
+    gen_reach_bounded,
+    gen_reach_threshold,
     is_trim,
     serialize_nft,
     stats,
     trim,
     union,
 )
+from nftdev.transform import trim_with_maps
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -45,6 +54,33 @@ def test_trim_idempotent_on_family():
     t4 = gen_family(4).nft
     assert trim(t4) == t4
     assert is_trim(t4)
+
+
+def test_trim_with_maps_is_identity_on_trim_inputs():
+    rng = random.Random(5)
+    instances = make_corpus(200, seed=11)
+    instances += [gen_family(n).nft for n in range(2, 12)]
+    for _ in range(30):
+        g = random_digraph(rng, max_vertices=10)
+        instances.append(trim(gen_reach_bounded(g).nft))
+        instances.append(trim(gen_reach_threshold(g, rng.randint(1, 3)).nft))
+    for t in instances:
+        assert is_trim(t)
+        trimmed, state_map, trans_map = trim_with_maps(t)
+        assert trimmed == t
+        assert state_map == list(range(t.num_states))
+        assert trans_map == list(range(len(t.transitions)))
+
+
+def test_trim_with_maps_matches_copying_reference():
+    rng = random.Random(12)
+    removed = 0
+    for _ in range(400):
+        t = random_untrimmed_nft(rng)
+        got = trim_with_maps(t)
+        assert got == copying_trim_with_maps(t)
+        removed += got[0].num_states < t.num_states
+    assert removed >= 100
 
 
 def test_trim_to_empty():

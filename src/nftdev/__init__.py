@@ -10,6 +10,8 @@ hardness-gadget instance families with known ground truth.
 
 from .core import (
     INF,
+    CnfFormula,
+    Digraph,
     ExtendedNat,
     Infinity,
     Nft,
@@ -38,8 +40,6 @@ from .engine import (
     threshold,
 )
 from .gadgets import (
-    CnfFormula,
-    Digraph,
     GadgetInstance,
     GroundTruth,
     gen_3sat,
@@ -58,14 +58,8 @@ from .oracle import (
     sat_brute_force,
 )
 from .reductions import compare, comparison_to_deviation, deviation_to_comparison
-from .textio import ParseError, parse_cnf, parse_digraph, parse_nft, serialize_nft
+from .textio import ParseError, parse_cnf, parse_digraph, parse_nft, repr_size, serialize_nft
 from .transform import add_eps_self_loops, atomize, concat, is_trim, trim, union
-from .witness import (
-    find_nonconjugate_cycle,
-    find_short_unbalanced_accepting_run,
-    find_short_unbalanced_cycle,
-    find_threshold_witness,
-)
 
 __version__ = "0.1.0"
 
@@ -103,10 +97,6 @@ __all__ = [
     "domains_equal_upto",
     "enumerate_relation",
     "exact",
-    "find_nonconjugate_cycle",
-    "find_short_unbalanced_accepting_run",
-    "find_short_unbalanced_cycle",
-    "find_threshold_witness",
     "gen_3sat",
     "gen_family",
     "gen_reach_bounded",
@@ -119,6 +109,7 @@ __all__ = [
     "parse_digraph",
     "parse_nft",
     "reachable",
+    "repr_size",
     "run_position_maps",
     "run_shift",
     "run_words",

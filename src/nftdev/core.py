@@ -1,4 +1,5 @@
-"""Core data model: transducers, runs, words, and their numeric measures.
+"""Core data model: transducers, runs, words, and their numeric measures,
+plus the digraph and 3-CNF inputs of the hardness gadgets.
 
 A nondeterministic finite-state transducer (NFT) is a tuple
 (states, alphabet, initials, finals, transitions) where each transition
@@ -258,22 +259,61 @@ class NftStats:
     """Size measures of an Nft.
 
     smax is the maximum absolute transition shift, lmax the maximum
-    transition length |input| + |output|, repr_size the byte length of the
-    canonical text serialization (the machine-size measure used by the
-    deviation bounds).
+    transition length |input| + |output|.  The machine-size measure of the
+    deviation bounds, the byte length of the canonical serialization, is
+    textio.repr_size.
     """
 
     num_states: int
     smax: int
     lmax: int
-    repr_size: int
 
 
 def stats(t: Nft) -> NftStats:
     """Compute NftStats; a transition-free Nft has smax = lmax = 0."""
-    from .textio import serialize_nft  # canonical serialization defines repr_size
-
     smax = max((abs(tr.shift) for tr in t.transitions), default=0)
     lmax = max((tr.length for tr in t.transitions), default=0)
-    repr_size = len(serialize_nft(t).encode("utf-8"))
-    return NftStats(num_states=t.num_states, smax=smax, lmax=lmax, repr_size=repr_size)
+    return NftStats(num_states=t.num_states, smax=smax, lmax=lmax)
+
+
+@dataclass(frozen=True)
+class Digraph:
+    """A directed graph with two distinguished vertices s and t."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    s: int
+    t: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        if self.vertex_count < 1:
+            raise ValueError("need at least one vertex")
+        for u, v in self.edges:
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range")
+        if not (0 <= self.s < self.vertex_count and 0 <= self.t < self.vertex_count):
+            raise ValueError("s or t out of range")
+
+
+@dataclass(frozen=True)
+class CnfFormula:
+    """A 3-CNF formula: clauses are triples of signed 1-based variables."""
+
+    num_vars: int
+    clauses: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        if self.num_vars < 1:
+            raise ValueError("need at least one variable")
+        for clause in self.clauses:
+            if len(clause) != 3:
+                raise ValueError(f"clause {clause} must have exactly 3 literals")
+            for lit in clause:
+                if lit == 0 or abs(lit) > self.num_vars:
+                    raise ValueError(f"literal {lit} out of range")
+
+    @property
+    def num_clauses(self) -> int:
+        return len(self.clauses)

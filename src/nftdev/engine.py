@@ -37,9 +37,10 @@ exact supremum when it is finite:
    of the reach benchmark workload, parsing included).
 
 For a length-preserving trimmed transducer every lag stays within the
-state-shift bound b = min(smax * |Q|, repr_size), so the graph is finite;
-its size is still exponential in b in the worst case, hence the
-max_configs budget.
+state-shift bound b = min(smax * |Q|, repr_size(t)), repr_size being the
+byte length of the canonical serialization (textio.repr_size), so the
+graph is finite; its size is still exponential in b in the worst case,
+hence the max_configs budget (at least 1).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from operator import ne
 from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
+from .textio import repr_size
 from .transform import is_trim, trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
@@ -81,7 +83,7 @@ class Bounds:
     def from_nft(cls, t: Nft) -> "Bounds":
         st = stats(t)
         n = st.num_states
-        b = min(st.smax * n, st.repr_size)
+        b = min(st.smax * n, repr_size(t))
         return cls(
             b=b,
             B=(b + st.lmax + 2) * n,
@@ -602,6 +604,8 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
     """The finished result when the verdict is EMPTY, NOT_LENGTH_PRESERVING
     or UNBOUNDED, otherwise the valued configuration graph for
     _longest_path."""
+    if max_configs < 1:
+        raise ValueError("max_configs must be at least 1")
     trimmed, state_map, trans_map = trim_with_maps(t)
     bounds = Bounds.from_nft(trimmed)
     if trimmed.num_states == 0:
@@ -718,7 +722,7 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     """Full deviation analysis of an arbitrary Nft (trims internally).
 
     Raises StateBudgetExceeded when the configuration graph would exceed
-    max_configs nodes.
+    max_configs nodes, and ValueError when max_configs is below 1.
     """
     prepared = _prepare(t, max_configs)
     if isinstance(prepared, DeviationResult):

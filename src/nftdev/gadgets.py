@@ -14,29 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass
 
-from .core import Nft, Transition
+from .core import CnfFormula, Digraph, Nft, Transition
 from .oracle import sat_brute_force
 from .transform import concat, union
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """A directed graph with two distinguished vertices s and t."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    s: int
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.vertex_count < 1:
-            raise ValueError("need at least one vertex")
-        for u, v in self.edges:
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-        if not (0 <= self.s < self.vertex_count and 0 <= self.t < self.vertex_count):
-            raise ValueError("s or t out of range")
 
 
 def reachable(g: Digraph) -> bool:
@@ -57,29 +37,6 @@ def reachable(g: Digraph) -> bool:
                 seen.add(v)
                 queue.append(v)
     return False
-
-
-@dataclass(frozen=True)
-class CnfFormula:
-    """A 3-CNF formula: clauses are triples of signed 1-based variables."""
-
-    num_vars: int
-    clauses: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
-        for clause in self.clauses:
-            if len(clause) != 3:
-                raise ValueError(f"clause {clause} must have exactly 3 literals")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
-
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .core import INF, ExtendedNat, Nft, Run, stats
-
-if TYPE_CHECKING:
-    from .gadgets import CnfFormula
+from .core import INF, CnfFormula, ExtendedNat, Nft, Run, stats
+from .textio import repr_size
 
 
 class OracleScaleExceeded(RuntimeError):
@@ -40,7 +37,7 @@ class BruteForceResult:
 def default_caps(t: Nft) -> tuple[int, int]:
     """Default limits (max_run_len, max_pair_len) = (4B, 2 * 4B * lmax)."""
     st = stats(t)
-    b = min(st.smax * st.num_states, st.repr_size)
+    b = min(st.smax * st.num_states, repr_size(t))
     big_b = (b + st.lmax + 2) * st.num_states
     max_run_len = 4 * big_b
     return max_run_len, 2 * max_run_len * st.lmax
@@ -58,13 +55,16 @@ def brute_force_deviation(
     the supremum is exactly INF and saturated is False).  Otherwise
     max_seen is the maximum Hamming distance observed, 0 for an empty
     relation, and saturated tells whether a run limit, pair-length limit
-    or internal cap cut the exploration.
+    or internal cap cut the exploration.  A negative limit raises
+    ValueError.
     """
     st = stats(t)
     if max_run_len is None:
         max_run_len = default_caps(t)[0]
     if max_pair_len is None:
         max_pair_len = 2 * max_run_len * st.lmax
+    if max_run_len < 0 or max_pair_len < 0:
+        raise ValueError("max_run_len and max_pair_len must be natural numbers")
     n = st.num_states
     # Length-preserving transducers keep every lag within smax * |Q|.  When
     # some accepted pair is unbalanced, one is reachable through an acyclic
@@ -215,7 +215,7 @@ def domains_equal_upto(t1: Nft, t2: Nft, max_word_len: int) -> bool:
     return domain_upto(t1, max_word_len) == domain_upto(t2, max_word_len)
 
 
-def sat_brute_force(f: "CnfFormula") -> tuple[bool, ...] | None:
+def sat_brute_force(f: CnfFormula) -> tuple[bool, ...] | None:
     """A satisfying valuation of f (as a tuple indexed by variable - 1),
     or None; enumerates all 2^n assignments, n <= 24."""
     if f.num_vars > 24:

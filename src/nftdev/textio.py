@@ -9,14 +9,14 @@ The NFT format is line oriented, UTF-8, with '#' comments:
     end
 
 Serialization is canonical: states and transitions in declaration order,
-alphabet sorted.  parse(serialize(t)) reproduces t exactly, and the byte
-length of the canonical form is the repr_size measure used by the bounds.
+alphabet sorted.  parse(serialize(t)) reproduces t exactly, and
+repr_size(t), the byte length of the canonical form, is the machine-size
+measure used by the deviation bounds.
 """
 
 from __future__ import annotations
 
-from .core import Nft, Transition
-from .gadgets import CnfFormula, Digraph
+from .core import CnfFormula, Digraph, Nft, Transition
 
 
 class ParseError(ValueError):
@@ -53,6 +53,11 @@ def serialize_nft(t: Nft) -> str:
         lines.append(f"trans {t.states[tr.src]} {t.states[tr.dst]} {inp} {out}")
     lines.append("end")
     return "\n".join(lines) + "\n"
+
+
+def repr_size(t: Nft) -> int:
+    """Byte length of the canonical UTF-8 serialization of t."""
+    return len(serialize_nft(t).encode("utf-8"))
 
 
 def parse_nft(text: str) -> Nft:

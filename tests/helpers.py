@@ -4,8 +4,23 @@ reference implementations used to cross-check the library."""
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import combinations
 
-from nftdev import INF, Nft, Transition, add_eps_self_loops, atomize, hamming_distance, trim
+from nftdev import (
+    INF,
+    CnfFormula,
+    Digraph,
+    Nft,
+    Run,
+    Transition,
+    add_eps_self_loops,
+    atomize,
+    hamming_distance,
+    shift_assignment,
+    trim,
+)
+from nftdev.engine import _by_src, _parent_chain
 from nftdev.transform import _adjacency, _closure
 
 ALPHABET = ("a", "b")
@@ -104,8 +119,6 @@ def make_corpus(count: int, seed: int) -> list[Nft]:
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 12, density=(0.05, 0.4)):
-    from nftdev import Digraph
-
     n = rng.randint(2, max_vertices)
     p = rng.uniform(*density)
     edges = tuple(
@@ -115,8 +128,6 @@ def random_digraph(rng: random.Random, max_vertices: int = 12, density=(0.05, 0.
 
 
 def random_cnf(rng: random.Random, max_vars: int = 5, max_clauses: int = 6):
-    from nftdev import CnfFormula
-
     n = rng.randint(1, max_vars)
     m = rng.randint(1, max_clauses)
     clauses = []
@@ -129,8 +140,6 @@ def random_cnf(rng: random.Random, max_vars: int = 5, max_clauses: int = 6):
 def random_unsat_cnf(rng: random.Random, max_vars: int = 5, max_clauses: int = 6):
     """Random formula with an embedded contradiction (so unsatisfiable);
     small random 3-CNFs are almost always satisfiable otherwise."""
-    from nftdev import CnfFormula
-
     n = rng.randint(1, max_vars)
     m = rng.randint(2, max_clauses)
     v = rng.randint(1, n)
@@ -179,8 +188,6 @@ def literal_max_distance(t: Nft, max_run_len: int):
 
 def enumerate_pairs_total(t: Nft, max_total: int) -> set[tuple[str, str]]:
     """All accepted pairs with |u| + |v| <= max_total (exact)."""
-    from collections import deque
-
     adj = [[] for _ in range(t.num_states)]
     for tr in t.transitions:
         adj[tr.src].append(tr)
@@ -205,8 +212,6 @@ def enumerate_pairs_total(t: Nft, max_total: int) -> set[tuple[str, str]]:
 def io_map(t: Nft, max_in: int, max_out: int):
     """Map input word -> set of output words, over |x| <= max_in and
     |v| <= max_out.  Exact for acyclic instances sized within the caps."""
-    from collections import deque
-
     adj = [[] for _ in range(t.num_states)]
     for tr in t.transitions:
         adj[tr.src].append(tr)
@@ -387,3 +392,173 @@ def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
             succ[nid].append((intern((tr.dst, nlag), (nid, ti)), w, ti))
     accepts = {nid for nid, (q, _) in enumerate(nodes) if q in trimmed.finals}
     return nodes, succ, parent, starts, accepts
+
+
+# Breadth-first small-witness searches: the nondeterministic procedures of
+# the analysis made deterministic over a finite product of the state with
+# the few counters a guess would carry (length-class shift, pending mark
+# distances).  They share no decision logic with the configuration-graph
+# walk and serve as references for it; every run they return re-verifies
+# by recomputing words and distances.
+
+
+def find_short_unbalanced_accepting_run(t: Nft) -> Run | None:
+    """An accepting run of length at most |Q| with |u| != |v|, or None.
+
+    Together with find_short_unbalanced_cycle returning None this
+    certifies that a trimmed transducer is length-preserving.
+    """
+    n = t.num_states
+    adj = _by_src(t)
+    parent = {}
+    level = []
+    for q in sorted(t.initials):
+        key = (q, 0)
+        if key not in parent:
+            parent[key] = None
+            level.append(key)
+    for _ in range(n):
+        nxt = []
+        for key in level:
+            state, s = key
+            for idx, tr in adj[state]:
+                nk = (tr.dst, s + tr.shift)
+                if nk in parent:
+                    continue
+                parent[nk] = (key, idx)
+                if tr.dst in t.finals and nk[1] != 0:
+                    return Run(_parent_chain(parent, nk))
+                nxt.append(nk)
+        level = nxt
+    return None
+
+
+def find_short_unbalanced_cycle(t: Nft) -> tuple[int, Run] | None:
+    """A cycle of length at most |Q| with nonzero shift, or None."""
+    n = t.num_states
+    adj = _by_src(t)
+    for p in range(n):
+        parent = {(p, 0): None}
+        level = [(p, 0)]
+        for _ in range(n):
+            nxt = []
+            for key in level:
+                state, s = key
+                for idx, tr in adj[state]:
+                    nk = (tr.dst, s + tr.shift)
+                    if nk in parent:
+                        continue
+                    parent[nk] = (key, idx)
+                    if tr.dst == p and nk[1] != 0:
+                        return p, Run(_parent_chain(parent, nk))
+                    nxt.append(nk)
+            level = nxt
+    return None
+
+
+def _mark_subsets(marks):
+    out = [()]
+    for size in range(1, len(marks) + 1):
+        out.extend(combinations(marks, size))
+    return tuple(out)
+
+
+def find_threshold_witness(t: Nft, k: int) -> Run | None:
+    """An accepting run whose words mismatch in more than k positions.
+
+    Requires a trimmed, length-preserving transducer.  Returns None iff
+    no accepting run of any length has more than k mismatches, i.e. the
+    deviation is at most k.
+
+    Search over (state, pending marks, confirmed count): a mark commits a
+    chosen position to be a mismatch, remembering its letter and the
+    distance until the opposite stream reaches it; positions compared
+    within a single transition are counted directly.  Pending distances
+    never exceed the largest state shift plus a transition length, so the
+    product is finite.  Nothing caps the number of pending marks, so the
+    search is exponential even at k = 0: a reference for small instances.
+    """
+    if k < 0:
+        raise ValueError("threshold witness expects a natural number")
+    sa = shift_assignment(t)  # also enforces trimming
+    if not sa.consistent:
+        raise ValueError("find_threshold_witness requires a length-preserving Nft")
+    if t.num_states == 0:
+        return None
+    cap = k + 1
+
+    # Static per-transition data: the joint mismatch gain and the markable
+    # positions only depend on the source state's shift.
+    table: list[list[tuple]] = [[] for _ in range(t.num_states)]
+    for idx, tr in enumerate(t.transitions):
+        d0 = sa.per_state[tr.src]
+        x, y = tr.input, tr.output
+        gain = 0
+        in_marks = []
+        out_marks = []
+        for o in range(1, len(x) + 1):
+            jo = d0 + o
+            if jo > len(y):
+                in_marks.append((jo - len(y), x[o - 1]))
+            elif jo >= 1 and x[o - 1] != y[jo - 1]:
+                gain += 1
+        for o2 in range(1, len(y) + 1):
+            io = o2 - d0
+            if io > len(x):
+                out_marks.append((io - len(x), y[o2 - 1]))
+        if in_marks and out_marks:
+            raise AssertionError("marks cannot straddle both streams")
+        options = [((), 0)]
+        options.extend((chosen, 1) for chosen in _mark_subsets(tuple(in_marks))[1:])
+        options.extend((chosen, -1) for chosen in _mark_subsets(tuple(out_marks))[1:])
+        table[tr.src].append((idx, tr.dst, gain, x, y, tuple(options)))
+
+    def accepting(key):
+        state, _, pend, c = key
+        return state in t.finals and not pend and c >= cap
+
+    parent = {}
+    queue = deque()
+    for q in sorted(t.initials):
+        key = (q, 0, (), 0)
+        if key not in parent:
+            parent[key] = None
+            queue.append(key)  # cap >= 1, so start nodes never accept
+
+    while queue:
+        key = queue.popleft()
+        state, side, pend, c = key
+        for idx, dst, gain, x, y, options in table[state]:
+            # Resolve the pending marks the opposite stream now reaches; a
+            # mark whose letters turn out equal kills this continuation.
+            total = c + gain
+            carried = ()
+            dead = False
+            if pend:
+                opposite = y if side > 0 else x
+                keep = []
+                for d, letter in pend:
+                    if d <= len(opposite):
+                        if letter == opposite[d - 1]:
+                            dead = True
+                            break
+                        total += 1
+                    else:
+                        keep.append((d - len(opposite), letter))
+                carried = tuple(keep)
+            if dead:
+                continue
+            total = min(total, cap)
+            for chosen, mark_side in options:
+                if chosen and carried and side != mark_side:
+                    raise AssertionError("pending marks on both sides")
+                npend = tuple(sorted(carried + chosen))
+                nside = (side if carried else mark_side) if npend else 0
+                nk = (dst, nside, npend, total)
+                if nk in parent:
+                    continue
+                parent[nk] = (key, idx)
+                if accepting(nk):
+                    return Run(_parent_chain(parent, nk))
+                queue.append(nk)
+    return None

@@ -11,6 +11,9 @@ from contextlib import contextmanager
 import pytest
 
 from helpers import (
+    find_short_unbalanced_accepting_run,
+    find_short_unbalanced_cycle,
+    find_threshold_witness,
     io_map,
     make_corpus,
     random_acyclic_nft,
@@ -29,10 +32,6 @@ from nftdev import (
     comparison_to_deviation,
     deviation_to_comparison,
     exact,
-    find_nonconjugate_cycle,
-    find_short_unbalanced_accepting_run,
-    find_short_unbalanced_cycle,
-    find_threshold_witness,
     gen_3sat,
     gen_family,
     gen_reach_bounded,
@@ -47,6 +46,7 @@ from nftdev import (
     stats,
     threshold,
 )
+from nftdev.engine import _nonconjugate_cycle
 
 CORPUS_SEED = 20250811
 
@@ -270,7 +270,7 @@ def test_criterion_10_witness_agreement(corpus500):
             assert none_unbalanced == sa.consistent
             if not sa.consistent:
                 continue
-            found = find_nonconjugate_cycle(t, sa)
+            found = _nonconjugate_cycle(t, sa.per_state)
             assert (found is not None) == (res.verdict is Verdict.UNBOUNDED)
             if found is not None:
                 p, run, i, j = found

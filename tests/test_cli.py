@@ -138,6 +138,15 @@ def test_oracle_command(tmp_path, capsys):
     assert report["maxSeen"] == 10 and report["saturated"] is False
 
 
+def test_oracle_negative_caps_exit_code(tmp_path, capsys):
+    fam = _write_family4(tmp_path)
+    for flag in ("--max-run-len", "--max-pair-len"):
+        assert main(["oracle", fam, flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "must be natural numbers" in captured.err
+        assert captured.out == ""
+
+
 def test_trim_and_atomize_commands(tmp_path, capsys):
     src = _write(
         tmp_path,
@@ -175,6 +184,21 @@ def test_budget_exit_code(tmp_path, capsys):
 def test_usage_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_max_configs_below_one_exit_code(tmp_path, capsys):
+    fam = _write_family4(tmp_path)
+    for budget in ("0", "-1"):
+        for argv in (
+            ["analyze", fam],
+            ["threshold", fam, "3"],
+            ["exact", fam, "10"],
+            ["compare", "threshold", "3", fam, fam],
+        ):
+            assert main(argv + ["--max-configs", budget]) == 2
+            err = capsys.readouterr().err
+            assert "max_configs must be at least 1" in err
+            assert "state budget exceeded" not in err
 
 
 def test_bad_k_exit_code(tmp_path, capsys):

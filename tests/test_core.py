@@ -10,6 +10,7 @@ from nftdev import (
     conjugate_by,
     gen_family,
     hamming_distance,
+    repr_size,
     run_position_maps,
     run_shift,
     run_words,
@@ -181,14 +182,14 @@ def test_stats_values():
     empty = Nft(("p",), frozenset("a"), frozenset({0}), frozenset({0}), ())
     st = stats(empty)
     assert st.smax == 0 and st.lmax == 0
-    assert st.repr_size >= st.num_states
+    assert repr_size(empty) >= st.num_states
 
 
 def test_stats_invariants(corpus):
     for t in corpus[:40]:
         st = stats(t)
         assert st.smax <= st.lmax
-        assert st.repr_size >= st.num_states
+        assert repr_size(t) >= st.num_states
 
 
 def test_nft_validation():

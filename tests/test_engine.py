@@ -249,6 +249,21 @@ def test_state_budget():
         analyze_deviation(gen_family(4).nft, max_configs=3)
 
 
+def test_max_configs_below_one_rejected():
+    # a usage error, not a spent budget, also where no graph would be built
+    empty = Nft(("p",), frozenset("a"), frozenset({0}), frozenset(), ())
+    for t in (gen_family(4).nft, empty):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="max_configs must be at least 1"):
+                analyze_deviation(t, budget)
+            with pytest.raises(ValueError, match="max_configs must be at least 1"):
+                threshold(t, 3, budget)
+            with pytest.raises(ValueError, match="max_configs must be at least 1"):
+                exact(t, 3, budget)
+    single = Nft(("p",), frozenset("a"), frozenset({0}), frozenset({0}), ())
+    assert analyze_deviation(single, max_configs=1).value == 0
+
+
 def test_state_budget_boundary():
     t = gen_family(10).nft
     bounds = Bounds.from_nft(t)
@@ -342,11 +357,11 @@ def test_trim_inside_analysis_matches_trim_then_analyze(corpus):
 def test_bounds_formulas():
     t4 = gen_family(4).nft
     bounds = analyze_deviation(t4).bounds
-    from nftdev import stats
+    from nftdev import repr_size, stats
 
     st = stats(t4)
     assert st.smax == 1 and st.lmax == 2 and st.num_states == 8
-    assert bounds.b == min(st.smax * 8, st.repr_size) == 8
+    assert bounds.b == min(st.smax * 8, repr_size(t4)) == 8
     assert bounds.B == (bounds.b + st.lmax + 2) * 8 == 96
     assert bounds.Lconj == 2 * 8 + 2 * st.smax * 64 == 144
     assert bounds.Lwit == 8 * st.smax * 512 == 4096

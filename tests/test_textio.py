@@ -13,8 +13,8 @@ from nftdev import (
     parse_cnf,
     parse_digraph,
     parse_nft,
+    repr_size,
     serialize_nft,
-    stats,
     union,
 )
 
@@ -44,7 +44,7 @@ def test_serialization_is_canonical():
 
 def test_repr_size_is_serialization_bytes():
     t = gen_family(3).nft
-    assert stats(t).repr_size == len(serialize_nft(t).encode("utf-8"))
+    assert repr_size(t) == len(serialize_nft(t).encode("utf-8"))
 
 
 def test_dash_means_empty_word():
@@ -172,5 +172,5 @@ def test_unicode_letters_round_trip():
         name="ünïcode",
     )
     assert parse_nft(serialize_nft(t)) == t
-    assert stats(t).repr_size == len(serialize_nft(t).encode("utf-8"))
-    assert stats(t).repr_size > len(serialize_nft(t))  # multibyte letters
+    assert repr_size(t) == len(serialize_nft(t).encode("utf-8"))
+    assert repr_size(t) > len(serialize_nft(t))  # multibyte letters

@@ -1,5 +1,11 @@
 import pytest
 
+from helpers import (
+    find_short_unbalanced_accepting_run,
+    find_short_unbalanced_cycle,
+    find_threshold_witness,
+)
+
 from nftdev import (
     CnfFormula,
     Digraph,
@@ -8,10 +14,6 @@ from nftdev import (
     Verdict,
     analyze_deviation,
     conjugate_by,
-    find_nonconjugate_cycle,
-    find_short_unbalanced_accepting_run,
-    find_short_unbalanced_cycle,
-    find_threshold_witness,
     gen_3sat,
     gen_family,
     gen_reach_bounded,
@@ -21,6 +23,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
+from nftdev.engine import _nonconjugate_cycle
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -93,7 +96,7 @@ def test_unbalanced_agreement(corpus):
 def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
     sa = shift_assignment(t)
-    found = find_nonconjugate_cycle(t, sa)
+    found = _nonconjugate_cycle(t, sa.per_state)
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
@@ -105,19 +108,9 @@ def test_nonconjugate_cycle_on_reach_gadget():
 
 def test_nonconjugate_cycle_none_on_bounded():
     t4 = gen_family(4).nft
-    assert find_nonconjugate_cycle(t4, shift_assignment(t4)) is None
+    assert _nonconjugate_cycle(t4, shift_assignment(t4).per_state) is None
     ident = _identity()
-    assert find_nonconjugate_cycle(ident, shift_assignment(ident)) is None
-
-
-def test_nonconjugate_cycle_preconditions():
-    bad = _nft(["i", "f"], {0}, {1}, [Transition(0, "a", "", 1)])
-    sa = shift_assignment(bad)
-    with pytest.raises(ValueError):
-        find_nonconjugate_cycle(bad, sa)
-    untrimmed = _nft(["i", "f", "x"], {0}, {1}, [Transition(0, "a", "a", 1)])
-    with pytest.raises(ValueError):
-        find_nonconjugate_cycle(untrimmed, shift_assignment(trim(untrimmed)))
+    assert _nonconjugate_cycle(ident, shift_assignment(ident).per_state) is None
 
 
 def test_nonconjugate_agreement(corpus):
@@ -126,7 +119,7 @@ def test_nonconjugate_agreement(corpus):
         if not sa.consistent:
             continue
         res = analyze_deviation(t)
-        found = find_nonconjugate_cycle(t, sa)
+        found = _nonconjugate_cycle(t, sa.per_state)
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found

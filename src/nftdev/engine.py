@@ -7,7 +7,7 @@ exact supremum when it is finite:
 1. trim; an empty result means the relation is empty (deviation 0);
 2. propagate state shifts from the initial states; an inconsistency is a
    witness that the transducer is not length-preserving (deviation INF);
-3. otherwise explore the alignment-configuration graph.  A configuration
+3. otherwise consider the alignment-configuration graph.  A configuration
    is a state q with the buffer of unmatched letters (the lag); the lag
    holds |s_q| letters, of the input when s_q > 0 and of the output when
    s_q < 0, so (q, lag) determines it.  Edges carry the number of freshly
@@ -17,24 +17,26 @@ exact supremum when it is finite:
    state, and s_f = 0 empties the lag there.  So a positive-weight edge
    on any cycle can be pumped, and the deviation is INF; otherwise every
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
-   paths from an initial to an accepting configuration.  The graph is
-   stored flat (see _Graph): node states and edges live in parallel int
-   lists, edges in compressed sparse rows, and lags only in per-state
-   dicts while the graph is built, so a configuration costs a few list
-   slots rather than containers of its own.  One Tarjan walk of the
-   built graph decides and values it: components pop in reverse
-   topological order, so as each pops it is checked for a positive inner
-   edge and valued from the final values of the components it leads to.
-   is_bounded alone skips the graph: the deviation of a length-preserving
-   transducer is finite exactly when no cycle breaks conjugacy by its
-   anchor's shift, and _nonconjugate_cycle decides that with one
-   breadth-first search over (state, phase) pairs inside the strongly
-   connected components of the state graph, polynomial in the size of
-   the transducer.  analyze_deviation, threshold and exact keep deciding
-   UNBOUNDED in their walk of the graph, which they need for the value
-   anyway; running the search first would be pure overhead for them
-   (measured at about 18% of each bounded analyze and threshold query
-   of the reach benchmark workload, parsing included).
+   paths from an initial to an accepting configuration.
+
+The INF verdict needs no configuration graph: a length-preserving
+transducer has finite deviation exactly when no cycle breaks conjugacy by
+its anchor's shift, which _nonconjugate_cycle decides in polynomial time
+by one breadth-first search over (state, phase) pairs inside the strongly
+connected components of the state graph.  is_bounded is that search
+alone; analyze_deviation, threshold and exact run it first when b > 0
+and take UNBOUNDED from its cycle, with shortest state-graph paths as
+prefix and suffix.  When b = 0 every lag is empty, the configurations are
+the states, and a positive edge inside a component of the walk closes
+into such a cycle, so they skip the search.
+
+The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
+a configuration is expanded when the depth-first walk first enters it,
+and each strongly connected component is decided and valued as it pops,
+from the final values of the components it leads to, which pop first.
+Edge rows are kept only for nodes on the Tarjan stack and in multi-node
+components.  threshold and exact stop at the first component whose
+root's tree path and value together weigh more than k.
 
 For a length-preserving trimmed transducer every lag stays within the
 state-shift bound b = min(smax * |Q|, repr_size(t)), repr_size being the
@@ -45,12 +47,13 @@ hence the max_configs budget (at least 1).
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import repeat
 from operator import ne
 from typing import NamedTuple
 
@@ -186,15 +189,16 @@ def _parent_chain(parent, q: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _bfs_path(src: int, targets, edges) -> tuple[int, ...]:
-    """Labels of a shortest path from src to a node in `targets`.
+def _bfs_path(sources, targets, edges) -> tuple[int, ...]:
+    """Labels of a shortest path from a node in `sources` to one in
+    `targets`.
 
     edges(u) yields the (label, v) pairs of the edges leaving u.
     """
-    if src in targets:
+    if any(s in targets for s in sources):
         return ()
-    parent: dict[int, tuple[int, int] | None] = {src: None}
-    queue = deque([src])
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
+    queue = deque(parent)
     while queue:
         u = queue.popleft()
         for label, v in edges(u):
@@ -216,13 +220,12 @@ def shift_assignment(t: Nft) -> ShiftAssignment:
     """
     if not is_trim(t):
         raise ValueError("engine requires trimmed Nft")
-    return _shift_potential(t)
+    return _shift_potential(t, _by_src(t))
 
 
-def _shift_potential(t: Nft) -> ShiftAssignment:
+def _shift_potential(t: Nft, adj) -> ShiftAssignment:
     """shift_assignment without its trimness check, for callers that have
-    just trimmed."""
-    adj = _by_src(t)
+    just trimmed; adj is _by_src(t)."""
     s: dict[int, int] = {}
     parent: dict[int, tuple[int, int] | None] = {}
     queue: deque[int] = deque()
@@ -255,17 +258,18 @@ def _shift_potential(t: Nft) -> ShiftAssignment:
     return ShiftAssignment(per_state=s, consistent=conflict is None, conflict_witness=conflict)
 
 
-def _path_to_final(t: Nft, start: int) -> tuple[int, ...]:
-    """Transitions of a shortest run from `start` to some final state."""
-    adj = _by_src(t)
-    return _bfs_path(start, t.finals, lambda p: ((idx, tr.dst) for idx, tr in adj[p]))
+def _state_path(adj, sources, targets) -> tuple[int, ...]:
+    """Transitions of a shortest run from a state in `sources` to one in
+    `targets`; adj is _by_src of the transducer."""
+    return _bfs_path(sources, targets, lambda p: ((idx, tr.dst) for idx, tr in adj[p]))
 
 
-def _unbalanced_accepting_run(t: Nft, conflict: ShiftConflict) -> Run:
-    """Turn a shift conflict into an accepting run with |u| != |v|."""
+def _unbalanced_accepting_run(t: Nft, adj, conflict: ShiftConflict) -> Run:
+    """Turn a shift conflict into an accepting run with |u| != |v|; adj
+    is _by_src(t)."""
     if conflict.run_b is None:
         return conflict.run_a
-    ext = _path_to_final(t, conflict.state)
+    ext = _state_path(adj, (conflict.state,), t.finals)
     for base in (conflict.run_a, conflict.run_b):
         steps = base.transitions + ext
         if sum(t.transitions[i].shift for i in steps) != 0:
@@ -295,67 +299,182 @@ def _map_shift(sa: ShiftAssignment, state_map, trans_map) -> ShiftAssignment:
     )
 
 
-class _Graph(NamedTuple):
-    """Config graph of a trimmed, length-preserving transducer, with the
-    component values of its one walk after the build.
+class _Walk(NamedTuple):
+    """What _walk found.
 
-    Node ids number the configurations (q, lag) in breadth-first discovery
-    order; state[u] is u's state (the lags are only kept while building).
-    The edges are stored flat, in compressed sparse rows: the edges
-    leaving u are the indices first[u] to first[u + 1] - 1 of the parallel
-    lists dst, wt (the weight) and lab (the transition), in the order the
-    build found them.  pred[u] is the node whose expansion discovered u
-    (-1 at the starts); the discovering edge is the first one from pred[u]
-    to u.  comp, best and choice come from _value_components, which
-    decides and values each strongly connected component as Tarjan pops
-    it: comp[u] is the index of u's component in that reverse topological
-    order, best[c] the heaviest path weight from component c to
+    comp[u] is the index of u's component in pop order, which is reverse
+    topological; best[c] is the heaviest path weight from component c to
     acceptance, and choice[c] the (u, v, transition) edge that path leaves
     c by, or (m, None, None) when it ends at the accepting member m.
+    inner holds the rows of the members of multi-node components.  The
+    walk ends early at pumped, a positive (u, v, transition) edge inside a
+    component, or at heavier, (steps, v) when the tree path `steps` to the
+    root v of a popped component outweighs the limit together with that
+    component's best value.
     """
 
-    trimmed: Nft
-    state_map: list[int]
-    trans_map: list[int]
-    bounds: Bounds
-    shift: ShiftAssignment
-    state: list[int]
-    first: list[int]
-    dst: list[int]
-    wt: list[int]
-    lab: list[int]
-    pred: list[int]
-    starts: list[int]
-    accepts: set[int]
     comp: list[int]
     best: list[int]
     choice: list[tuple]
+    inner: dict[int, list[tuple[int, int, int]]]
+    pumped: tuple[int, int, int] | None
+    heavier: tuple[list[int], int] | None
 
 
-def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs: int):
-    """Explore the configurations breadth first; returns (state, first,
-    dst, wt, lab, pred, starts, accepts) as described on _Graph.
+_POPPED = sys.maxsize
 
-    Each transition gets one plan (transition, dst, x, y, lag on input,
-    lag on output): the lag of a configuration at its source is
-    prepended to the stream it is unmatched on, the overlap of the two
-    streams is compared letter by letter, and the rest of the longer one
-    is the new lag.
+
+def _walk(starts, expand, accepts, limit=None) -> _Walk:
+    """Tarjan's strongly connected components, run on the fly, deciding
+    and valuing each component as it pops.
+
+    Nodes are ints.  expand(u) returns u's row of (v, weight, transition)
+    edges; it is called once, when the depth-first walk first enters u,
+    so the graph is unfolded as it is walked.  A row is kept while u is on
+    the Tarjan stack and afterwards only if u's component has more than
+    one node.  Components pop in reverse topological order, so every edge
+    leaving a component reaches one whose best value is already final.
+    Members are scanned in node order, an accepting member first and then
+    strictly heavier edges, so ties go to the smallest node id.  Each node
+    on the DFS path carries the weight g of its tree path from the start;
+    with a limit the walk stops at the first popped component whose root
+    has g + best > limit.
+    """
+    # index[u] is -1 before the walk enters u, then u's DFS number until
+    # its component pops, then _POPPED, which no low link undercuts; comp[u]
+    # is u's component once it pops.  Both lists at least double whenever
+    # expand hands out a node id beyond them.
+    index: list[int] = []
+    comp: list[int] = []
+    size = 0
+
+    def grow(u: int) -> int:
+        index.extend(repeat(-1, u + 1))
+        comp.extend(repeat(-1, u + 1))
+        return len(index)
+
+    best: list[int] = []
+    choice: list[tuple] = []
+    held: dict[int, list] = {}
+    stack: list[int] = []
+    tick = 0
+    for root in starts:
+        if root >= size:
+            size = grow(root)
+        if index[root] >= 0:
+            continue
+        index[root] = tick
+        tick += 1
+        stack.append(root)
+        row = expand(root)
+        # the DFS path: per node its next-edge cursor, row, low link, tree
+        # path weight and the transition of its tree edge
+        nodes, cursors, rows, labs = [root], [iter(row)], [row], [None]
+        lows, gs = [index[root]], [0]
+        while nodes:
+            low = lows[-1]
+            for w, wt, ti in cursors[-1]:
+                if w >= size:
+                    size = grow(w)
+                i = index[w]
+                if i < 0:
+                    lows[-1] = low
+                    index[w] = tick
+                    stack.append(w)
+                    row = expand(w)
+                    nodes.append(w)
+                    cursors.append(iter(row))
+                    rows.append(row)
+                    lows.append(tick)
+                    gs.append(gs[-1] + wt)
+                    labs.append(ti)
+                    tick += 1
+                    break
+                if i < low:
+                    low = i
+            else:
+                v = nodes.pop()
+                cursors.pop()
+                row = rows.pop()
+                lows.pop()
+                g = gs.pop()
+                if lows and low < lows[-1]:
+                    lows[-1] = low
+                if low != index[v]:
+                    held[v] = row
+                    labs.pop()
+                    continue
+                ci = len(best)
+                b, ch = -1, None
+                if stack[-1] == v:
+                    # one node, the common case (every component of an
+                    # acyclic graph): no member list, and its row is at hand
+                    stack.pop()
+                    index[v] = _POPPED
+                    comp[v] = ci
+                    if v in accepts:
+                        b, ch = 0, (v, None, None)
+                    for w, wt, ti in row:
+                        cj = comp[w]
+                        if cj == ci:
+                            if wt > 0:
+                                return _Walk(comp, best, choice, held, (v, w, ti), None)
+                        elif wt + best[cj] > b:
+                            b, ch = wt + best[cj], (v, w, ti)
+                else:
+                    # the stack is in index order; v's component is the
+                    # part from v up
+                    height = bisect_left(stack, index[v], key=index.__getitem__)
+                    members = sorted(stack[height:])
+                    del stack[height:]
+                    held[v] = row
+                    for m in members:
+                        index[m] = _POPPED
+                        comp[m] = ci
+                    for m in members:
+                        if m in accepts:
+                            b, ch = 0, (m, None, None)
+                            break
+                    for u in members:
+                        for w, wt, ti in held[u]:
+                            cj = comp[w]
+                            if cj == ci:
+                                if wt > 0:
+                                    return _Walk(comp, best, choice, held, (u, w, ti), None)
+                            elif wt + best[cj] > b:
+                                b, ch = wt + best[cj], (u, w, ti)
+                if b < 0:
+                    raise AssertionError("configuration cannot reach acceptance")
+                best.append(b)
+                choice.append(ch)
+                if limit is not None and g + b > limit:
+                    return _Walk(comp, best, choice, held, None, (labs[1:], v))
+                labs.pop()
+    return _Walk(comp, best, choice, held, None, None)
+
+
+def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int):
+    """The configuration graph as _walk unfolds it: (expand, state, lags,
+    starts, accepts).
+
+    Node ids number the configurations (q, lag) in discovery order, the
+    starts first; state[u] and lags[u] are u's state and lag, and each
+    state keeps a dict from lag to node id.  A transition's plan is
+    (transition, dst, x, y, s_src, dst is final).  The lag goes before the
+    input when s_src > 0 and before the output when s_src < 0, the overlap
+    of the two streams is compared letter by letter, and the rest of the
+    longer one is the new lag.  s_f = 0, so a configuration at a final
+    state has the empty lag and accepts.
     """
     began = time.perf_counter()
-    b = bounds.b
     plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
     for ti, tr in enumerate(trimmed.transitions):
-        s = sa.per_state[tr.src]
-        plans[tr.src].append((ti, tr.dst, tr.input, tr.output, s > 0, s < 0))
+        final = tr.dst in trimmed.finals
+        plans[tr.src].append((ti, tr.dst, tr.input, tr.output, sa.per_state[tr.src], final))
     node_id: list[dict[str, int]] = [{} for _ in range(trimmed.num_states)]
     state: list[int] = []
     lags: list[str] = []
-    pred: list[int] = []
-    first = [0]
-    dst: list[int] = []
-    wt: list[int] = []
-    lab: list[int] = []
+    accepts: set[int] = set()
 
     def over_budget():
         return StateBudgetExceeded(
@@ -370,119 +489,39 @@ def _build_graph(trimmed: Nft, sa: ShiftAssignment, bounds: Bounds, max_configs:
             raise over_budget()
         starts.append(len(state))
         node_id[q][""] = len(state)
+        if q in trimmed.finals:
+            accepts.add(len(state))
         state.append(q)
         lags.append("")
-        pred.append(-1)
-    # state doubles as the BFS queue: each new node is appended once
-    for u, q in enumerate(state):
+
+    def expand(u: int) -> list[tuple[int, int, int]]:
         lag = lags[u]
-        for ti, r, x, y, lag_in, lag_out in plans[q]:
-            if lag_in:
+        row = []
+        for ti, r, x, y, s, final in plans[state[u]]:
+            if s > 0:
                 x = lag + x
-            elif lag_out:
+            elif s < 0:
                 y = lag + y
             nlag = x[len(y):] if len(x) > len(y) else y[len(x):]
-            if len(nlag) > b:
-                raise AssertionError(
-                    "lag exceeded the state-shift bound on a length-preserving transducer"
-                )
             ids = node_id[r]
             v = ids.get(nlag)
             if v is None:
+                if len(nlag) > b:
+                    raise AssertionError(
+                        "lag exceeded the state-shift bound on a length-preserving transducer"
+                    )
                 if len(state) >= max_configs:
                     raise over_budget()
                 v = ids[nlag] = len(state)
                 state.append(r)
                 lags.append(nlag)
-                pred.append(u)
-            dst.append(v)
-            wt.append(sum(map(ne, x, y)))
-            lab.append(ti)
-        first.append(len(dst))
-    # s_f = 0, so the empty lag is the only configuration at a final state
-    accepts = {node_id[f][""] for f in trimmed.finals if "" in node_id[f]}
-    return state, first, dst, wt, lab, pred, starts, accepts
+                if final:
+                    accepts.add(v)
+            # equal streams, common on identity moves, need no letter scan
+            row.append((v, sum(map(ne, x, y)) if x != y else 0, ti))
+        return row
 
-
-def _value_components(first, dst, wt, lab, accepts):
-    """Decide and value every strongly connected component as Tarjan pops it.
-
-    The graph is in the flat layout of _Graph.  Returns (comp, best,
-    choice, pumped).  pumped is the first positive (u, v, transition)
-    edge found inside a component, and then the walk stops there;
-    otherwise it is None and best and choice are complete.  Components
-    pop in reverse topological order, so every edge leaving a component
-    reaches one whose best value is already final.  Members are scanned
-    in node order, an accepting member first and then strictly heavier
-    edges, so ties go to the smallest node id.
-    """
-    n = len(first) - 1
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n  # -1 on a visited node means it is still on the stack
-    best: list[int] = []
-    choice: list[tuple] = []
-    stack: list[int] = []
-    tick = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = tick
-        tick += 1
-        # the DFS path, each node with an iterator over its row of dst as
-        # its next-edge cursor
-        work = [root]
-        cursor = [iter(dst[first[root] : first[root + 1]])]
-        stack.append(root)
-        while work:
-            v = work[-1]
-            for w in cursor[-1]:
-                if index[w] == -1:
-                    index[w] = low[w] = tick
-                    tick += 1
-                    work.append(w)
-                    cursor.append(iter(dst[first[w] : first[w + 1]]))
-                    stack.append(w)
-                    break
-                if comp[w] == -1 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                cursor.pop()
-                if work and low[v] < low[work[-1]]:
-                    low[work[-1]] = low[v]
-                if low[v] != index[v]:
-                    continue
-                ci = len(best)
-                if stack[-1] == v:
-                    members = [stack.pop()]
-                else:
-                    # the stack is in index order; v's component is the
-                    # part from v up
-                    height = bisect_left(stack, index[v], key=index.__getitem__)
-                    members = sorted(stack[height:])
-                    del stack[height:]
-                for m in members:
-                    comp[m] = ci
-                b, ch = -1, None
-                for m in members:
-                    if m in accepts:
-                        b, ch = 0, (m, None, None)
-                        break
-                for u in members:
-                    for e in range(first[u], first[u + 1]):
-                        w = dst[e]
-                        cj = comp[w]
-                        if cj == ci:
-                            if wt[e] > 0:
-                                return comp, best, choice, (u, w, lab[e])
-                        elif wt[e] + best[cj] > b:
-                            b, ch = wt[e] + best[cj], (u, w, lab[e])
-                if b < 0:
-                    raise AssertionError("configuration cannot reach acceptance")
-                best.append(b)
-                choice.append(ch)
-    return comp, best, choice, None
+    return expand, state, lags, starts, accepts
 
 
 _IDLE = ("idle",)
@@ -512,10 +551,8 @@ def _nonconjugate_cycle(t: Nft, shift: dict[int, int]) -> tuple[int, Run, int, i
     search is complete.
     """
     adj = _by_src(t)
-    first = list(accumulate(map(len, adj), initial=0))
-    dst = [tr.dst for row in adj for _, tr in row]
-    lab = [idx for row in adj for idx, _ in row]
-    comp = _value_components(first, dst, [0] * len(dst), lab, t.finals)[0]
+    rows = [[(tr.dst, 0, idx) for idx, tr in row] for row in adj]
+    comp = _walk(range(t.num_states), rows.__getitem__, t.finals).comp
     parent: dict[tuple, tuple | None] = {(q, _IDLE): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
@@ -572,7 +609,7 @@ def _rebuild_cycle(t: Nft, adj, comp, parent, done, shift) -> tuple[int, Run, in
     p = t.transitions[steps[0][0]].src
     c = comp[p]
     closing = _bfs_path(
-        done[0], {p}, lambda q: ((idx, tr.dst) for idx, tr in adj[q] if comp[tr.dst] == c)
+        (done[0],), {p}, lambda q: ((idx, tr.dst) for idx, tr in adj[q] if comp[tr.dst] == c)
     )
     n_r = n_w = 0
     i = j = None
@@ -600,10 +637,10 @@ def _rebuild_cycle(t: Nft, adj, comp, parent, done, shift) -> tuple[int, Run, in
     return p, Run(tuple(idx for idx, _ in steps) + closing), i, j
 
 
-def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
-    """The finished result when the verdict is EMPTY, NOT_LENGTH_PRESERVING
-    or UNBOUNDED, otherwise the valued configuration graph for
-    _longest_path."""
+def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationResult | Run:
+    """analyze_deviation, except that with a limit the walk may stop at
+    the first accepting run it finds heavier than the limit, and that run
+    (in original identifiers) is returned in place of the result."""
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     trimmed, state_map, trans_map = trim_with_maps(t)
@@ -611,10 +648,11 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
     if trimmed.num_states == 0:
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
-    sa = _shift_potential(trimmed)
+    adj = _by_src(trimmed)
+    sa = _shift_potential(trimmed, adj)
     shift = _map_shift(sa, state_map, trans_map)
     if not sa.consistent:
-        witness = _unbalanced_accepting_run(trimmed, sa.conflict_witness)
+        witness = _unbalanced_accepting_run(trimmed, adj, sa.conflict_witness)
         return DeviationResult(
             verdict=Verdict.NOT_LENGTH_PRESERVING,
             bounds=bounds,
@@ -622,100 +660,71 @@ def _prepare(t: Nft, max_configs: int) -> DeviationResult | _Graph:
             shift=shift,
         )
 
-    state, first, dst, wt, lab, pred, starts, accepts = _build_graph(
-        trimmed, sa, bounds, max_configs
-    )
-    # Every configuration reaches an accepting one (see the module
-    # docstring), so a positive edge inside a component pumps.
-    comp, best, choice, pumped = _value_components(first, dst, wt, lab, accepts)
-    g = _Graph(
-        trimmed=trimmed,
-        state_map=state_map,
-        trans_map=trans_map,
-        bounds=bounds,
-        shift=shift,
-        state=state,
-        first=first,
-        dst=dst,
-        wt=wt,
-        lab=lab,
-        pred=pred,
-        starts=starts,
-        accepts=accepts,
-        comp=comp,
-        best=best,
-        choice=choice,
-    )
-    if pumped is not None:
-        return _unbounded_result(g, *pumped)
-    return g
+    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
+        prefix = _state_path(adj, sorted(trimmed.initials), {p})
+        return DeviationResult(
+            verdict=Verdict.UNBOUNDED,
+            bounds=bounds,
+            cycle_witness=_map_run(cycle, trans_map),
+            anchor_state=state_map[p],
+            cycle_prefix=_map_run(prefix, trans_map),
+            cycle_suffix=_map_run(_state_path(adj, (p,), trimmed.finals), trans_map),
+            shift=shift,
+        )
 
-
-def _within(g: _Graph, c: int):
-    """The edges argument of _bfs_path for the edges inside component c."""
-    first, dst, lab, comp = g.first, g.dst, g.lab, g.comp
-    return lambda u: (
-        (lab[e], dst[e]) for e in range(first[u], first[u + 1]) if comp[dst[e]] == c
-    )
-
-
-def _config_prefix(g: _Graph, u: int) -> tuple[int, ...]:
-    """Transitions of the breadth-first path from a start to u."""
-    steps: list[int] = []
-    while g.pred[u] >= 0:
-        p = g.pred[u]
-        steps.append(g.lab[g.dst.index(u, g.first[p], g.first[p + 1])])
-        u = p
-    steps.reverse()
-    return tuple(steps)
-
-
-def _unbounded_result(g: _Graph, u: int, v: int, ti: int) -> DeviationResult:
-    first, dst, lab = g.first, g.dst, g.lab
-    cycle = (ti,) + _bfs_path(v, {u}, _within(g, g.comp[u]))
-    prefix = _config_prefix(g, u)
-    suffix = _bfs_path(
-        u, g.accepts, lambda x: ((lab[e], dst[e]) for e in range(first[x], first[x + 1]))
-    )
-    return DeviationResult(
-        verdict=Verdict.UNBOUNDED,
-        bounds=g.bounds,
-        cycle_witness=_map_run(cycle, g.trans_map),
-        anchor_state=g.state_map[g.state[u]],
-        cycle_prefix=_map_run(prefix, g.trans_map),
-        cycle_suffix=_map_run(suffix, g.trans_map),
-        shift=g.shift,
-    )
-
-
-def _longest_path(g: _Graph) -> DeviationResult:
-    """The BOUNDED result: the best start, and a witness rebuilt by
-    following each component's choice; ties go to the smallest node id."""
-    start = max(g.starts, key=lambda s: (g.best[g.comp[s]], -s))
-    value = g.best[g.comp[start]]
-
-    steps: list[int] = []
-    cur = start
-    while cur is not None:
-        c = g.comp[cur]
-        u, v, ti = g.choice[c]
-        steps.extend(_bfs_path(cur, {u}, _within(g, c)))
-        if v is not None:
-            steps.append(ti)
-        cur = v
-
-    u, vv = run_words(g.trimmed, Run(tuple(steps)))
-    if hamming_distance(u, vv) != value:
+    if bounds.b > 0:
+        found = _nonconjugate_cycle(trimmed, sa.per_state)
+        if found is not None:
+            return unbounded(found[0], found[1].transitions)
+    expand, state, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
+    walk = _walk(starts, expand, accepts, limit)
+    if walk.pumped is not None:
+        # Every configuration reaches an accepting one (see the module
+        # docstring), so a positive edge inside a component pumps: with
+        # b = 0 the configurations are states, and with b > 0 the search
+        # above has ruled such an edge out.
+        if bounds.b > 0:
+            raise AssertionError("positive edge inside a component of a bounded transducer")
+        u, v, ti = walk.pumped
+        return unbounded(state[u], (ti,) + _state_path(adj, (state[v],), {state[u]}))
+    if walk.heavier is not None:
+        steps, v = walk.heavier
+        steps += _chain(walk, v)
+        if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
+            raise AssertionError("run heavier than the limit does not exceed it")
+        return _map_run(steps, trans_map)
+    start = max(starts, key=lambda s: (walk.best[walk.comp[s]], -s))
+    value = walk.best[walk.comp[start]]
+    steps = _chain(walk, start)
+    if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
         raise AssertionError("witness must realize the computed deviation")
-    if value > g.bounds.B:
+    if value > bounds.B:
         raise AssertionError("bounded deviation exceeds the quadratic bound")
     return DeviationResult(
         verdict=Verdict.BOUNDED,
-        bounds=g.bounds,
+        bounds=bounds,
         value=value,
-        witness=_map_run(steps, g.trans_map),
-        shift=g.shift,
+        witness=_map_run(steps, trans_map),
+        shift=shift,
     )
+
+
+def _chain(walk: _Walk, cur: int) -> list[int]:
+    """Transitions of the heaviest path from cur to acceptance: through
+    each component to the member its choice leaves by (ties go to the
+    smallest node id), then along the choice edge."""
+    comp, inner = walk.comp, walk.inner
+    steps: list[int] = []
+    while cur is not None:
+        c = comp[cur]
+        u, v, ti = walk.choice[c]
+        steps += _bfs_path(
+            (cur,), {u}, lambda x: ((lab, w) for w, _, lab in inner[x] if comp[w] == c)
+        )
+        if v is not None:
+            steps.append(ti)
+        cur = v
+    return steps
 
 
 def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> DeviationResult:
@@ -724,10 +733,7 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     Raises StateBudgetExceeded when the configuration graph would exceed
     max_configs nodes, and ValueError when max_configs is below 1.
     """
-    prepared = _prepare(t, max_configs)
-    if isinstance(prepared, DeviationResult):
-        return prepared
-    return _longest_path(prepared)
+    return _analyze(t, max_configs)
 
 
 def is_bounded(t: Nft) -> bool:
@@ -737,45 +743,30 @@ def is_bounded(t: Nft) -> bool:
     propagate the shift potential (an inconsistency means not length
     preserving, hence unbounded), then search the (state, phase) product
     for a cycle that breaks conjugacy by its anchor's shift; the deviation
-    is finite exactly when there is none.
-
-    analyze_deviation, threshold and exact still decide UNBOUNDED in
-    their walk of the configuration graph, which they need for the value
-    anyway: running this search first measured as pure overhead on them
-    (about 18% of each bounded threshold and analyze query of the reach
-    benchmark workload, parsing included).
+    is finite exactly when there is none.  analyze_deviation, threshold
+    and exact run the same search first when b > 0.
     """
     trimmed = trim(t)
     if trimmed.num_states == 0:
         return True
-    sa = _shift_potential(trimmed)
+    sa = _shift_potential(trimmed, _by_src(trimmed))
     return sa.consistent and _nonconjugate_cycle(trimmed, sa.per_state) is None
 
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
-    """True iff the deviation is at most k.
-
-    k may be arbitrarily large (it arrives in binary from the CLI); when
-    k is at least the quadratic bound B the answer for a bounded
-    transducer is True without computing the exact value.
-    """
+    """True iff the deviation is at most k; k may be arbitrarily large (it
+    arrives in binary from the CLI).  The walk of the configuration graph
+    stops, with False, at the first path it finds heavier than k."""
     if k < 0:
         raise ValueError("threshold expects a natural number")
-    prepared = _prepare(t, max_configs)
-    if isinstance(prepared, DeviationResult):
-        return prepared.verdict is Verdict.EMPTY
-    if k >= prepared.bounds.B:
-        return True
-    return _longest_path(prepared).value <= k
+    res = _analyze(t, max_configs, k)
+    return isinstance(res, DeviationResult) and res.bounded and res.value <= k
 
 
 def exact(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
-    """True iff the deviation is finite and equal to k."""
+    """True iff the deviation is finite and equal to k; like threshold, it
+    stops with False at the first path heavier than k."""
     if k < 0:
         raise ValueError("exact expects a natural number")
-    res = analyze_deviation(t, max_configs)
-    if res.verdict is Verdict.EMPTY:
-        return k == 0
-    if res.verdict is Verdict.BOUNDED:
-        return res.value == k
-    return False
+    res = _analyze(t, max_configs, k)
+    return isinstance(res, DeviationResult) and res.bounded and res.value == k

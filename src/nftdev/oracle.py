@@ -181,7 +181,9 @@ def enumerate_relation(t: Nft, max_word_len: int) -> set[tuple[str, str]]:
 
 def domain_upto(t: Nft, max_word_len: int) -> set[str]:
     """Exactly the inputs of length <= max_word_len accepted with some
-    output (of any length)."""
+    output (of any length).  A negative max_word_len raises ValueError."""
+    if max_word_len < 0:
+        raise ValueError("max_word_len must be a natural number")
     adj: list[list[object]] = [[] for _ in range(t.num_states)]
     for tr in t.transitions:
         adj[tr.src].append(tr)
@@ -211,7 +213,8 @@ def domain_upto(t: Nft, max_word_len: int) -> set[str]:
 def domains_equal_upto(t1: Nft, t2: Nft, max_word_len: int) -> bool:
     """Bounded-length surrogate for domain equality: do the accepted input
     words coincide up to max_word_len?  Outputs are not length-capped, so
-    this is exactly dom(R) restricted to short words."""
+    this is exactly dom(R) restricted to short words.  A negative
+    max_word_len raises ValueError."""
     return domain_upto(t1, max_word_len) == domain_upto(t2, max_word_len)
 
 

@@ -335,20 +335,6 @@ def copying_trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
     return trimmed, kept, trans_map
 
 
-def flat(succ):
-    """(first, dst, wt, lab): the compressed-sparse-row layout of the
-    engine's configuration graph, from per-node lists of (v, weight,
-    transition) edges."""
-    first, dst, wt, lab = [0], [], [], []
-    for row in succ:
-        for v, w, ti in row:
-            dst.append(v)
-            wt.append(w)
-            lab.append(ti)
-        first.append(len(dst))
-    return first, dst, wt, lab
-
-
 def _advance(side: int, lag: str, x: str, y: str) -> tuple[str, int]:
     pin = lag + x if side > 0 else x
     pout = lag + y if side < 0 else y

@@ -1,7 +1,15 @@
 import json
 import re
 
-from nftdev import deviation_to_comparison, gen_family, parse_nft, serialize_nft
+from nftdev import (
+    Nft,
+    Transition,
+    deviation_to_comparison,
+    gen_family,
+    parse_nft,
+    serialize_nft,
+    union,
+)
 from nftdev.cli import main
 
 
@@ -63,6 +71,25 @@ def test_analyze_json_null_deviation(tmp_path, capsys):
     assert report["verdict"] == "not-length-preserving"
     assert report["deviation"] is None
     assert report["lengthPreserving"] is False
+
+
+def test_analyze_unbounded_within_one_configuration(tmp_path, capsys):
+    loop = Nft(
+        ("p",), frozenset("01"), frozenset({0}), frozenset({0}), (Transition(0, "0", "1", 0),)
+    )
+    both = _write(tmp_path, "u.nft", serialize_nft(union(gen_family(12).nft, loop)))
+    assert main(["analyze", both, "--json", "--max-configs", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "unbounded"
+    assert report["deviation"] is None
+
+
+def test_threshold_false_within_a_small_budget(tmp_path, capsys):
+    fam = str(tmp_path / "fam12.nft")
+    assert main(["gen", "family", "12", "-o", fam]) == 0
+    capsys.readouterr()
+    assert main(["threshold", fam, "77", "--max-configs", "500"]) == 1
+    assert capsys.readouterr().out.strip() == "FALSE"
 
 
 def test_analyze_human(tmp_path, capsys):
@@ -145,6 +172,14 @@ def test_oracle_negative_caps_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "must be natural numbers" in captured.err
         assert captured.out == ""
+
+
+def test_compare_negative_check_domains_exit_code(tmp_path, capsys):
+    fam = _write_family4(tmp_path)
+    assert main(["compare", "threshold", "3", fam, fam, "--check-domains", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "max_word_len must be a natural number" in captured.err
+    assert captured.out == ""
 
 
 def test_trim_and_atomize_commands(tmp_path, capsys):

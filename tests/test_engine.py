@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    flat,
     make_corpus,
     random_cnf,
     random_digraph,
@@ -43,9 +42,10 @@ from nftdev import (
     shift_assignment,
     threshold,
     trim,
+    union,
 )
 from nftdev.cli import main
-from nftdev.engine import _build_graph, _value_components
+from nftdev.engine import _configurations, _walk
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -145,7 +145,7 @@ def test_is_bounded_never_builds_the_graph(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("is_bounded built the configuration graph")
 
-    monkeypatch.setattr(nftdev.engine, "_build_graph", refuse)
+    monkeypatch.setattr(nftdev.engine, "_configurations", refuse)
     assert is_bounded(gen_family(400).nft)
     rng = random.Random(2000)
     chain = [(v, v + 1) for v in range(1999)]
@@ -267,7 +267,9 @@ def test_max_configs_below_one_rejected():
 def test_state_budget_boundary():
     t = gen_family(10).nft
     bounds = Bounds.from_nft(t)
-    n = len(_build_graph(t, shift_assignment(t), bounds, 2**20)[0])
+    expand, state, _, starts, accepts = _configurations(t, shift_assignment(t), bounds.b, 2**20)
+    _walk(starts, expand, accepts)
+    n = len(state)
     assert analyze_deviation(t, max_configs=n).value == 55
     expected = (
         rf"^state budget exceeded: {n - 1} configurations reached,"
@@ -277,38 +279,48 @@ def test_state_budget_boundary():
         analyze_deviation(t, max_configs=n - 1)
 
 
-def _expand(first, dst, wt, lab, pred):
-    """Per-node edge lists and (node, transition) parents of a flat graph."""
-    succ = [
-        [(dst[e], wt[e], lab[e]) for e in range(first[u], first[u + 1])]
-        for u in range(len(first) - 1)
-    ]
-    parent = [
-        None if p < 0 else (p, lab[dst.index(u, first[p], first[p + 1])])
-        for u, p in enumerate(pred)
-    ]
-    return succ, parent
-
-
 def test_flat_graph_matches_tuple_keyed_reference():
+    # node ids are the walk's discovery order, so the graphs are compared
+    # by configuration (state, lag), each node's edges in order
     instances = make_corpus(500, seed=CORPUS_SEED)
     rng = random.Random(41)
     draws = (random_length_preserving_nft(rng) for _ in range(500))
     instances += [t for t in draws if t is not None]
     instances += [gen_family(n).nft for n in range(2, 13)]
-    built = 0
+    built = walked = 0
     for t in instances:
         sa = shift_assignment(t)
         if not sa.consistent:
             continue
         bounds = Bounds.from_nft(t)
-        state, first, dst, wt, lab, pred, starts, accepts = _build_graph(t, sa, bounds, 2**20)
-        nodes, succ, parent, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, bounds.b)
-        assert state == [q for q, _ in nodes]
-        assert _expand(first, dst, wt, lab, pred) == (succ, parent)
-        assert (starts, accepts) == (ref_starts, ref_accepts)
+        expand, state, lags, starts, accepts = _configurations(t, sa, bounds.b, 2**20)
+        rows = {}
+
+        def record(u):
+            rows[u] = expand(u)
+            return rows[u]
+
+        walk = _walk(starts, record, accepts)
+        if walk.pumped is None:
+            # a walk that ran to the end entered every configuration
+            assert sorted(rows) == list(range(len(state)))
+            walked += 1
+        u = 0
+        while u < len(state):  # expand what an early stop left unexpanded
+            if u not in rows:
+                rows[u] = expand(u)
+            u += 1
+        nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, bounds.b)
+        configs = list(zip(state, lags))
+        assert len(set(configs)) == len(configs)
+        assert set(configs) == set(nodes)
+        got = {configs[u]: [(configs[v], w, ti) for v, w, ti in rows[u]] for u in rows}
+        ref = {nodes[u]: [(nodes[v], w, ti) for v, w, ti in succ[u]] for u in range(len(nodes))}
+        assert got == ref
+        assert [configs[u] for u in starts] == [nodes[u] for u in ref_starts]
+        assert {configs[u] for u in accepts} == {nodes[u] for u in ref_accepts}
         built += 1
-    assert built >= 600
+    assert built >= 600 and walked >= 400
 
 
 def test_oracle_equivalence(corpus):
@@ -404,16 +416,25 @@ def test_embedded_shift_uses_original_state_ids():
 
 
 def test_threshold_consistent_with_exact_value(corpus):
-    for t in corpus[:40]:
+    instances = list(corpus[:40])
+    rng = random.Random(53)
+    draws = (random_length_preserving_nft(rng) for _ in range(500))
+    instances += [t for t in draws if t is not None]
+    bounded = 0
+    for t in instances:
         res = analyze_deviation(t)
         if res.verdict in (Verdict.BOUNDED, Verdict.EMPTY):
+            bounded += 1
             v = res.value or 0
-            candidates = {0, max(0, v - 1), v, v + 1, res.bounds.B, res.bounds.B + 1}
+            candidates = {0, 1, 2, max(0, v - 1), v, v + 1, res.bounds.B, res.bounds.B + 1}
             for k in candidates:
                 assert threshold(t, k) == (v <= k)
+                assert exact(t, k) == (v == k)
         else:
-            for k in (0, 1, res.bounds.B + 7):
+            for k in (0, 1, 2, res.bounds.B + 7):
                 assert not threshold(t, k)
+                assert not exact(t, k)
+    assert bounded >= 300
 
 
 def test_wider_lags_match_oracle():
@@ -472,6 +493,12 @@ def test_no_bare_asserts_in_package():
     assert found == []
 
 
+def _walk_hand(succ, accepts):
+    """_walk over a hand-made graph given as per-node (v, weight,
+    transition) rows, from every node in order."""
+    return _walk(range(len(succ)), lambda u: succ[u], accepts)
+
+
 def test_value_components_zero_weight_component():
     # 0 -> 1 -> 2 -> 0 weigh 0; the component leaves by 2 -> 3 and 1 -> 4
     # (weight 1 each, ties) and by 0 -> 5 (weight 0); 3, 4, 5 accept
@@ -483,7 +510,7 @@ def test_value_components_zero_weight_component():
         [],
         [],
     ]
-    comp, best, choice, pumped = _value_components(*flat(succ), {3, 4, 5})
+    comp, best, choice, _, pumped, _ = _walk_hand(succ, {3, 4, 5})
     assert pumped is None
     assert comp[0] == comp[1] == comp[2]
     assert len({comp[0], comp[3], comp[4], comp[5]}) == 4
@@ -497,7 +524,7 @@ def test_value_components_accepting_member_wins_ties():
     # the 0-weight cycle 0 <-> 1 holds the accepting node 1 and leaves by
     # a 0-weight edge to the accepting node 2
     succ = [[(1, 0, 0)], [(0, 0, 1), (2, 0, 2)], []]
-    comp, best, choice, pumped = _value_components(*flat(succ), {1, 2})
+    comp, best, choice, _, pumped, _ = _walk_hand(succ, {1, 2})
     assert pumped is None
     assert best[comp[0]] == 0 and choice[comp[0]] == (1, None, None)
 
@@ -505,7 +532,7 @@ def test_value_components_accepting_member_wins_ties():
 def test_value_components_reports_inner_positive_edge():
     # 0 -> 1 -> 0 is a cycle whose edge 1 -> 0 weighs 1
     succ = [[(1, 0, 0)], [(2, 0, 1), (0, 1, 2)], []]
-    comp, _, _, pumped = _value_components(*flat(succ), {2})
+    comp, _, _, _, pumped, _ = _walk_hand(succ, {2})
     assert pumped == (1, 0, 2)
     assert comp[0] == comp[1]
 
@@ -513,4 +540,87 @@ def test_value_components_reports_inner_positive_edge():
 def test_value_components_requires_acceptance():
     succ = [[(1, 0, 0)], [(0, 0, 1)]]
     with pytest.raises(AssertionError, match="cannot reach acceptance"):
-        _value_components(*flat(succ), set())
+        _walk_hand(succ, set())
+
+
+def _mismatch_loop():
+    # one state with a 0/1 self-loop: every lap adds a mismatch
+    return _nft(["p"], {0}, {0}, [Transition(0, "0", "1", 0)], alphabet="01")
+
+
+def _assert_pumps(t, res):
+    pre = res.cycle_prefix.transitions
+    cyc = res.cycle_witness.transitions
+    suf = res.cycle_suffix.transitions
+    assert t.transitions[cyc[0]].src == res.anchor_state
+    assert t.transitions[cyc[-1]].dst == res.anchor_state
+    distances = []
+    for m in (1, 2, 3):
+        run = Run(pre + cyc * m + suf)
+        u, v = run_words(t, run)  # raises if the pieces do not chain
+        assert t.transitions[run.transitions[0]].src in t.initials
+        assert t.transitions[run.transitions[-1]].dst in t.finals
+        assert len(u) == len(v)
+        distances.append(hamming_distance(u, v))
+    assert distances[0] < distances[1] < distances[2]
+
+
+def test_unbounded_decided_before_any_configuration():
+    # b > 0: the polynomial search answers before the walk, so a budget of
+    # one configuration suffices where the graph of T_12 has 6,143
+    t = union(gen_family(12).nft, _mismatch_loop())
+    assert Bounds.from_nft(t).b > 0
+    res = analyze_deviation(t, max_configs=1)
+    assert res.verdict is Verdict.UNBOUNDED
+    _assert_pumps(t, res)
+    assert not threshold(t, 10**6, max_configs=1)
+    assert not exact(t, 78, max_configs=1)
+
+
+def test_unbounded_at_zero_shift_comes_from_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran although every lag is empty")
+
+    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", refuse)
+    instances = [gen_reach_bounded(Digraph(3, ((0, 1), (1, 2)), s=0, t=2)).nft]
+    instances += [t for t in make_corpus(200, seed=CORPUS_SEED) if Bounds.from_nft(t).b == 0]
+    unbounded = 0
+    for t in instances:
+        res = analyze_deviation(t)
+        if res.verdict is Verdict.UNBOUNDED:
+            _assert_pumps(t, res)
+            unbounded += 1
+    assert unbounded >= 2
+
+
+def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
+    # with b > 0 the search has ruled out every pumpable cycle before the
+    # walk; an inner positive edge after it means the two disagree
+    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, shift: None)
+    t = union(gen_family(3).nft, _mismatch_loop())
+    with pytest.raises(AssertionError, match="positive edge inside a component"):
+        analyze_deviation(t)
+
+
+def test_threshold_and_exact_stop_at_the_first_heavier_path():
+    # T_12 has deviation 78 and 6,143 configurations
+    t = gen_family(12).nft
+    assert not threshold(t, 77, max_configs=500)
+    assert not exact(t, 77, max_configs=500)
+    assert not threshold(gen_family(16).nft, 135, max_configs=1000)
+    with pytest.raises(StateBudgetExceeded):
+        threshold(t, 78, max_configs=500)
+
+
+def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
+    real = nftdev.engine._walk
+
+    def light(starts, expand, accepts, limit=None):
+        # the heaviest run from a start, reported as exceeding the limit
+        return real(starts, expand, accepts)._replace(heavier=([], starts[0]))
+
+    monkeypatch.setattr(nftdev.engine, "_walk", light)
+    with pytest.raises(AssertionError, match="does not exceed"):
+        threshold(gen_family(4).nft, 10)
+    with pytest.raises(AssertionError, match="does not exceed"):
+        exact(gen_family(4).nft, 10)

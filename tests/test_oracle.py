@@ -122,6 +122,15 @@ def test_domains():
     t4 = gen_family(4).nft
     assert domains_equal_upto(t4, trim(t4), 6)
     assert domain_upto(ident_a, 2) == {"", "a", "aa"}
+    assert domain_upto(ident_a, 0) == {""}
+
+
+def test_domains_reject_negative_length():
+    t4 = gen_family(4).nft
+    with pytest.raises(ValueError, match="max_word_len must be a natural number"):
+        domain_upto(t4, -1)
+    with pytest.raises(ValueError, match="max_word_len must be a natural number"):
+        domains_equal_upto(t4, t4, -1)
 
 
 def test_sat_brute_force_examples():

@@ -12,7 +12,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class Infinity:
@@ -93,12 +93,12 @@ def conjugate_by(u: str, v: str, n: int) -> bool:
     return all(u[i] == v[(i + n) % size] for i in range(size))
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One transition: read `input` and write `output` going src -> dst.
 
     Both words may be empty.  States are dense integer ids into the
-    owning Nft's state tuple.
+    owning Nft's state tuple.  A named tuple: immutable, without a
+    per-instance dict, and equal to the plain tuple of its fields.
     """
 
     src: int
@@ -157,7 +157,7 @@ class Nft:
     def _validate(self):
         seen = set()
         for s in self.states:
-            if not s or "#" in s or any(c.isspace() for c in s):
+            if "#" in s or s.split() != [s]:
                 raise ValueError(f"invalid state name {s!r}")
             if s in seen:
                 raise ValueError(f"duplicate state name {s!r}")
@@ -170,12 +170,13 @@ class Nft:
         for q in self.initials | self.finals:
             if not 0 <= q < n:
                 raise ValueError(f"state id {q} out of range")
+        alphabet = self.alphabet
         for i, t in enumerate(self.transitions):
             if not (0 <= t.src < n and 0 <= t.dst < n):
                 raise ValueError(f"transition {i} has an endpoint outside the state set")
-            for letter in t.input + t.output:
-                if letter not in self.alphabet:
-                    raise ValueError(f"transition {i} uses letter {letter!r} outside the alphabet")
+            if not alphabet.issuperset(t.input + t.output):
+                letter = next(c for c in t.input + t.output if c not in alphabet)
+                raise ValueError(f"transition {i} uses letter {letter!r} outside the alphabet")
 
     @property
     def num_states(self) -> int:
@@ -271,8 +272,13 @@ class NftStats:
 
 def stats(t: Nft) -> NftStats:
     """Compute NftStats; a transition-free Nft has smax = lmax = 0."""
-    smax = max((abs(tr.shift) for tr in t.transitions), default=0)
-    lmax = max((tr.length for tr in t.transitions), default=0)
+    smax = lmax = 0
+    for tr in t.transitions:
+        i, o = len(tr.input), len(tr.output)
+        if abs(i - o) > smax:
+            smax = abs(i - o)
+        if i + o > lmax:
+            lmax = i + o
     return NftStats(num_states=t.num_states, smax=smax, lmax=lmax)
 
 

@@ -40,9 +40,10 @@ root's tree path and value together weigh more than k.
 
 For a length-preserving trimmed transducer every lag stays within the
 state-shift bound b = min(smax * |Q|, repr_size(t)), repr_size being the
-byte length of the canonical serialization (textio.repr_size), so the
-graph is finite; its size is still exponential in b in the worst case,
-hence the max_configs budget (at least 1).
+byte length of the canonical serialization (textio.repr_size, taken only
+when smax * |Q| > 0), so the graph is finite; its size is still
+exponential in b in the worst case, hence the max_configs budget (at
+least 1).
 """
 
 from __future__ import annotations
@@ -72,9 +73,11 @@ class StateBudgetExceeded(RuntimeError):
 class Bounds:
     """The four size bounds attached to an analysis.
 
-    b bounds every state shift, B = (b + lmax + 2) * |Q| bounds the
-    deviation of any bounded transducer, Lconj and Lwit are the witness
-    length bounds of the nonconjugate-cycle and threshold searches.
+    b = min(smax * |Q|, repr_size(t)) bounds every state shift; the
+    transducer is serialized only when smax * |Q| > 0.  B = (b + lmax +
+    2) * |Q| bounds the deviation of any bounded transducer, Lconj and
+    Lwit are the witness length bounds of the nonconjugate-cycle and
+    threshold searches.
     """
 
     b: int
@@ -86,7 +89,9 @@ class Bounds:
     def from_nft(cls, t: Nft) -> "Bounds":
         st = stats(t)
         n = st.num_states
-        b = min(st.smax * n, repr_size(t))
+        b = st.smax * n
+        if b:
+            b = min(b, repr_size(t))
         return cls(
             b=b,
             B=(b + st.lmax + 2) * n,
@@ -236,9 +241,8 @@ def _shift_potential(t: Nft, adj) -> ShiftAssignment:
     conflict = None
     while queue and conflict is None:
         p = queue.popleft()
-        for idx, tr in adj[p]:
-            val = s[p] + tr.shift
-            q = tr.dst
+        for idx, (_, x, y, q) in adj[p]:
+            val = s[p] + len(x) - len(y)
             if q not in s:
                 s[q] = val
                 parent[q] = (p, idx)
@@ -468,9 +472,8 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
     """
     began = time.perf_counter()
     plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
-    for ti, tr in enumerate(trimmed.transitions):
-        final = tr.dst in trimmed.finals
-        plans[tr.src].append((ti, tr.dst, tr.input, tr.output, sa.per_state[tr.src], final))
+    for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
+        plans[src].append((ti, dst, x, y, sa.per_state[src], dst in trimmed.finals))
     node_id: list[dict[str, int]] = [{} for _ in range(trimmed.num_states)]
     state: list[int] = []
     lags: list[str] = []

@@ -32,9 +32,9 @@ class ParseError(ValueError):
 def _content_lines(text: str):
     """Yield (line_number, token_list) for non-blank lines, comments stripped."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield no, stripped.split()
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield no, tokens
 
 
 def serialize_nft(t: Nft) -> str:
@@ -69,16 +69,24 @@ def parse_nft(text: str) -> Nft:
     transitions: list[Transition] = []
     ended = False
 
-    def parse_word(token: str, no: int) -> str:
-        if token == "-":
-            return ""
-        for ch in token:
-            if ch not in alphabet:
-                raise ParseError(f"letter {ch!r} outside the alphabet", no)
-        return token
-
     for no, tokens in _content_lines(text):
         head = tokens[0]
+        # trans lines are most of a file: take them first once the header is read
+        if head == "trans" and alphabet is not None and not ended:
+            if len(tokens) != 5:
+                raise ParseError("expected 'trans SRC DST IN OUT'", no)
+            _, src, dst, inp, out = tokens
+            try:
+                p, q = state_ids[src], state_ids[dst]
+            except KeyError as exc:
+                raise ParseError(f"undeclared state {exc.args[0]!r}", no) from None
+            inp = "" if inp == "-" else inp
+            out = "" if out == "-" else out
+            if not alphabet.issuperset(inp + out):
+                ch = next(ch for ch in inp + out if ch not in alphabet)
+                raise ParseError(f"letter {ch!r} outside the alphabet", no)
+            transitions.append(Transition(p, inp, out, q))
+            continue
         if ended:
             raise ParseError("content after 'end'", no)
         if name is None:
@@ -114,17 +122,6 @@ def parse_nft(text: str) -> Nft:
                     finals.add(q)
                 else:
                     raise ParseError(f"unknown state flag {flag!r}", no)
-        elif head == "trans":
-            if len(tokens) != 5:
-                raise ParseError("expected 'trans SRC DST IN OUT'", no)
-            _, src, dst, inp, out = tokens
-            if src not in state_ids:
-                raise ParseError(f"undeclared state {src!r}", no)
-            if dst not in state_ids:
-                raise ParseError(f"undeclared state {dst!r}", no)
-            transitions.append(
-                Transition(state_ids[src], parse_word(inp, no), parse_word(out, no), state_ids[dst])
-            )
         elif head == "end":
             if len(tokens) != 1:
                 raise ParseError("unexpected tokens after 'end'", no)

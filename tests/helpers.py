@@ -12,6 +12,7 @@ from nftdev import (
     CnfFormula,
     Digraph,
     Nft,
+    ParseError,
     Run,
     Transition,
     add_eps_self_loops,
@@ -333,6 +334,101 @@ def copying_trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
         name=t.name,
     )
     return trimmed, kept, trans_map
+
+
+def line_by_line_parse_nft(text: str) -> Nft:
+    """Reference for parse_nft: every line goes through one directive chain
+    in file order, and every letter of a word is looked up on its own."""
+    name = None
+    alphabet: set[str] | None = None
+    state_ids: dict[str, int] = {}
+    initials: set[int] = set()
+    finals: set[int] = set()
+    transitions: list[Transition] = []
+    ended = False
+
+    def parse_word(token: str, no: int) -> str:
+        if token == "-":
+            return ""
+        for ch in token:
+            if ch not in alphabet:
+                raise ParseError(f"letter {ch!r} outside the alphabet", no)
+        return token
+
+    for no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        tokens = stripped.split()
+        head = tokens[0]
+        if ended:
+            raise ParseError("content after 'end'", no)
+        if name is None:
+            if head != "nft" or len(tokens) != 2:
+                raise ParseError("expected 'nft NAME'", no)
+            name = tokens[1]
+            continue
+        if alphabet is None:
+            if head != "alphabet":
+                raise ParseError("expected 'alphabet ...'", no)
+            alphabet = set()
+            for letter in tokens[1:]:
+                if len(letter) != 1:
+                    raise ParseError(f"multi-character letter token {letter!r}", no)
+                if letter == "-":
+                    raise ParseError("'-' is reserved for the empty word", no)
+                if letter in alphabet:
+                    raise ParseError(f"duplicate letter {letter!r}", no)
+                alphabet.add(letter)
+            continue
+        if head == "state":
+            if len(tokens) < 2 or len(tokens) > 4:
+                raise ParseError("expected 'state NAME [initial] [final]'", no)
+            sname = tokens[1]
+            if sname in state_ids:
+                raise ParseError(f"duplicate state name {sname!r}", no)
+            q = len(state_ids)
+            state_ids[sname] = q
+            for flag in tokens[2:]:
+                if flag == "initial":
+                    initials.add(q)
+                elif flag == "final":
+                    finals.add(q)
+                else:
+                    raise ParseError(f"unknown state flag {flag!r}", no)
+        elif head == "trans":
+            if len(tokens) != 5:
+                raise ParseError("expected 'trans SRC DST IN OUT'", no)
+            _, src, dst, inp, out = tokens
+            if src not in state_ids:
+                raise ParseError(f"undeclared state {src!r}", no)
+            if dst not in state_ids:
+                raise ParseError(f"undeclared state {dst!r}", no)
+            transitions.append(
+                Transition(state_ids[src], parse_word(inp, no), parse_word(out, no), state_ids[dst])
+            )
+        elif head == "end":
+            if len(tokens) != 1:
+                raise ParseError("unexpected tokens after 'end'", no)
+            ended = True
+        else:
+            raise ParseError(f"unknown directive {head!r}", no)
+
+    if name is None:
+        raise ParseError("empty input, expected 'nft NAME'")
+    if not ended:
+        raise ParseError("missing 'end'")
+    try:
+        return Nft(
+            states=tuple(state_ids),
+            alphabet=frozenset(alphabet or ()),
+            initials=frozenset(initials),
+            finals=frozenset(finals),
+            transitions=tuple(transitions),
+            name=name,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _advance(side: int, lag: str, x: str, y: str) -> tuple[str, int]:

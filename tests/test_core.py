@@ -205,3 +205,25 @@ def test_nft_validation():
         Nft(("p",), frozenset("a"), frozenset(), frozenset(), (Transition(0, "a", "", 4),))
     with pytest.raises(ValueError, match="outside the alphabet"):
         Nft(("p",), frozenset("a"), frozenset(), frozenset(), (Transition(0, "b", "", 0),))
+    with pytest.raises(ValueError, match="letter 'b' outside the alphabet"):
+        Nft(("p",), frozenset("a"), frozenset(), frozenset(), (Transition(0, "a", "ab", 0),))
+    for bad in ("", "p#", "#", "p q", " p", "p\t", "p\u00a0q", "\u3000"):
+        with pytest.raises(ValueError, match="invalid state name"):
+            Nft((bad,), frozenset("a"), frozenset(), frozenset(), ())
+
+
+def test_transition_record():
+    tr = Transition(0, "ab", "c", 1)
+    with pytest.raises(AttributeError):
+        tr.src = 2
+    assert not hasattr(tr, "__dict__")
+    assert tr.shift == 1 and tr.length == 3
+    assert Transition(0, "", "abc", 0).shift == -3
+    assert tr == (0, "ab", "c", 1)
+    assert tr._replace(dst=0) == Transition(0, "ab", "c", 0)
+
+
+def test_nft_turns_plain_tuples_into_transitions():
+    t = Nft(("p", "q"), frozenset("a"), {0}, {1}, [(0, "a", "", 1), Transition(1, "", "a", 1)])
+    assert all(type(tr) is Transition for tr in t.transitions)
+    assert t.transitions == (Transition(0, "a", "", 1), Transition(1, "", "a", 1))

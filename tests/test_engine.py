@@ -565,6 +565,35 @@ def _assert_pumps(t, res):
     assert distances[0] < distances[1] < distances[2]
 
 
+def test_bounds_b_is_its_formula():
+    from nftdev import repr_size, stats
+
+    instances = make_corpus(500, seed=CORPUS_SEED) + [gen_family(n).nft for n in range(2, 11)]
+    for t in instances:
+        st = stats(t)
+        assert Bounds.from_nft(t).b == min(st.smax * st.num_states, repr_size(t))
+
+
+def test_zero_shift_analysis_never_serializes(monkeypatch):
+    # smax = 0 makes b = min(0, size) = 0, so the size is never needed
+    rng = random.Random(77)
+    n = 2000
+    edges = tuple((rng.randrange(n - 1), rng.randrange(n - 1)) for _ in range(2 * n))
+    path = tuple((v, v + 1) for v in range(n - 1))
+    gadgets = [gen_reach_bounded(Digraph(n, e, s=0, t=n - 1)).nft for e in (edges, edges + path)]
+    want = [(analyze_deviation(t), threshold(t, 1)) for t in gadgets]
+
+    def refuse(*args):
+        raise AssertionError("serialized although smax = 0")
+
+    monkeypatch.setattr(nftdev.engine, "repr_size", refuse)
+    got = [(analyze_deviation(t), threshold(t, 1)) for t in gadgets]
+    assert got == want
+    assert [res.verdict for res, _ in got] == [Verdict.BOUNDED, Verdict.UNBOUNDED]
+    assert [below for _, below in got] == [True, False]
+    assert all(res.bounds.b == 0 for res, _ in got)
+
+
 def test_unbounded_decided_before_any_configuration():
     # b > 0: the polynomial search answers before the walk, so a budget of
     # one configuration suffices where the graph of T_12 has 6,143

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from helpers import line_by_line_parse_nft
 
 from nftdev import (
     CnfFormula,
@@ -10,6 +14,7 @@ from nftdev import (
     gen_3sat,
     gen_family,
     gen_reach_bounded,
+    gen_reach_threshold,
     parse_cnf,
     parse_digraph,
     parse_nft,
@@ -77,8 +82,12 @@ def test_parse_errors_carry_line_numbers():
     base = "nft x\nalphabet a\nstate p initial final\n"
     cases = [
         (base + "state p\nend\n", 4, "duplicate state"),
-        (base + "trans p q a a\nend\n", 4, "undeclared state"),
-        (base + "trans p p b a\nend\n", 4, "outside the alphabet"),
+        (base + "trans p q a a\nend\n", 4, "undeclared state 'q'"),
+        (base + "trans q p a a\nend\n", 4, "undeclared state 'q'"),
+        (base + "trans p p b a\nend\n", 4, "letter 'b' outside the alphabet"),
+        (base + "trans p p a ab\nend\n", 4, "letter 'b' outside the alphabet"),
+        ("nft x\ntrans p p a a\nend\n", 2, "expected 'alphabet ...'"),
+        (base + "end\ntrans p p a a\n", 5, "content after 'end'"),
         ("nft x\nalphabet ab\nend\n", 2, "multi-character letter"),
         ("nft x\nalphabet - a\nend\n", 2, "reserved"),
         (base + "trans p p a\nend\n", 4, "expected 'trans"),
@@ -142,8 +151,6 @@ def test_zero_state_round_trip():
 
 
 def test_parser_never_crashes_on_garbage():
-    import random
-
     rng = random.Random(555)
     tokens = [
         "nft", "alphabet", "state", "trans", "end", "initial", "final",
@@ -174,3 +181,65 @@ def test_unicode_letters_round_trip():
     assert parse_nft(serialize_nft(t)) == t
     assert repr_size(t) == len(serialize_nft(t).encode("utf-8"))
     assert repr_size(t) > len(serialize_nft(t))  # multibyte letters
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    """One random edit of an NFT text's lines."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    kind = rng.randrange(7)
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+    elif kind == 2 and len(tokens) > 1:
+        a, b = rng.sample(range(len(tokens)), 2)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+        lines[i] = " ".join(tokens)
+    elif kind == 3 and len(tokens) > 1:
+        j = rng.randrange(1, len(tokens))
+        word = tokens[j]
+        k = rng.randrange(len(word) + 1)
+        tokens[j] = word[:k] + rng.choice("zζ-#") + word[k:]
+        lines[i] = " ".join(tokens)
+    elif kind == 4:
+        k = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:k] + rng.choice(("#", " # note", "\t#")) + lines[i][k:]
+    elif kind == 5 and len(tokens) > 1:
+        tokens[rng.randrange(1, len(tokens))] = "-"
+        lines[i] = " ".join(tokens)
+    else:
+        lines.insert(i, rng.choice(("", "   ", "# comment", "trans", "state", "end", "alphabet a")))
+    return lines
+
+
+def test_parser_matches_line_by_line_reference(corpus):
+    g = Digraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)), s=0, t=3)
+    bases = [
+        gen_family(3).nft,
+        gen_reach_bounded(g).nft,
+        gen_reach_threshold(g, 2).nft,
+        gen_3sat(CnfFormula(2, ((1, -2, 2),))).nft,
+        *corpus[:12],
+        *(atomize(t) for t in corpus[12:16]),
+    ]
+    texts = [serialize_nft(t).splitlines() for t in bases]
+    rng = random.Random(4242)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for _ in range(2000):
+        lines = rng.choice(texts)
+        for _ in range(rng.randint(1, 2)):
+            lines = _mutate(rng, lines) or ["end"]
+        text = "\n".join(lines) + rng.choice(("", "\n"))
+        try:
+            want = line_by_line_parse_nft(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_nft(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line), text
+            outcomes["rejected"] += 1
+            continue
+        assert parse_nft(text) == want, text
+        outcomes["parsed"] += 1
+    assert min(outcomes.values()) >= 400, outcomes

@@ -19,16 +19,21 @@ exact supremum when it is finite:
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
    paths from an initial to an accepting configuration.
 
-The INF verdict needs no configuration graph: a length-preserving
-transducer has finite deviation exactly when no cycle breaks conjugacy by
-its anchor's shift, which _nonconjugate_cycle decides in polynomial time
-by one breadth-first search over (state, phase) pairs inside the strongly
-connected components of the state graph.  is_bounded is that search
-alone; analyze_deviation, threshold and exact run it first when b > 0
-and take UNBOUNDED from its cycle, with shortest state-graph paths as
-prefix and suffix.  When b = 0 every lag is empty, the configurations are
-the states, and a positive edge inside a component of the walk closes
-into such a cycle, so they skip the search.
+When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
+every lag is empty and the configuration graph is the trimmed state graph
+itself: its rows (_state_rows) are built in one pass over the
+transitions, with states as nodes, and walked directly.  A positive edge
+inside a component of that walk closes into a pumpable cycle, and the
+budget is then the number of trimmed states.
+
+When b > 0 the INF verdict needs no configuration graph: a
+length-preserving transducer has finite deviation exactly when no cycle
+breaks conjugacy by its anchor's shift, which _nonconjugate_cycle decides
+in polynomial time by one breadth-first search over (state, phase) pairs
+inside the strongly connected components of the state graph.
+analyze_deviation, threshold and exact run it first and take UNBOUNDED
+from its cycle, with shortest state-graph paths as prefix and suffix;
+is_bounded is that search alone, or at smax = 0 the state-graph walk.
 
 The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
 a configuration is expanded when the depth-first walk first enters it,
@@ -54,6 +59,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from operator import ne
 from typing import NamedTuple
@@ -457,6 +463,24 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
     return _Walk(comp, best, choice, held, None, None)
 
 
+def _over_budget(reached: int, b: int, num_states: int, began: float) -> StateBudgetExceeded:
+    return StateBudgetExceeded(
+        f"state budget exceeded: {reached} configurations reached,"
+        f" b={b}, |Q|={num_states},"
+        f" {time.perf_counter() - began:.2f} s elapsed"
+    )
+
+
+def _state_rows(t: Nft) -> list[list[tuple[int, int, int]]]:
+    """The state graph of t as _walk rows: per state its (dst, mismatches,
+    transition) edges in transition order.  When smax = 0 every lag is
+    empty, and these are the rows of the configuration graph."""
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
+    for ti, (src, x, y, dst) in enumerate(t.transitions):
+        rows[src].append((dst, sum(map(ne, x, y)) if x != y else 0, ti))
+    return rows
+
+
 def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int):
     """The configuration graph as _walk unfolds it: (expand, state, lags,
     starts, accepts).
@@ -480,11 +504,7 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
     accepts: set[int] = set()
 
     def over_budget():
-        return StateBudgetExceeded(
-            f"state budget exceeded: {len(state)} configurations reached,"
-            f" b={b}, |Q|={trimmed.num_states},"
-            f" {time.perf_counter() - began:.2f} s elapsed"
-        )
+        return _over_budget(len(state), b, trimmed.num_states, began)
 
     starts = []
     for q in sorted(trimmed.initials):
@@ -531,12 +551,13 @@ _IDLE = ("idle",)
 _DONE = ("done",)
 
 
-def _nonconjugate_cycle(t: Nft, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
+def _nonconjugate_cycle(t: Nft, adj, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
     """A cycle whose words are not conjugate by its anchor's shift, or None.
 
-    t is trimmed and shift its consistent potential.  Returns (p, run, i,
-    j) where the run goes from p to itself over some (u, v), j - i equals
-    s_p exactly (hence modulo |u|), and u_i != v_j; 1-based positions.
+    t is trimmed, adj is _by_src(t) and shift its consistent potential.
+    Returns (p, run, i, j) where the run goes from p to itself over some
+    (u, v), j - i equals s_p exactly (hence modulo |u|), and u_i != v_j;
+    1-based positions.
     None means no cycle of any length violates conjugacy, which for a
     length-preserving transducer is exactly boundedness.
 
@@ -553,7 +574,6 @@ def _nonconjugate_cycle(t: Nft, shift: dict[int, int]) -> tuple[int, Run, int, i
     iterated enough times, contains a pair at exact offset s_p, so the
     search is complete.
     """
-    adj = _by_src(t)
     rows = [[(tr.dst, 0, idx) for idx, tr in row] for row in adj]
     comp = _walk(range(t.num_states), rows.__getitem__, t.finals).comp
     parent: dict[tuple, tuple | None] = {(q, _IDLE): None for q in range(t.num_states)}
@@ -651,45 +671,57 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
     if trimmed.num_states == 0:
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
-    adj = _by_src(trimmed)
-    sa = _shift_potential(trimmed, adj)
-    shift = _map_shift(sa, state_map, trans_map)
-    if not sa.consistent:
-        witness = _unbalanced_accepting_run(trimmed, adj, sa.conflict_witness)
-        return DeviationResult(
-            verdict=Verdict.NOT_LENGTH_PRESERVING,
-            bounds=bounds,
-            witness=_map_run(witness.transitions, trans_map),
-            shift=shift,
-        )
-
-    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
-        prefix = _state_path(adj, sorted(trimmed.initials), {p})
+    def unbounded(p: int, cycle: tuple[int, ...], path) -> DeviationResult:
+        """UNBOUNDED from a pumpable cycle at p; path(sources, targets) is
+        a shortest run of the state graph."""
         return DeviationResult(
             verdict=Verdict.UNBOUNDED,
             bounds=bounds,
             cycle_witness=_map_run(cycle, trans_map),
             anchor_state=state_map[p],
-            cycle_prefix=_map_run(prefix, trans_map),
-            cycle_suffix=_map_run(_state_path(adj, (p,), trimmed.finals), trans_map),
+            cycle_prefix=_map_run(path(sorted(trimmed.initials), {p}), trans_map),
+            cycle_suffix=_map_run(path((p,), trimmed.finals), trans_map),
             shift=shift,
         )
 
-    if bounds.b > 0:
-        found = _nonconjugate_cycle(trimmed, sa.per_state)
+    if bounds.b == 0:
+        # smax = 0: every shift is 0, so the potential is consistent, every
+        # lag is empty and the configuration graph is the state graph
+        if trimmed.num_states > max_configs:
+            raise _over_budget(max_configs, 0, trimmed.num_states, time.perf_counter())
+        shift = ShiftAssignment(per_state=dict.fromkeys(state_map, 0), consistent=True)
+        rows = _state_rows(trimmed)
+
+        def path(sources, targets) -> tuple[int, ...]:
+            return _bfs_path(sources, targets, lambda p: ((ti, v) for v, _, ti in rows[p]))
+
+        starts = sorted(trimmed.initials)
+        walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
+        if walk.pumped is not None:
+            # every state reaches a final one, so a positive edge inside a
+            # component pumps
+            u, v, ti = walk.pumped
+            return unbounded(u, (ti,) + path((v,), {u}), path)
+    else:
+        adj = _by_src(trimmed)
+        sa = _shift_potential(trimmed, adj)
+        shift = _map_shift(sa, state_map, trans_map)
+        if not sa.consistent:
+            witness = _unbalanced_accepting_run(trimmed, adj, sa.conflict_witness)
+            return DeviationResult(
+                verdict=Verdict.NOT_LENGTH_PRESERVING,
+                bounds=bounds,
+                witness=_map_run(witness.transitions, trans_map),
+                shift=shift,
+            )
+        found = _nonconjugate_cycle(trimmed, adj, sa.per_state)
         if found is not None:
-            return unbounded(found[0], found[1].transitions)
-    expand, state, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
-    walk = _walk(starts, expand, accepts, limit)
-    if walk.pumped is not None:
-        # Every configuration reaches an accepting one (see the module
-        # docstring), so a positive edge inside a component pumps: with
-        # b = 0 the configurations are states, and with b > 0 the search
-        # above has ruled such an edge out.
-        if bounds.b > 0:
+            return unbounded(found[0], found[1].transitions, partial(_state_path, adj))
+        expand, _, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
+        walk = _walk(starts, expand, accepts, limit)
+        if walk.pumped is not None:
+            # the search above has ruled out every pumpable cycle
             raise AssertionError("positive edge inside a component of a bounded transducer")
-        u, v, ti = walk.pumped
-        return unbounded(state[u], (ti,) + _state_path(adj, (state[v],), {state[u]}))
     if walk.heavier is not None:
         steps, v = walk.heavier
         steps += _chain(walk, v)
@@ -742,18 +774,25 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
 def is_bounded(t: Nft) -> bool:
     """True iff the deviation is finite (the empty relation counts as 0).
 
-    Decided in polynomial time without the configuration graph: trim,
-    propagate the shift potential (an inconsistency means not length
-    preserving, hence unbounded), then search the (state, phase) product
-    for a cycle that breaks conjugacy by its anchor's shift; the deviation
-    is finite exactly when there is none.  analyze_deviation, threshold
-    and exact run the same search first when b > 0.
+    Decided in polynomial time on the state graph.  After trimming, when
+    smax = 0 the state graph with its mismatch weights is walked once, and
+    the deviation is finite exactly when no positive edge lies inside a
+    strongly connected component.  Otherwise the shift potential is
+    propagated (an inconsistency means not length preserving, hence
+    unbounded), and the (state, phase) product is searched for a cycle
+    that breaks conjugacy by its anchor's shift; the deviation is finite
+    exactly when there is none.  analyze_deviation, threshold and exact
+    take the same two routes to UNBOUNDED.
     """
     trimmed = trim(t)
     if trimmed.num_states == 0:
         return True
-    sa = _shift_potential(trimmed, _by_src(trimmed))
-    return sa.consistent and _nonconjugate_cycle(trimmed, sa.per_state) is None
+    if stats(trimmed).smax == 0:
+        rows = _state_rows(trimmed)
+        return _walk(sorted(trimmed.initials), rows.__getitem__, trimmed.finals).pumped is None
+    adj = _by_src(trimmed)
+    sa = _shift_potential(trimmed, adj)
+    return sa.consistent and _nonconjugate_cycle(trimmed, adj, sa.per_state) is None
 
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:

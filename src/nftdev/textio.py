@@ -32,7 +32,7 @@ class ParseError(ValueError):
 def _content_lines(text: str):
     """Yield (line_number, token_list) for non-blank lines, comments stripped."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.partition("#")[0].split()
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
         if tokens:
             yield no, tokens
 
@@ -69,7 +69,11 @@ def parse_nft(text: str) -> Nft:
     transitions: list[Transition] = []
     ended = False
 
-    for no, tokens in _content_lines(text):
+    # _content_lines, inlined: this loop is most of the parse
+    for no, raw in enumerate(text.splitlines(), start=1):
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
+            continue
         head = tokens[0]
         # trans lines are most of a file: take them first once the header is read
         if head == "trans" and alphabet is not None and not ended:

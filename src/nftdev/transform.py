@@ -24,16 +24,6 @@ def _unique_name(candidate: str, used: set[str]) -> str:
     return name
 
 
-def _adjacency(t: Nft, reverse: bool = False) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(t.num_states)]
-    for tr in t.transitions:
-        if reverse:
-            adj[tr.dst].append(tr.src)
-        else:
-            adj[tr.src].append(tr.dst)
-    return adj
-
-
 def _closure(seeds, adj) -> set[int]:
     seen = set(seeds)
     queue = deque(seen)
@@ -46,6 +36,17 @@ def _closure(seeds, adj) -> set[int]:
     return seen
 
 
+def _live_states(t: Nft) -> set[int]:
+    """The states reachable from an initial state and co-reachable to a
+    final one; both adjacency directions are built in one pass."""
+    succ: list[list[int]] = [[] for _ in range(t.num_states)]
+    pred: list[list[int]] = [[] for _ in range(t.num_states)]
+    for src, _, _, dst in t.transitions:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    return _closure(t.initials, succ) & _closure(t.finals, pred)
+
+
 def trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
     """Trim t and report which original states/transitions survive.
 
@@ -54,9 +55,7 @@ def trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
     every state survives, trimmed is t itself and both maps are the
     identity.
     """
-    reachable = _closure(t.initials, _adjacency(t))
-    coreachable = _closure(t.finals, _adjacency(t, reverse=True))
-    kept = sorted(reachable & coreachable)
+    kept = sorted(_live_states(t))
     if len(kept) == t.num_states:
         return t, kept, list(range(len(t.transitions)))
     new_id = {old: new for new, old in enumerate(kept)}
@@ -84,9 +83,7 @@ def trim(t: Nft) -> Nft:
 
 
 def is_trim(t: Nft) -> bool:
-    reachable = _closure(t.initials, _adjacency(t))
-    coreachable = _closure(t.finals, _adjacency(t, reverse=True))
-    return len(reachable & coreachable) == t.num_states
+    return len(_live_states(t)) == t.num_states
 
 
 def atomize(t: Nft) -> Nft:

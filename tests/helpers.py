@@ -22,7 +22,7 @@ from nftdev import (
     trim,
 )
 from nftdev.engine import _by_src, _parent_chain
-from nftdev.transform import _adjacency, _closure
+from nftdev.transform import _live_states
 
 ALPHABET = ("a", "b")
 
@@ -107,6 +107,27 @@ def random_length_preserving_nft(rng: random.Random):
     )
     trimmed = trim(t)
     return trimmed if trimmed.num_states > 0 else None
+
+
+def random_equal_length_nft(rng: random.Random, max_states: int = 7):
+    """One random untrimmed NFT whose every transition reads and writes
+    words of one length (0 to 3 letters over {a, b, c}), so smax = 0 and
+    b = 0; up to max_states states, 1 to 3 initial and final states."""
+    nq = rng.randint(1, max_states)
+    transitions = []
+    for _ in range(rng.randint(1, 3 * nq)):
+        n = rng.randint(0, 3)
+        x = "".join(rng.choice("abc") for _ in range(n))
+        y = "".join(rng.choice("abc") for _ in range(n))
+        transitions.append(Transition(rng.randrange(nq), x, y, rng.randrange(nq)))
+    return Nft(
+        states=tuple(f"s{i}" for i in range(nq)),
+        alphabet=frozenset("abc"),
+        initials=frozenset(rng.sample(range(nq), rng.randint(1, min(3, nq)))),
+        finals=frozenset(rng.sample(range(nq), rng.randint(1, min(3, nq)))),
+        transitions=tuple(transitions),
+        name="rand-eq",
+    )
 
 
 def make_corpus(count: int, seed: int) -> list[Nft]:
@@ -315,9 +336,7 @@ def copying_trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
     """Reference for trim_with_maps: always builds (and so re-validates) a
     new Nft of the kept states and transitions, even when nothing is
     removed."""
-    reachable = _closure(t.initials, _adjacency(t))
-    coreachable = _closure(t.finals, _adjacency(t, reverse=True))
-    kept = sorted(reachable & coreachable)
+    kept = sorted(_live_states(t))
     new_id = {old: new for new, old in enumerate(kept)}
     transitions = []
     trans_map = []

@@ -2,12 +2,15 @@ import json
 import re
 
 from nftdev import (
+    Digraph,
     Nft,
     Transition,
     deviation_to_comparison,
     gen_family,
+    gen_reach_bounded,
     parse_nft,
     serialize_nft,
+    trim,
     union,
 )
 from nftdev.cli import main
@@ -214,6 +217,25 @@ def test_budget_exit_code(tmp_path, capsys):
     assert "2 configurations reached" in err
     assert "b=8" in err and "|Q|=8" in err
     assert re.search(r"\|Q\|=8, \d+\.\d\d s elapsed", err)
+
+
+def test_budget_at_zero_shift_counts_trimmed_states(tmp_path, capsys):
+    # b = 0: the configurations are the trimmed states, so a budget below
+    # their number stops the analysis with the usual message
+    chain = tuple((v, v + 1) for v in range(5))
+    for edges in (chain, chain[:-1]):
+        t = gen_reach_bounded(Digraph(6, edges, s=0, t=5)).nft
+        n = trim(t).num_states
+        path = _write(tmp_path, "reach.nft", serialize_nft(t))
+        assert main(["analyze", path, "--max-configs", str(n - 1)]) == 3
+        err = capsys.readouterr().err
+        assert re.match(
+            rf"nftdev: state budget exceeded: {n - 1} configurations reached,"
+            rf" b=0, \|Q\|={n}, \d+\.\d\d s elapsed$",
+            err,
+        )
+        assert main(["analyze", path, "--max-configs", str(n)]) == 0
+        capsys.readouterr()
 
 
 def test_usage_exit_code(capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     make_corpus,
     random_cnf,
     random_digraph,
+    random_equal_length_nft,
     random_length_preserving_nft,
     simple_cycles_shifts,
     tuple_keyed_graph,
@@ -36,6 +38,7 @@ from nftdev import (
     gen_3sat,
     gen_family,
     gen_reach_bounded,
+    gen_reach_threshold,
     hamming_distance,
     is_bounded,
     run_words,
@@ -622,10 +625,85 @@ def test_unbounded_at_zero_shift_comes_from_the_walk(monkeypatch):
     assert unbounded >= 2
 
 
+def _zero_shift_instances():
+    """3,000 seeded equal-length NFTs and reach and reach-k gadgets on
+    seeded digraphs: every one has smax = 0."""
+    rng = random.Random(2026)
+    instances = [random_equal_length_nft(rng) for _ in range(3000)]
+    for i in range(40):
+        g = random_digraph(rng) if i < 30 else random_digraph(rng, 300, (0.003, 0.01))
+        instances += [gen_reach_bounded(g).nft, gen_reach_threshold(g, 1 + i % 3).nft]
+    return instances
+
+
+def test_state_graph_walk_matches_the_configuration_graph():
+    # at smax = 0 the engine walks the trimmed state graph; the
+    # configuration graph, built and walked directly, must agree with it
+    bounded = unbounded = 0
+    for t in _zero_shift_instances():
+        trimmed = trim(t)
+        if trimmed.num_states == 0:
+            continue
+        assert Bounds.from_nft(trimmed).b == 0
+        expand, _, _, starts, accepts = _configurations(trimmed, shift_assignment(trimmed), 0, 2**20)
+        walk = _walk(starts, expand, accepts)
+        res = analyze_deviation(t)
+        assert is_bounded(t) == (walk.pumped is None)
+        assert res.shift.consistent and set(res.shift.per_state.values()) == {0}
+        if walk.pumped is not None:
+            assert res.verdict is Verdict.UNBOUNDED
+            _assert_pumps(t, res)
+            assert not threshold(t, 10**6) and not exact(t, 0)
+            unbounded += 1
+            continue
+        value = max(walk.best[walk.comp[s]] for s in starts)
+        assert res.verdict is Verdict.BOUNDED and res.value == value
+        steps = res.witness.transitions
+        if steps:
+            assert t.transitions[steps[0]].src in t.initials
+            assert t.transitions[steps[-1]].dst in t.finals
+        else:
+            assert t.initials & t.finals
+        u, v = run_words(t, res.witness)
+        assert hamming_distance(u, v) == value
+        assert threshold(t, value) and exact(t, value) and not exact(t, value + 1)
+        if value > 0:
+            assert not threshold(t, value - 1) and not exact(t, value - 1)
+        bounded += 1
+    assert bounded >= 500 and unbounded >= 500
+
+
+def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
+    calls = Counter()
+    for name in ("_shift_potential", "_configurations", "_nonconjugate_cycle"):
+
+        def counted(*args, _real=getattr(nftdev.engine, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(nftdev.engine, name, counted)
+    chain = tuple((v, v + 1) for v in range(5))
+    zero = [gen_reach_bounded(Digraph(6, e, s=0, t=5)).nft for e in (chain, chain[:-1])]
+    zero.append(gen_reach_threshold(Digraph(6, chain, s=0, t=5), 2).nft)
+    for t in zero:
+        analyze_deviation(t)
+        threshold(t, 2)
+        exact(t, 2)
+        is_bounded(t)
+    assert not calls
+    every = {"_shift_potential": 1, "_configurations": 1, "_nonconjugate_cycle": 1}
+    for query in (analyze_deviation, lambda t: threshold(t, 10), lambda t: exact(t, 10)):
+        query(gen_family(4).nft)
+        assert calls == every
+        calls.clear()
+    assert is_bounded(gen_family(4).nft)
+    assert calls == {"_shift_potential": 1, "_nonconjugate_cycle": 1}
+
+
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
     # with b > 0 the search has ruled out every pumpable cycle before the
     # walk; an inner positive edge after it means the two disagree
-    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, shift: None)
+    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, adj, shift: None)
     t = union(gen_family(3).nft, _mismatch_loop())
     with pytest.raises(AssertionError, match="positive edge inside a component"):
         analyze_deviation(t)

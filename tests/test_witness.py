@@ -23,7 +23,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
-from nftdev.engine import _nonconjugate_cycle
+from nftdev.engine import _by_src, _nonconjugate_cycle
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -96,7 +96,7 @@ def test_unbalanced_agreement(corpus):
 def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
     sa = shift_assignment(t)
-    found = _nonconjugate_cycle(t, sa.per_state)
+    found = _nonconjugate_cycle(t, _by_src(t), sa.per_state)
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
@@ -108,9 +108,9 @@ def test_nonconjugate_cycle_on_reach_gadget():
 
 def test_nonconjugate_cycle_none_on_bounded():
     t4 = gen_family(4).nft
-    assert _nonconjugate_cycle(t4, shift_assignment(t4).per_state) is None
+    assert _nonconjugate_cycle(t4, _by_src(t4), shift_assignment(t4).per_state) is None
     ident = _identity()
-    assert _nonconjugate_cycle(ident, shift_assignment(ident).per_state) is None
+    assert _nonconjugate_cycle(ident, _by_src(ident), shift_assignment(ident).per_state) is None
 
 
 def test_nonconjugate_agreement(corpus):
@@ -119,7 +119,7 @@ def test_nonconjugate_agreement(corpus):
         if not sa.consistent:
             continue
         res = analyze_deviation(t)
-        found = _nonconjugate_cycle(t, sa.per_state)
+        found = _nonconjugate_cycle(t, _by_src(t), sa.per_state)
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found

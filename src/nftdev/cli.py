@@ -131,8 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bounded",
-        help="is the deviation finite? (polynomial: a (state, phase) search for a"
-        " nonconjugate cycle; no configuration graph, so no budget)",
+        help="is the deviation finite? (polynomial, no budget: a walk of the trimmed"
+        " state graph when no transition shifts, else a (state, phase) search for a"
+        " nonconjugate cycle)",
     )
     p.add_argument("file", metavar="FILE")
 

@@ -21,19 +21,22 @@ exact supremum when it is finite:
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the trimmed state graph
-itself: its rows (_state_rows) are built in one pass over the
-transitions, with states as nodes, and walked directly.  A positive edge
-inside a component of that walk closes into a pumpable cycle, and the
-budget is then the number of trimmed states.
+itself, walked directly; a positive edge inside a component of that walk
+closes into a pumpable cycle, and the budget is the number of trimmed
+states.  The state graph's rows (_state_rows, built in one pass over the
+transitions) are the engine's one adjacency: the shift potential, the
+shortest paths and the search below read them too.
 
 When b > 0 the INF verdict needs no configuration graph: a
 length-preserving transducer has finite deviation exactly when no cycle
 breaks conjugacy by its anchor's shift, which _nonconjugate_cycle decides
 in polynomial time by one breadth-first search over (state, phase) pairs
-inside the strongly connected components of the state graph.
-analyze_deviation, threshold and exact run it first and take UNBOUNDED
-from its cycle, with shortest state-graph paths as prefix and suffix;
-is_bounded is that search alone, or at smax = 0 the state-graph walk.
+inside the strongly connected components of the state graph, a phase
+being idle, a confirmed mismatch, or one letter waiting on the other
+stream for its partner; a scan of the closed cycle's words then finds
+the positions.  analyze_deviation, threshold and exact run it first and
+take UNBOUNDED from its cycle, with shortest state-graph paths as prefix
+and suffix; is_bounded is that search alone, or at smax = 0 the walk.
 
 The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
 a configuration is expanded when the depth-first walk first enters it,
@@ -180,13 +183,6 @@ class DeviationResult:
         return self.verdict in (Verdict.BOUNDED, Verdict.EMPTY)
 
 
-def _by_src(t: Nft) -> list[list[tuple[int, object]]]:
-    adj: list[list[tuple[int, object]]] = [[] for _ in range(t.num_states)]
-    for i, tr in enumerate(t.transitions):
-        adj[tr.src].append((i, tr))
-    return adj
-
-
 def _parent_chain(parent, q: int) -> tuple[int, ...]:
     """Labels of the parent links from q back to a root, in path order.
 
@@ -231,12 +227,12 @@ def shift_assignment(t: Nft) -> ShiftAssignment:
     """
     if not is_trim(t):
         raise ValueError("engine requires trimmed Nft")
-    return _shift_potential(t, _by_src(t))
+    return _shift_potential(t, _state_rows(t))
 
 
-def _shift_potential(t: Nft, adj) -> ShiftAssignment:
+def _shift_potential(t: Nft, rows) -> ShiftAssignment:
     """shift_assignment without its trimness check, for callers that have
-    just trimmed; adj is _by_src(t)."""
+    just trimmed; rows is _state_rows(t)."""
     s: dict[int, int] = {}
     parent: dict[int, tuple[int, int] | None] = {}
     queue: deque[int] = deque()
@@ -247,7 +243,8 @@ def _shift_potential(t: Nft, adj) -> ShiftAssignment:
     conflict = None
     while queue and conflict is None:
         p = queue.popleft()
-        for idx, (_, x, y, q) in adj[p]:
+        for q, _, idx in rows[p]:
+            _, x, y, _ = t.transitions[idx]
             val = s[p] + len(x) - len(y)
             if q not in s:
                 s[q] = val
@@ -268,18 +265,18 @@ def _shift_potential(t: Nft, adj) -> ShiftAssignment:
     return ShiftAssignment(per_state=s, consistent=conflict is None, conflict_witness=conflict)
 
 
-def _state_path(adj, sources, targets) -> tuple[int, ...]:
+def _state_path(rows, sources, targets) -> tuple[int, ...]:
     """Transitions of a shortest run from a state in `sources` to one in
-    `targets`; adj is _by_src of the transducer."""
-    return _bfs_path(sources, targets, lambda p: ((idx, tr.dst) for idx, tr in adj[p]))
+    `targets`; rows is _state_rows of the transducer."""
+    return _bfs_path(sources, targets, lambda p: ((ti, v) for v, _, ti in rows[p]))
 
 
-def _unbalanced_accepting_run(t: Nft, adj, conflict: ShiftConflict) -> Run:
-    """Turn a shift conflict into an accepting run with |u| != |v|; adj
-    is _by_src(t)."""
+def _unbalanced_accepting_run(t: Nft, rows, conflict: ShiftConflict) -> Run:
+    """Turn a shift conflict into an accepting run with |u| != |v|; rows
+    is _state_rows(t)."""
     if conflict.run_b is None:
         return conflict.run_a
-    ext = _state_path(adj, (conflict.state,), t.finals)
+    ext = _state_path(rows, (conflict.state,), t.finals)
     for base in (conflict.run_a, conflict.run_b):
         steps = base.transitions + ext
         if sum(t.transitions[i].shift for i in steps) != 0:
@@ -547,117 +544,90 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
     return expand, state, lags, starts, accepts
 
 
-_IDLE = ("idle",)
-_DONE = ("done",)
-
-
-def _nonconjugate_cycle(t: Nft, adj, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
+def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
     """A cycle whose words are not conjugate by its anchor's shift, or None.
 
-    t is trimmed, adj is _by_src(t) and shift its consistent potential.
-    Returns (p, run, i, j) where the run goes from p to itself over some
-    (u, v), j - i equals s_p exactly (hence modulo |u|), and u_i != v_j;
-    1-based positions.
+    t is trimmed, rows is _state_rows(t) and shift its consistent
+    potential.  Returns (p, run, i, j) where the run goes from p to itself
+    over some (u, v), j - i equals s_p exactly, and (i, j) is the first
+    such pair with u_i != v_j; 1-based positions.
     None means no cycle of any length violates conjugacy, which for a
     length-preserving transducer is exactly boundedness.
 
-    The search runs over (state, phase) pairs, the phase being what the
-    witness pair needs next: nothing chosen yet (IDLE), one letter
-    captured with the distance until the other stream reaches its partner
-    position, or the mismatch confirmed (DONE).  An input letter at
-    offset o of a transition leaving q has its partner at offset
-    s_q + o of that transition's output, whatever the anchor, so one
-    breadth-first search from every (q, IDLE) covers all anchors.  It
-    follows only transitions inside one strongly connected component of
-    the state graph: a DONE reached from (p, IDLE) closes into a cycle at
-    p by any path back inside that component, and every violating cycle,
-    iterated enough times, contains a pair at exact offset s_p, so the
-    search is complete.
+    The search runs over (state, phase) pairs, the phase being what a
+    mismatching pair needs next: nothing chosen yet (None), the mismatch
+    confirmed (True), or (letter, side, d), one letter captured that waits
+    d letters ahead on stream `side` (0 the output, 1 the input) for its
+    partner.  A letter at offset o of a transition leaving q has its
+    partner at offset o + s_q of the output, or o - s_q of the input,
+    whatever the anchor, so one breadth-first search from every (q, None)
+    covers all anchors.  It follows only transitions inside one strongly
+    connected component of the state graph: a mismatch confirmed from
+    (p, None) closes into a cycle at p by any path back inside that
+    component, and every violating cycle, iterated enough times, contains
+    a pair at exact offset s_p, so the search is complete.  Its links keep
+    only transitions; _close_cycle finds the positions by a scan.
     """
-    rows = [[(tr.dst, 0, idx) for idx, tr in row] for row in adj]
-    comp = _walk(range(t.num_states), rows.__getitem__, t.finals).comp
-    parent: dict[tuple, tuple | None] = {(q, _IDLE): None for q in range(t.num_states)}
+    zeroed = [[(v, 0, ti) for v, _, ti in row] for row in rows]
+    comp = _walk(range(t.num_states), zeroed.__getitem__, t.finals).comp
+    parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
         key = queue.popleft()
         state, phase = key
         sq = shift[state]
-        for idx, tr in adj[state]:
-            if comp[tr.dst] != comp[state]:
+        c = comp[state]
+        for dst, _, ti in rows[state]:
+            if comp[dst] != c:
                 continue
-            x, y = tr.input, tr.output
+            _, x, y, _ = t.transitions[ti]
+            streams = (y, x)
             succs = []
-            if phase is _IDLE:
-                # staying IDLE is not a step: every (q, IDLE) is a source
-                for o in range(1, len(x) + 1):
-                    jo = sq + o
-                    if jo > len(y):
-                        succs.append((("wo", x[o - 1], jo - len(y)), ("seta", o)))
-                    elif jo >= 1 and x[o - 1] != y[jo - 1]:
-                        succs.append((_DONE, ("setab", o, jo)))
-                for o2 in range(1, len(y) + 1):
-                    io = o2 - sq
-                    if io > len(x):
-                        succs.append((("wi", y[o2 - 1], io - len(x)), ("setb", o2)))
-            elif phase[0] == "wo":
-                _, a, d = phase
-                if d <= len(y):
-                    if a != y[d - 1]:
-                        succs.append((_DONE, ("resb", d)))
-                else:
-                    succs.append((("wo", a, d - len(y)), None))
-            else:  # "wi"
-                _, bl, d = phase
-                if d <= len(x):
-                    if bl != x[d - 1]:
-                        succs.append((_DONE, ("resa", d)))
-                else:
-                    succs.append((("wi", bl, d - len(x)), None))
-            for nphase, marker in succs:
-                nk = (tr.dst, nphase)
+            if phase is None:
+                # staying idle is not a step: every (q, None) is a source
+                for side, off in ((0, sq), (1, -sq)):
+                    theirs = streams[side]
+                    for o, a in enumerate(streams[1 - side], 1):
+                        d = o + off
+                        if d > len(theirs):
+                            succs.append((a, side, d - len(theirs)))
+                        elif d >= 1 and a != theirs[d - 1]:
+                            succs.append(True)
+            else:
+                a, side, d = phase
+                theirs = streams[side]
+                if d > len(theirs):
+                    succs.append((a, side, d - len(theirs)))
+                elif a != theirs[d - 1]:
+                    succs.append(True)
+            for nphase in succs:
+                nk = (dst, nphase)
                 if nk in parent:
                     continue
-                parent[nk] = (key, (idx, marker))
-                if nphase is _DONE:
-                    return _rebuild_cycle(t, adj, comp, parent, nk, shift)
+                parent[nk] = (key, ti)
+                if nphase is True:
+                    return _close_cycle(t, rows, comp, parent, nk, shift)
                 queue.append(nk)
     return None
 
 
-def _rebuild_cycle(t: Nft, adj, comp, parent, done, shift) -> tuple[int, Run, int, int]:
-    """The (p, run, i, j) of _nonconjugate_cycle from the search's parent
-    links to the DONE node `done`, closed by a shortest path back to p
-    inside p's component."""
+def _close_cycle(t: Nft, rows, comp, parent, done, shift) -> tuple[int, Run, int, int]:
+    """The (p, run, i, j) of _nonconjugate_cycle: the search's path to the
+    confirmed mismatch `done`, closed by a shortest path back to p inside
+    p's component, and the first mismatching pair at offset s_p of the
+    cycle's words.  The pair the search confirmed lies inside that path."""
     steps = _parent_chain(parent, done)
-    p = t.transitions[steps[0][0]].src
+    p = t.transitions[steps[0]].src
     c = comp[p]
-    closing = _bfs_path(
-        (done[0],), {p}, lambda q: ((idx, tr.dst) for idx, tr in adj[q] if comp[tr.dst] == c)
+    steps += _bfs_path(
+        (done[0],), {p}, lambda q: ((ti, v) for v, _, ti in rows[q] if comp[v] == c)
     )
-    n_r = n_w = 0
-    i = j = None
-    for idx, marker in steps:
-        tr = t.transitions[idx]
-        if marker is not None:
-            kind = marker[0]
-            if kind == "seta":
-                i = n_r + marker[1]
-            elif kind == "setb":
-                j = n_w + marker[1]
-            elif kind == "setab":
-                i = n_r + marker[1]
-                j = n_w + marker[2]
-            elif kind == "resb":
-                j = n_w + marker[1]
-            elif kind == "resa":
-                i = n_r + marker[1]
-        n_r += len(tr.input)
-        n_w += len(tr.output)
-    if i is None or j is None:
-        raise AssertionError("nonconjugate cycle lacks a witness position")
-    if j - i != shift[p]:
-        raise AssertionError("witness positions are not offset by the anchor shift")
-    return p, Run(tuple(idx for idx, _ in steps) + closing), i, j
+    u, v = run_words(t, Run(steps))
+    s = shift[p]
+    for i in range(max(1, 1 - s), min(len(u), len(v) - s) + 1):
+        if u[i - 1] != v[i - 1 + s]:
+            return p, Run(steps), i, i + s
+    raise AssertionError("nonconjugate cycle lacks a witness position")
 
 
 def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationResult | Run:
@@ -671,9 +641,11 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
     if trimmed.num_states == 0:
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
-    def unbounded(p: int, cycle: tuple[int, ...], path) -> DeviationResult:
-        """UNBOUNDED from a pumpable cycle at p; path(sources, targets) is
-        a shortest run of the state graph."""
+    rows = _state_rows(trimmed)
+    path = partial(_state_path, rows)
+
+    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
+        """UNBOUNDED from a pumpable cycle at p."""
         return DeviationResult(
             verdict=Verdict.UNBOUNDED,
             bounds=bounds,
@@ -690,33 +662,27 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
         if trimmed.num_states > max_configs:
             raise _over_budget(max_configs, 0, trimmed.num_states, time.perf_counter())
         shift = ShiftAssignment(per_state=dict.fromkeys(state_map, 0), consistent=True)
-        rows = _state_rows(trimmed)
-
-        def path(sources, targets) -> tuple[int, ...]:
-            return _bfs_path(sources, targets, lambda p: ((ti, v) for v, _, ti in rows[p]))
-
         starts = sorted(trimmed.initials)
         walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
         if walk.pumped is not None:
             # every state reaches a final one, so a positive edge inside a
             # component pumps
             u, v, ti = walk.pumped
-            return unbounded(u, (ti,) + path((v,), {u}), path)
+            return unbounded(u, (ti,) + path((v,), {u}))
     else:
-        adj = _by_src(trimmed)
-        sa = _shift_potential(trimmed, adj)
+        sa = _shift_potential(trimmed, rows)
         shift = _map_shift(sa, state_map, trans_map)
         if not sa.consistent:
-            witness = _unbalanced_accepting_run(trimmed, adj, sa.conflict_witness)
+            witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
             return DeviationResult(
                 verdict=Verdict.NOT_LENGTH_PRESERVING,
                 bounds=bounds,
                 witness=_map_run(witness.transitions, trans_map),
                 shift=shift,
             )
-        found = _nonconjugate_cycle(trimmed, adj, sa.per_state)
+        found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
         if found is not None:
-            return unbounded(found[0], found[1].transitions, partial(_state_path, adj))
+            return unbounded(found[0], found[1].transitions)
         expand, _, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
@@ -787,12 +753,11 @@ def is_bounded(t: Nft) -> bool:
     trimmed = trim(t)
     if trimmed.num_states == 0:
         return True
+    rows = _state_rows(trimmed)
     if stats(trimmed).smax == 0:
-        rows = _state_rows(trimmed)
         return _walk(sorted(trimmed.initials), rows.__getitem__, trimmed.finals).pumped is None
-    adj = _by_src(trimmed)
-    sa = _shift_potential(trimmed, adj)
-    return sa.consistent and _nonconjugate_cycle(trimmed, adj, sa.per_state) is None
+    sa = _shift_potential(trimmed, rows)
+    return sa.consistent and _nonconjugate_cycle(trimmed, rows, sa.per_state) is None
 
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:

@@ -21,7 +21,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
-from nftdev.engine import _by_src, _parent_chain
+from nftdev.engine import _parent_chain
 from nftdev.transform import _live_states
 
 ALPHABET = ("a", "b")
@@ -501,6 +501,13 @@ def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
 # distances).  They share no decision logic with the configuration-graph
 # walk and serve as references for it; every run they return re-verifies
 # by recomputing words and distances.
+
+
+def _by_src(t: Nft) -> list[list[tuple[int, Transition]]]:
+    adj: list[list[tuple[int, Transition]]] = [[] for _ in range(t.num_states)]
+    for i, tr in enumerate(t.transitions):
+        adj[tr.src].append((i, tr))
+    return adj
 
 
 def find_short_unbalanced_accepting_run(t: Nft) -> Run | None:

@@ -46,7 +46,7 @@ from nftdev import (
     stats,
     threshold,
 )
-from nftdev.engine import _by_src, _nonconjugate_cycle
+from nftdev.engine import _nonconjugate_cycle, _state_rows
 
 CORPUS_SEED = 20250811
 
@@ -270,7 +270,7 @@ def test_criterion_10_witness_agreement(corpus500):
             assert none_unbalanced == sa.consistent
             if not sa.consistent:
                 continue
-            found = _nonconjugate_cycle(t, _by_src(t), sa.per_state)
+            found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
             assert (found is not None) == (res.verdict is Verdict.UNBOUNDED)
             if found is not None:
                 p, run, i, j = found

@@ -703,7 +703,7 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
     # with b > 0 the search has ruled out every pumpable cycle before the
     # walk; an inner positive edge after it means the two disagree
-    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, adj, shift: None)
+    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, rows, shift: None)
     t = union(gen_family(3).nft, _mismatch_loop())
     with pytest.raises(AssertionError, match="positive edge inside a component"):
         analyze_deviation(t)

@@ -23,7 +23,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
-from nftdev.engine import _by_src, _nonconjugate_cycle
+from nftdev.engine import _nonconjugate_cycle, _state_rows
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -93,24 +93,32 @@ def test_unbalanced_agreement(corpus):
         assert none_found == consistent
 
 
+def _assert_first_mismatch_at_shift(u, v, s, i, j):
+    """(i, j) is the first pair of 1-based positions with j - i = s
+    exactly and u_i != v_j."""
+    assert j - i == s
+    assert 1 <= i <= len(u) and 1 <= j <= len(v)
+    assert u[i - 1] != v[j - 1]
+    assert all(u[k - 1] == v[k - 1 + s] for k in range(max(1, 1 - s), i))
+
+
 def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
     sa = shift_assignment(t)
-    found = _nonconjugate_cycle(t, _by_src(t), sa.per_state)
+    found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
     assert len(u) == len(v)
-    assert (j - i - sa.per_state[p]) % len(u) == 0
-    assert u[i - 1] != v[j - 1]
+    _assert_first_mismatch_at_shift(u, v, sa.per_state[p], i, j)
     assert not conjugate_by(u, v, sa.per_state[p])
 
 
 def test_nonconjugate_cycle_none_on_bounded():
     t4 = gen_family(4).nft
-    assert _nonconjugate_cycle(t4, _by_src(t4), shift_assignment(t4).per_state) is None
+    assert _nonconjugate_cycle(t4, _state_rows(t4), shift_assignment(t4).per_state) is None
     ident = _identity()
-    assert _nonconjugate_cycle(ident, _by_src(ident), shift_assignment(ident).per_state) is None
+    assert _nonconjugate_cycle(ident, _state_rows(ident), shift_assignment(ident).per_state) is None
 
 
 def test_nonconjugate_agreement(corpus):
@@ -119,13 +127,12 @@ def test_nonconjugate_agreement(corpus):
         if not sa.consistent:
             continue
         res = analyze_deviation(t)
-        found = _nonconjugate_cycle(t, _by_src(t), sa.per_state)
+        found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found
             u, v = run_words(t, run)
-            assert u[i - 1] != v[j - 1]
-            assert (j - i - sa.per_state[p]) % len(u) == 0
+            _assert_first_mismatch_at_shift(u, v, sa.per_state[p], i, j)
         else:
             assert found is None
 

@@ -132,7 +132,9 @@ class Nft:
     `states` holds the state names; the state identifier used everywhere
     else is the dense index into that tuple.  `initials` and `finals` are
     sets of state ids, `transitions` an ordered tuple (runs refer to
-    transitions by index).
+    transitions by index).  `Nft(...)` coerces and validates its fields;
+    the package's own producers, whose output is valid by construction,
+    build through `Nft._trusted`.
     """
 
     states: tuple[str, ...]
@@ -153,6 +155,21 @@ class Nft:
             tuple(t if isinstance(t, Transition) else Transition(*t) for t in self.transitions),
         )
         self._validate()
+
+    @classmethod
+    def _trusted(cls, states, alphabet, initials, finals, transitions, name) -> Nft:
+        """An Nft of fields stored as given, with no coercion and no checks:
+        a tuple of valid names, frozensets and a tuple of Transitions."""
+        t = object.__new__(cls)
+        t.__dict__.update(
+            states=states,
+            alphabet=alphabet,
+            initials=initials,
+            finals=finals,
+            transitions=transitions,
+            name=name,
+        )
+        return t
 
     def _validate(self):
         seen = set()

@@ -25,7 +25,8 @@ itself, walked directly; a positive edge inside a component of that walk
 closes into a pumpable cycle, and the budget is the number of trimmed
 states.  The state graph's rows (_state_rows, built in one pass over the
 transitions) are the engine's one adjacency: the shift potential, the
-shortest paths and the search below read them too.
+shortest paths and the search below read them too.  Their edges carry
+mismatch weights only at smax = 0, the one place the weights are read.
 
 When b > 0 the INF verdict needs no configuration graph: a
 length-preserving transducer has finite deviation exactly when no cycle
@@ -468,13 +469,15 @@ def _over_budget(reached: int, b: int, num_states: int, began: float) -> StateBu
     )
 
 
-def _state_rows(t: Nft) -> list[list[tuple[int, int, int]]]:
-    """The state graph of t as _walk rows: per state its (dst, mismatches,
-    transition) edges in transition order.  When smax = 0 every lag is
-    empty, and these are the rows of the configuration graph."""
+def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int]]]:
+    """The state graph of t as _walk rows: per state its (dst, weight,
+    transition) edges in transition order.  The weight is the mismatch
+    count when `weighted` and 0 otherwise.  When smax = 0 every lag is
+    empty, and the weighted rows are those of the configuration graph;
+    at smax > 0 no reader uses the weights."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
     for ti, (src, x, y, dst) in enumerate(t.transitions):
-        rows[src].append((dst, sum(map(ne, x, y)) if x != y else 0, ti))
+        rows[src].append((dst, sum(map(ne, x, y)) if weighted and x != y else 0, ti))
     return rows
 
 
@@ -547,10 +550,10 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
 def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
     """A cycle whose words are not conjugate by its anchor's shift, or None.
 
-    t is trimmed, rows is _state_rows(t) and shift its consistent
-    potential.  Returns (p, run, i, j) where the run goes from p to itself
-    over some (u, v), j - i equals s_p exactly, and (i, j) is the first
-    such pair with u_i != v_j; 1-based positions.
+    t is trimmed, rows is _state_rows(t) with zero weights and shift its
+    consistent potential.  Returns (p, run, i, j) where the run goes from
+    p to itself over some (u, v), j - i equals s_p exactly, and (i, j) is
+    the first such pair with u_i != v_j; 1-based positions.
     None means no cycle of any length violates conjugacy, which for a
     length-preserving transducer is exactly boundedness.
 
@@ -568,8 +571,7 @@ def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, 
     a pair at exact offset s_p, so the search is complete.  Its links keep
     only transitions; _close_cycle finds the positions by a scan.
     """
-    zeroed = [[(v, 0, ti) for v, _, ti in row] for row in rows]
-    comp = _walk(range(t.num_states), zeroed.__getitem__, t.finals).comp
+    comp = _walk(range(t.num_states), rows.__getitem__, t.finals).comp
     parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
@@ -641,7 +643,7 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
     if trimmed.num_states == 0:
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
-    rows = _state_rows(trimmed)
+    rows = _state_rows(trimmed, bounds.b == 0)
     path = partial(_state_path, rows)
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
@@ -753,9 +755,10 @@ def is_bounded(t: Nft) -> bool:
     trimmed = trim(t)
     if trimmed.num_states == 0:
         return True
-    rows = _state_rows(trimmed)
     if stats(trimmed).smax == 0:
+        rows = _state_rows(trimmed, weighted=True)
         return _walk(sorted(trimmed.initials), rows.__getitem__, trimmed.finals).pumped is None
+    rows = _state_rows(trimmed)
     sa = _shift_potential(trimmed, rows)
     return sa.consistent and _nonconjugate_cycle(trimmed, rows, sa.per_state) is None
 

@@ -86,13 +86,13 @@ def gen_family(n: int) -> GadgetInstance:
     transitions += [Transition(p[i], c(i), "", p[i + 1]) for i in range(1, n)]
     transitions.append(Transition(p[n], c(n), flipped, q[1]))
     transitions += [Transition(q[j], "", flipped, q[j + 1]) for j in range(1, n)]
-    nft = Nft(
-        states=states,
-        alphabet=frozenset("01"),
-        initials=frozenset({p[1]}),
-        finals=frozenset({q[n]}),
-        transitions=tuple(transitions),
-        name=f"family{n}",
+    nft = Nft._trusted(
+        states,
+        frozenset("01"),
+        frozenset({p[1]}),
+        frozenset({q[n]}),
+        tuple(transitions),
+        f"family{n}",
     )
     dev = n * (n + 1) // 2
     expected = GroundTruth(bounded=True, deviation=dev, exact_k=dev, exact_answer=True)
@@ -116,13 +116,13 @@ def gen_reach_bounded(g: Digraph) -> GadgetInstance:
     closes a pumpable cycle exactly when an s->t path exists."""
     states, vid, qi, qf, transitions = _reach_base(g)
     transitions.append(Transition(vid[g.t], "a", "b", vid[g.s]))
-    nft = Nft(
-        states=states,
-        alphabet=frozenset("ab"),
-        initials=frozenset({qi}),
-        finals=frozenset({qf}),
-        transitions=tuple(transitions),
-        name=f"reach{g.vertex_count}",
+    nft = Nft._trusted(
+        states,
+        frozenset("ab"),
+        frozenset({qi}),
+        frozenset({qf}),
+        tuple(transitions),
+        f"reach{g.vertex_count}",
     )
     path = reachable(g)
     expected = GroundTruth(bounded=not path, deviation=None if path else 1)
@@ -140,13 +140,13 @@ def gen_reach_threshold(g: Digraph, k: int) -> GadgetInstance:
     states, vid, qi, qf, transitions = _reach_base(g)
     transitions.append(Transition(qi, "a" * k, "b" * k, vid[g.s]))
     transitions.append(Transition(vid[g.t], "a", "b", qf))
-    nft = Nft(
-        states=states,
-        alphabet=frozenset("ab"),
-        initials=frozenset({qi}),
-        finals=frozenset({qf}),
-        transitions=tuple(transitions),
-        name=f"reachk{g.vertex_count}",
+    nft = Nft._trusted(
+        states,
+        frozenset("ab"),
+        frozenset({qi}),
+        frozenset({qf}),
+        tuple(transitions),
+        f"reachk{g.vertex_count}",
     )
     path = reachable(g)
     expected = GroundTruth(
@@ -170,7 +170,9 @@ def _init_gadget(n: int) -> Nft:
     transitions = [
         Transition(j, "", b, j + 1) for j in range(n) for b in "01"
     ]
-    return Nft(states, frozenset("01"), {0}, {n}, tuple(transitions), name="init")
+    return Nft._trusted(
+        states, frozenset("01"), frozenset({0}), frozenset({n}), tuple(transitions), "init"
+    )
 
 
 def _final_gadget(n: int) -> Nft:
@@ -178,7 +180,9 @@ def _final_gadget(n: int) -> Nft:
     transitions = [
         Transition(j, b, "", j + 1) for j in range(n) for b in "01"
     ]
-    return Nft(states, frozenset("01"), {0}, {n}, tuple(transitions), name="final")
+    return Nft._trusted(
+        states, frozenset("01"), frozenset({0}), frozenset({n}), tuple(transitions), "final"
+    )
 
 
 def _clause_gadget(i: int, n: int, clause: tuple[int, int, int]) -> Nft:
@@ -206,13 +210,13 @@ def _clause_gadget(i: int, n: int, clause: tuple[int, int, int]) -> Nft:
             transitions.append(Transition(bot[var - 1], "1", "0", top[var]))
         else:
             transitions.append(Transition(bot[var - 1], "0", "1", top[var]))
-    return Nft(
+    return Nft._trusted(
         states,
         frozenset("01"),
-        {bot[0]},
-        {top[n]},
+        frozenset({bot[0]}),
+        frozenset({top[n]}),
         tuple(transitions),
-        name=f"clause{i}",
+        f"clause{i}",
     )
 
 
@@ -231,13 +235,8 @@ def gen_3sat(f: CnfFormula) -> GadgetInstance:
     for i, clause in enumerate(f.clauses, start=1):
         nft = concat(nft, _clause_gadget(i, n, clause))
     nft = concat(nft, _final_gadget(n))
-    nft = Nft(
-        states=nft.states,
-        alphabet=nft.alphabet,
-        initials=nft.initials,
-        finals=nft.finals,
-        transitions=nft.transitions,
-        name=f"sat3_n{n}m{m}",
+    nft = Nft._trusted(
+        nft.states, nft.alphabet, nft.initials, nft.finals, nft.transitions, f"sat3_n{n}m{m}"
     )
     if nft.num_states != (2 * n + 1) * (m + 1):
         raise AssertionError("3-SAT gadget has the wrong number of states")
@@ -269,22 +268,22 @@ def gen_sat_unsat(f1: CnfFormula, f2: CnfFormula) -> GadgetInstance:
     repeated = g1.nft
     for _ in range(k2 - 1):
         repeated = concat(repeated, g1.nft)
-    pad = Nft(
-        states=("z0", "z1"),
-        alphabet=frozenset("01"),
-        initials=frozenset({0}),
-        finals=frozenset({1}),
-        transitions=(Transition(0, "0" * (k2 - 1), "1" * (k2 - 1), 1),),
-        name="pad",
+    pad = Nft._trusted(
+        ("z0", "z1"),
+        frozenset("01"),
+        frozenset({0}),
+        frozenset({1}),
+        (Transition(0, "0" * (k2 - 1), "1" * (k2 - 1), 1),),
+        "pad",
     )
     nft = concat(repeated, union(g2.nft, pad))
-    nft = Nft(
-        states=nft.states,
-        alphabet=nft.alphabet,
-        initials=nft.initials,
-        finals=nft.finals,
-        transitions=nft.transitions,
-        name=f"satunsat_{f1.num_vars}v{f1.num_clauses}c_{f2.num_vars}v{f2.num_clauses}c",
+    nft = Nft._trusted(
+        nft.states,
+        nft.alphabet,
+        nft.initials,
+        nft.finals,
+        nft.transitions,
+        f"satunsat_{f1.num_vars}v{f1.num_clauses}c_{f2.num_vars}v{f2.num_clauses}c",
     )
     sat1 = sat_brute_force(f1) is not None
     sat2 = sat_brute_force(f2) is not None

@@ -59,17 +59,17 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
     kept = sorted(seen)
     new_id = {pair: i for i, pair in enumerate(kept)}
     paired.sort()
-    z = Nft(
-        states=tuple(f"{a.states[pair // nb]}|{b.states[pair % nb]}" for pair in kept),
-        alphabet=a.alphabet | b.alphabet,
-        initials=frozenset(new_id[pair] for pair in initials),
-        finals=frozenset(
+    states = tuple(f"{a.states[pair // nb]}|{b.states[pair % nb]}" for pair in kept)
+    # names holding '|' can collide: Nft(...) then rejects the duplicate
+    z = (Nft._trusted if len(set(states)) == len(states) else Nft)(
+        states,
+        a.alphabet | b.alphabet,
+        frozenset(new_id[pair] for pair in initials),
+        frozenset(
             new_id[pair] for pair in kept if pair // nb in a.finals and pair % nb in b.finals
         ),
-        transitions=tuple(
-            Transition(new_id[src], x, y, new_id[dst]) for _, _, x, y, dst, src in paired
-        ),
-        name=f"{t1.name}x{t2.name}",
+        tuple(Transition(new_id[src], x, y, new_id[dst]) for _, _, x, y, dst, src in paired),
+        f"{t1.name}x{t2.name}",
     )
     return trim(z)
 
@@ -77,13 +77,13 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
 def deviation_to_comparison(t: Nft) -> tuple[Nft, Nft]:
     """A pair (t1, t2) with equal domains whose comparison distance is
     dev(R_t): t2 is t itself and t1 copies every input to the output."""
-    t1 = Nft(
-        states=t.states,
-        alphabet=t.alphabet,
-        initials=t.initials,
-        finals=t.finals,
-        transitions=tuple(Transition(tr.src, tr.input, tr.input, tr.dst) for tr in t.transitions),
-        name=f"{t.name}_id",
+    t1 = Nft._trusted(
+        t.states,
+        t.alphabet,
+        t.initials,
+        t.finals,
+        tuple(Transition(src, x, x, dst) for src, x, _, dst in t.transitions),
+        f"{t.name}_id",
     )
     return t1, t
 

@@ -68,10 +68,13 @@ def parse_nft(text: str) -> Nft:
     finals: set[int] = set()
     transitions: list[Transition] = []
     ended = False
+    hashes = "#" in text
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    new = tuple.__new__
 
     # _content_lines, inlined: this loop is most of the parse
     for no, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        tokens = (raw.partition("#")[0] if hashes and "#" in raw else raw).split()
         if not tokens:
             continue
         head = tokens[0]
@@ -89,7 +92,7 @@ def parse_nft(text: str) -> Nft:
             if not alphabet.issuperset(inp + out):
                 ch = next(ch for ch in inp + out if ch not in alphabet)
                 raise ParseError(f"letter {ch!r} outside the alphabet", no)
-            transitions.append(Transition(p, inp, out, q))
+            transitions.append(new(Transition, (p, inp, out, q)))
             continue
         if ended:
             raise ParseError("content after 'end'", no)
@@ -137,17 +140,15 @@ def parse_nft(text: str) -> Nft:
         raise ParseError("empty input, expected 'nft NAME'")
     if not ended:
         raise ParseError("missing 'end'")
-    try:
-        return Nft(
-            states=tuple(state_ids),
-            alphabet=frozenset(alphabet or ()),
-            initials=frozenset(initials),
-            finals=frozenset(finals),
-            transitions=tuple(transitions),
-            name=name,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    # every check of Nft._validate was made above, line by line
+    return Nft._trusted(
+        tuple(state_ids),
+        frozenset(alphabet),
+        frozenset(initials),
+        frozenset(finals),
+        tuple(transitions),
+        name,
+    )
 
 
 def parse_digraph(text: str) -> Digraph:

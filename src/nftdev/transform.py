@@ -3,7 +3,8 @@
 trim, atomize and add_eps_self_loops keep the recognized relation
 unchanged; concat and union realize concatenation and union of the
 relations.  All functions return new Nft values and never mutate their
-inputs.  Fresh states get deterministic names so that serialization is
+inputs; the outputs are valid by construction and built unchecked.
+Fresh states get deterministic names so that serialization is
 reproducible.
 """
 
@@ -65,13 +66,13 @@ def trim_with_maps(t: Nft) -> tuple[Nft, list[int], list[int]]:
         if tr.src in new_id and tr.dst in new_id:
             transitions.append(Transition(new_id[tr.src], tr.input, tr.output, new_id[tr.dst]))
             trans_map.append(i)
-    trimmed = Nft(
-        states=tuple(t.states[q] for q in kept),
-        alphabet=t.alphabet,
-        initials=frozenset(new_id[q] for q in t.initials if q in new_id),
-        finals=frozenset(new_id[q] for q in t.finals if q in new_id),
-        transitions=tuple(transitions),
-        name=t.name,
+    trimmed = Nft._trusted(
+        tuple(t.states[q] for q in kept),
+        t.alphabet,
+        frozenset(new_id[q] for q in t.initials if q in new_id),
+        frozenset(new_id[q] for q in t.finals if q in new_id),
+        tuple(transitions),
+        t.name,
     )
     return trimmed, kept, trans_map
 
@@ -111,13 +112,8 @@ def atomize(t: Nft) -> Nft:
                 nxt = len(states) - 1
             transitions.append(Transition(prev, letter, tr.output if k == 0 else "", nxt))
             prev = nxt
-    return Nft(
-        states=tuple(states),
-        alphabet=t.alphabet,
-        initials=t.initials,
-        finals=t.finals,
-        transitions=tuple(transitions),
-        name=t.name,
+    return Nft._trusted(
+        tuple(states), t.alphabet, t.initials, t.finals, tuple(transitions), t.name
     )
 
 
@@ -125,13 +121,8 @@ def add_eps_self_loops(t: Nft) -> Nft:
     """Add an (eps, eps) self-loop on every state, skipping duplicates."""
     present = {(tr.src, tr.dst) for tr in t.transitions if tr.input == "" and tr.output == ""}
     extra = [Transition(q, "", "", q) for q in range(t.num_states) if (q, q) not in present]
-    return Nft(
-        states=t.states,
-        alphabet=t.alphabet,
-        initials=t.initials,
-        finals=t.finals,
-        transitions=t.transitions + tuple(extra),
-        name=t.name,
+    return Nft._trusted(
+        t.states, t.alphabet, t.initials, t.finals, t.transitions + tuple(extra), t.name
     )
 
 
@@ -178,13 +169,13 @@ def concat(a: Nft, b: Nft) -> Nft:
         transitions.extend(
             Transition(f, "", "", b_map[i]) for f in sorted(a.finals) for i in sorted(b.initials)
         )
-    return Nft(
-        states=tuple(states),
-        alphabet=a.alphabet | b.alphabet,
-        initials=a.initials,
-        finals=frozenset(b_map[q] for q in b.finals),
-        transitions=tuple(transitions),
-        name=_merge_name(a, b),
+    return Nft._trusted(
+        tuple(states),
+        a.alphabet | b.alphabet,
+        a.initials,
+        frozenset(b_map[q] for q in b.finals),
+        tuple(transitions),
+        _merge_name(a, b),
     )
 
 
@@ -201,11 +192,11 @@ def union(a: Nft, b: Nft) -> Nft:
         Transition(offset_map[tr.src], tr.input, tr.output, offset_map[tr.dst])
         for tr in b.transitions
     )
-    return Nft(
-        states=tuple(states),
-        alphabet=a.alphabet | b.alphabet,
-        initials=a.initials | frozenset(offset_map[q] for q in b.initials),
-        finals=a.finals | frozenset(offset_map[q] for q in b.finals),
-        transitions=tuple(transitions),
-        name=_merge_name(a, b),
+    return Nft._trusted(
+        tuple(states),
+        a.alphabet | b.alphabet,
+        a.initials | frozenset(offset_map[q] for q in b.initials),
+        a.finals | frozenset(offset_map[q] for q in b.finals),
+        tuple(transitions),
+        _merge_name(a, b),
     )

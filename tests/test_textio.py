@@ -76,6 +76,14 @@ end
     t = parse_nft(text)
     assert t.alphabet == frozenset("ab")
     assert t.transitions[0].input == "ab"
+    # '#' is looked for once per text: a text whose only '#' ends a state
+    # or trans line still has that line cut there
+    plain = "nft x\nalphabet a\nstate p initial\nstate q final\ntrans p q a -\nend\n"
+    for line in ("state q final", "trans p q a -"):
+        for comment in ("# note", " #", "\t#trans p p a a"):
+            text = plain.replace(line, line + comment)
+            assert text.count("#") == 1
+            assert parse_nft(text) == parse_nft(plain), text
 
 
 def test_parse_errors_carry_line_numbers():

@@ -18,10 +18,7 @@ from .core import (
     NftStats,
     Run,
     Transition,
-    conjugate_by,
     hamming_distance,
-    run_position_maps,
-    run_shift,
     run_words,
     stats,
 )
@@ -54,7 +51,6 @@ from .oracle import (
     OracleScaleExceeded,
     brute_force_deviation,
     domains_equal_upto,
-    enumerate_relation,
     sat_brute_force,
 )
 from .reductions import compare, comparison_to_deviation, deviation_to_comparison
@@ -92,10 +88,8 @@ __all__ = [
     "compare",
     "comparison_to_deviation",
     "concat",
-    "conjugate_by",
     "deviation_to_comparison",
     "domains_equal_upto",
-    "enumerate_relation",
     "exact",
     "gen_3sat",
     "gen_family",
@@ -110,8 +104,6 @@ __all__ = [
     "parse_nft",
     "reachable",
     "repr_size",
-    "run_position_maps",
-    "run_shift",
     "run_words",
     "sat_brute_force",
     "serialize_nft",

@@ -76,23 +76,6 @@ def hamming_distance(u: str, v: str) -> ExtendedNat:
     return sum(1 for a, b in zip(u, v) if a != b)
 
 
-def conjugate_by(u: str, v: str, n: int) -> bool:
-    """True when u and v are conjugate by the offset n.
-
-    That is, |u| = |v| and every pair of positions i in u and j in v with
-    j - i congruent to n modulo |u| carries the same letter.  The letterwise
-    condition forces v to be the cyclic rotation of u by n, so the words are
-    in particular conjugate (u = wz and v = zw for some split).  Empty words
-    are conjugate by every offset.
-    """
-    if len(u) != len(v):
-        return False
-    size = len(u)
-    if size == 0:
-        return True
-    return all(u[i] == v[(i + n) % size] for i in range(size))
-
-
 class Transition(NamedTuple):
     """One transition: read `input` and write `output` going src -> dst.
 
@@ -109,10 +92,6 @@ class Transition(NamedTuple):
     @property
     def shift(self) -> int:
         return len(self.input) - len(self.output)
-
-    @property
-    def length(self) -> int:
-        return len(self.input) + len(self.output)
 
 
 def _check_letter(letter: str) -> str | None:
@@ -199,9 +178,6 @@ class Nft:
     def num_states(self) -> int:
         return len(self.states)
 
-    def state_id(self, name: str) -> int:
-        return self.states.index(name)
-
 
 @dataclass(frozen=True)
 class Run:
@@ -240,36 +216,6 @@ def run_words(t: Nft, r: Run) -> tuple[str, str]:
         u.append(tr.input)
         v.append(tr.output)
     return "".join(u), "".join(v)
-
-
-def run_shift(t: Nft, r: Run) -> int:
-    """shift(r) = |u| - |v|, equal to the sum of the transition shifts."""
-    u, v = run_words(t, r)
-    return len(u) - len(v)
-
-
-def run_position_maps(t: Nft, r: Run) -> tuple[dict[int, int], dict[int, int]]:
-    """The position maps inn and out of a run.
-
-    Returns two dicts keyed by 1-based letter positions: inn[i] is the
-    1-based position within the run of the transition reading the i-th
-    input letter, out[j] the one writing the j-th output letter.
-    """
-    u, v = run_words(t, r)  # validates the chain
-    del u, v
-    inn: dict[int, int] = {}
-    out: dict[int, int] = {}
-    ui = 0
-    vj = 0
-    for pos, idx in enumerate(r.transitions, start=1):
-        tr = t.transitions[idx]
-        for _ in tr.input:
-            ui += 1
-            inn[ui] = pos
-        for _ in tr.output:
-            vj += 1
-            out[vj] = pos
-    return inn, out
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,11 @@ class ShiftAssignment:
     """
 
     per_state: dict[int, int]
-    consistent: bool
     conflict_witness: ShiftConflict | None = None
+
+    @property
+    def consistent(self) -> bool:
+        return self.conflict_witness is None
 
 
 class Verdict(str, Enum):
@@ -155,8 +158,8 @@ class DeviationResult:
     run with unequal word lengths (NOT_LENGTH_PRESERVING).  For UNBOUNDED,
     cycle_witness is a mismatching run from anchor_state to itself, and
     cycle_prefix/cycle_suffix complete it to a pumpable accepting run.
-    All runs, states and the embedded shift assignment use the identifiers
-    of the analyzed (original) Nft, even though the analysis trims first.
+    All runs and states use the identifiers of the analyzed (original)
+    Nft, even though the analysis trims first.
     """
 
     verdict: Verdict
@@ -167,7 +170,6 @@ class DeviationResult:
     anchor_state: int | None = None
     cycle_prefix: Run | None = None
     cycle_suffix: Run | None = None
-    shift: ShiftAssignment | None = None
 
     @property
     def deviation(self) -> ExtendedNat:
@@ -225,6 +227,7 @@ def shift_assignment(t: Nft) -> ShiftAssignment:
     Requires a trimmed transducer.  Returns an inconsistency witness when
     two initial runs disagree on some state's shift or a final state ends
     with nonzero shift; consistency is equivalent to length preservation.
+    For any Nft, shift_assignment(trim(t)) gives it in the trimmed ids.
     """
     if not is_trim(t):
         raise ValueError("engine requires trimmed Nft")
@@ -263,7 +266,7 @@ def _shift_potential(t: Nft, rows) -> ShiftAssignment:
             if s[f] != 0:
                 conflict = ShiftConflict(state=f, run_a=Run(_parent_chain(parent, f)))
                 break
-    return ShiftAssignment(per_state=s, consistent=conflict is None, conflict_witness=conflict)
+    return ShiftAssignment(per_state=s, conflict_witness=conflict)
 
 
 def _state_path(rows, sources, targets) -> tuple[int, ...]:
@@ -287,24 +290,6 @@ def _unbalanced_accepting_run(t: Nft, rows, conflict: ShiftConflict) -> Run:
 
 def _map_run(steps, trans_map) -> Run:
     return Run(tuple(trans_map[i] for i in steps))
-
-
-def _map_shift(sa: ShiftAssignment, state_map, trans_map) -> ShiftAssignment:
-    """Re-express a trimmed-id shift assignment in original identifiers."""
-    conflict = sa.conflict_witness
-    if conflict is not None:
-        conflict = ShiftConflict(
-            state=state_map[conflict.state],
-            run_a=_map_run(conflict.run_a.transitions, trans_map),
-            run_b=None
-            if conflict.run_b is None
-            else _map_run(conflict.run_b.transitions, trans_map),
-        )
-    return ShiftAssignment(
-        per_state={state_map[q]: v for q, v in sa.per_state.items()},
-        consistent=sa.consistent,
-        conflict_witness=conflict,
-    )
 
 
 class _Walk(NamedTuple):
@@ -655,7 +640,6 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
             anchor_state=state_map[p],
             cycle_prefix=_map_run(path(sorted(trimmed.initials), {p}), trans_map),
             cycle_suffix=_map_run(path((p,), trimmed.finals), trans_map),
-            shift=shift,
         )
 
     if bounds.b == 0:
@@ -663,7 +647,6 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
         # lag is empty and the configuration graph is the state graph
         if trimmed.num_states > max_configs:
             raise _over_budget(max_configs, 0, trimmed.num_states, time.perf_counter())
-        shift = ShiftAssignment(per_state=dict.fromkeys(state_map, 0), consistent=True)
         starts = sorted(trimmed.initials)
         walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
         if walk.pumped is not None:
@@ -673,14 +656,12 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
             return unbounded(u, (ti,) + path((v,), {u}))
     else:
         sa = _shift_potential(trimmed, rows)
-        shift = _map_shift(sa, state_map, trans_map)
         if not sa.consistent:
             witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
             return DeviationResult(
                 verdict=Verdict.NOT_LENGTH_PRESERVING,
                 bounds=bounds,
                 witness=_map_run(witness.transitions, trans_map),
-                shift=shift,
             )
         found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
         if found is not None:
@@ -708,7 +689,6 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
         bounds=bounds,
         value=value,
         witness=_map_run(steps, trans_map),
-        shift=shift,
     )
 
 

@@ -9,8 +9,8 @@ on that triple; the reported maximum is exactly the maximum over all
 accepting runs within the limits, and `saturated` reports whether any
 frontier was cut (in which case max_seen is only a lower bound).
 
-enumerate_relation and domains_equal_upto provide bounded relation
-enumeration, and sat_brute_force the 2^n satisfiability ground truth for
+domains_equal_upto compares the domains of two transducers up to a word
+length, and sat_brute_force gives the 2^n satisfiability ground truth for
 the gadget generators.
 """
 
@@ -147,36 +147,6 @@ def brute_force_deviation(
     if best_key is None:
         return BruteForceResult(0, saturated, None)
     return BruteForceResult(best, saturated, witness_of(best_key))
-
-
-def enumerate_relation(t: Nft, max_word_len: int) -> set[tuple[str, str]]:
-    """All pairs (u, v) accepted by t with |u| <= max_word_len and
-    |v| <= max_word_len."""
-    adj: list[list[object]] = [[] for _ in range(t.num_states)]
-    for tr in t.transitions:
-        adj[tr.src].append(tr)
-    seen: set[tuple[int, str, str]] = set()
-    queue: deque[tuple[int, str, str]] = deque()
-    for q in t.initials:
-        key = (q, "", "")
-        if key not in seen:
-            seen.add(key)
-            queue.append(key)
-    pairs: set[tuple[str, str]] = set()
-    while queue:
-        state, u, v = queue.popleft()
-        if state in t.finals:
-            pairs.add((u, v))
-        for tr in adj[state]:
-            nu = u + tr.input
-            nv = v + tr.output
-            if len(nu) > max_word_len or len(nv) > max_word_len:
-                continue
-            key = (tr.dst, nu, nv)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return pairs
 
 
 def domain_upto(t: Nft, max_word_len: int) -> set[str]:

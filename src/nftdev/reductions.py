@@ -17,7 +17,7 @@ from collections import deque
 
 from .core import Nft, Transition
 from .engine import DEFAULT_MAX_CONFIGS, exact, is_bounded, threshold
-from .transform import add_eps_self_loops, atomize, trim
+from .transform import _unique_name, add_eps_self_loops, atomize, trim
 
 
 def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
@@ -59,9 +59,12 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
     kept = sorted(seen)
     new_id = {pair: i for i, pair in enumerate(kept)}
     paired.sort()
-    states = tuple(f"{a.states[pair // nb]}|{b.states[pair % nb]}" for pair in kept)
-    # names holding '|' can collide: Nft(...) then rejects the duplicate
-    z = (Nft._trusted if len(set(states)) == len(states) else Nft)(
+    # names holding '|' can collide: a name already taken gets a ~k suffix
+    used: set[str] = set()
+    states = tuple(
+        _unique_name(f"{a.states[pair // nb]}|{b.states[pair % nb]}", used) for pair in kept
+    )
+    z = Nft._trusted(
         states,
         a.alphabet | b.alphabet,
         frozenset(new_id[pair] for pair in initials),

@@ -255,6 +255,29 @@ def io_map(t: Nft, max_in: int, max_out: int):
     return out
 
 
+def enumerate_relation(t: Nft, max_word_len: int) -> set[tuple[str, str]]:
+    """All pairs (u, v) accepted by t with |u| <= max_word_len and
+    |v| <= max_word_len."""
+    return {(u, v) for u, vs in io_map(t, max_word_len, max_word_len).items() for v in vs}
+
+
+def conjugate_by(u: str, v: str, n: int) -> bool:
+    """True when u and v are conjugate by the offset n.
+
+    That is, |u| = |v| and every pair of positions i in u and j in v with
+    j - i congruent to n modulo |u| carries the same letter.  The letterwise
+    condition forces v to be the cyclic rotation of u by n, so the words are
+    in particular conjugate (u = wz and v = zw for some split).  Empty words
+    are conjugate by every offset.
+    """
+    if len(u) != len(v):
+        return False
+    size = len(u)
+    if size == 0:
+        return True
+    return all(u[i] == v[(i + n) % size] for i in range(size))
+
+
 def simple_cycles_shifts(t: Nft) -> list[int]:
     """Shifts of every simple cycle (no repeated intermediate state)."""
     adj = [[] for _ in range(t.num_states)]

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
+from helpers import conjugate_by
+
 from nftdev import (
     INF,
     Nft,
     Run,
     Transition,
-    conjugate_by,
     gen_family,
     hamming_distance,
     repr_size,
-    run_position_maps,
-    run_shift,
     run_words,
     stats,
 )
@@ -129,51 +128,6 @@ def test_run_concatenation_distributes():
     assert run_words(t4, T4_WITNESS_RUN) == (u1 + u2, v1 + v2)
 
 
-def test_run_shift_equals_sum_of_transition_shifts():
-    t4 = gen_family(4).nft
-    assert run_shift(t4, T4_WITNESS_RUN) == sum(
-        t4.transitions[i].shift for i in T4_WITNESS_RUN.transitions
-    )
-
-
-def test_position_maps_single_transition():
-    t = _single("ab", "c")
-    inn, out = run_position_maps(t, Run((0,)))
-    assert inn == {1: 1, 2: 1}
-    assert out == {1: 1}
-
-
-def test_position_maps_split_transitions():
-    t = Nft(
-        states=("p", "q", "f"),
-        alphabet=frozenset("ab"),
-        initials=frozenset({0}),
-        finals=frozenset({2}),
-        transitions=(Transition(0, "a", "", 1), Transition(1, "", "b", 2)),
-    )
-    inn, out = run_position_maps(t, Run((0, 1)))
-    assert inn == {1: 1}
-    assert out == {1: 2}
-
-
-def test_position_maps_reconstruct_words():
-    t4 = gen_family(4).nft
-    u, v = run_words(t4, T4_WITNESS_RUN)
-    inn, out = run_position_maps(t4, T4_WITNESS_RUN)
-    assert sorted(inn) == list(range(1, len(u) + 1))
-    assert sorted(out) == list(range(1, len(v) + 1))
-    # letters grouped per transition position must match that transition
-    for pos, idx in enumerate(T4_WITNESS_RUN.transitions, start=1):
-        read = "".join(u[i - 1] for i in sorted(inn) if inn[i] == pos)
-        written = "".join(v[j - 1] for j in sorted(out) if out[j] == pos)
-        assert read == t4.transitions[idx].input
-        assert written == t4.transitions[idx].output
-    # the ten mismatching positions are read by pairwise distinct transitions
-    mismatch_positions = [i for i in range(1, 11) if u[i - 1] != v[i - 1]]
-    assert len(mismatch_positions) == 10
-    assert len({inn[i] for i in mismatch_positions}) == 10
-
-
 def test_stats_values():
     for n in (2, 4, 6):
         assert stats(gen_family(n).nft).smax == 1
@@ -217,7 +171,7 @@ def test_transition_record():
     with pytest.raises(AttributeError):
         tr.src = 2
     assert not hasattr(tr, "__dict__")
-    assert tr.shift == 1 and tr.length == 3
+    assert tr.shift == 1
     assert Transition(0, "", "abc", 0).shift == -3
     assert tr == (0, "ab", "c", 1)
     assert tr._replace(dst=0) == Transition(0, "ab", "c", 0)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import literal_max_distance, make_corpus
+from helpers import enumerate_relation, literal_max_distance, make_corpus
 
 from nftdev import (
     INF,
@@ -12,7 +12,6 @@ from nftdev import (
     Transition,
     brute_force_deviation,
     domains_equal_upto,
-    enumerate_relation,
     gen_family,
     hamming_distance,
     run_words,

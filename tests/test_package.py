@@ -71,3 +71,35 @@ def test_all_lists_exactly_the_public_names():
     assert set(nftdev.__all__) == public
     assert len(nftdev.__all__) == len(set(nftdev.__all__))
     assert all(hasattr(nftdev, name) for name in nftdev.__all__)
+
+
+# Public functions that no package code calls, kept as library entry points.
+ENTRY_POINTS = {
+    "deviation_to_comparison",  # the reduction the benchmark's compare workload is built with
+    "shift_assignment",  # the documented shift potential, as shift_assignment(trim(t))
+}
+
+
+def _uncalled_public_functions() -> set[str]:
+    """Public top-level functions of the package that no package code calls
+    by name or attribute, outside their own bodies (the CLI included)."""
+    defined, called = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = top.name
+                if not owner.startswith("_"):
+                    defined.add(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name != owner:
+                        called.add(name)
+    return defined - called
+
+
+def test_every_public_function_has_a_caller_or_is_an_entry_point():
+    # algorithms that only tests call belong in tests/helpers.py
+    assert _uncalled_public_functions() == ENTRY_POINTS

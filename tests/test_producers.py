@@ -6,8 +6,6 @@ the same fields built through the public constructor."""
 import dataclasses
 import random
 
-import pytest
-
 from helpers import make_corpus, random_cnf_mixed, random_digraph, random_untrimmed_nft
 
 from nftdev import (
@@ -27,6 +25,7 @@ from nftdev import (
     trim,
     union,
 )
+from nftdev.cli import main
 from nftdev.gadgets import _clause_gadget, _final_gadget, _init_gadget
 from nftdev.reductions import comparison_to_deviation, deviation_to_comparison
 from nftdev.transform import trim_with_maps
@@ -98,10 +97,24 @@ def test_producers_build_well_formed_nfts():
     assert checked > 14_000, checked
 
 
-def test_product_state_names_that_collide_are_rejected():
+def test_product_state_names_that_collide_are_answered(tmp_path):
     """'|' joins the product's pair names, so 'p|q' x 'r' and 'p' x 'q|r'
-    collide; the public constructor's duplicate check still fires."""
-    a = parse_nft("nft a\nalphabet x\nstate p|q initial\nstate p final\ntrans p|q p x x\nend\n")
-    b = parse_nft("nft b\nalphabet x\nstate r initial\nstate q|r final\ntrans r q|r x x\nend\n")
-    with pytest.raises(ValueError, match=r"duplicate state name 'p\|q\|r'"):
-        comparison_to_deviation(a, b)
+    collide; the second gets a ~k suffix, and every compare answer equals
+    the one for the same files with '|' renamed."""
+    a = "nft a\nalphabet x y\nstate p|q initial\nstate p final\ntrans p|q p x x\nend\n"
+    b = "nft b\nalphabet x y\nstate r initial\nstate q|r final\ntrans r q|r x y\nend\n"
+    z = comparison_to_deviation(parse_nft(a), parse_nft(b))
+    assert sorted(z.states) == ["p|q|r", "p|q|r~2"]
+    files = {}
+    texts = {"a": a, "b": b, "a_": a.replace("p|q", "p_q"), "b_": b.replace("q|r", "q_r")}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.nft"
+        path.write_text(text)
+        files[name] = str(path)
+    queries = [["bounded"]] + [[mode, str(k)] for mode in ("threshold", "exact") for k in (0, 1, 2)]
+    for query in queries:
+        colliding = main(["compare", *query, files["a"], files["b"]])
+        renamed = main(["compare", *query, files["a_"], files["b_"]])
+        assert colliding == renamed, query
+    exact = [main(["compare", "exact", str(k), files["a"], files["b"]]) for k in (0, 1, 2)]
+    assert exact == [1, 0, 1]  # the deviation is 1

@@ -1,7 +1,13 @@
 import random
 from itertools import product
 
-from helpers import all_pairs_product, io_map, random_acyclic_nft, random_trimmed_nft
+from helpers import (
+    all_pairs_product,
+    enumerate_relation,
+    io_map,
+    random_acyclic_nft,
+    random_trimmed_nft,
+)
 
 from nftdev import (
     CnfFormula,
@@ -13,7 +19,6 @@ from nftdev import (
     comparison_to_deviation,
     deviation_to_comparison,
     domains_equal_upto,
-    enumerate_relation,
     gen_3sat,
     gen_family,
     hamming_distance,

@@ -3,6 +3,7 @@ import random
 from helpers import (
     copying_trim_with_maps,
     enumerate_pairs_total,
+    enumerate_relation,
     make_corpus,
     random_digraph,
     random_untrimmed_nft,
@@ -14,7 +15,6 @@ from nftdev import (
     add_eps_self_loops,
     atomize,
     concat,
-    enumerate_relation,
     gen_family,
     gen_reach_bounded,
     gen_reach_threshold,

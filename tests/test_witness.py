@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import (
+    conjugate_by,
     find_short_unbalanced_accepting_run,
     find_short_unbalanced_cycle,
     find_threshold_witness,
@@ -13,7 +14,6 @@ from nftdev import (
     Transition,
     Verdict,
     analyze_deviation,
-    conjugate_by,
     gen_3sat,
     gen_family,
     gen_reach_bounded,

@@ -52,8 +52,12 @@ def _parse_k(text: str) -> int:
     return value
 
 
+def _read(path: str) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _load_nft(path: str):
-    return parse_nft(Path(path).read_text(encoding="utf-8"))
+    return parse_nft(_read(path))
 
 
 def _verdict_exit(answer: bool) -> int:
@@ -61,7 +65,7 @@ def _verdict_exit(answer: bool) -> int:
     return EXIT_TRUE if answer else EXIT_FALSE
 
 
-def report_dict(res: DeviationResult) -> dict:
+def _report_dict(res: DeviationResult) -> dict:
     if res.verdict is Verdict.UNBOUNDED:
         witness = res.cycle_witness
     else:
@@ -81,12 +85,11 @@ def report_dict(res: DeviationResult) -> dict:
 
 
 def _print_report(path: str, res: DeviationResult) -> None:
-    d = report_dict(res)
+    d = _report_dict(res)
     print(f"{path}: {res.verdict.value}")
     print(f"  length-preserving: {'yes' if d['lengthPreserving'] else 'no'}")
     print(f"  bounded: {'yes' if res.bounded else 'no'}")
-    dev = res.deviation
-    print(f"  deviation: {'INF' if dev == INF else dev}")
+    print(f"  deviation: {res.deviation}")
     if d["witness"] is not None:
         print("  witness: " + " ".join(str(i) for i in d["witness"]))
     if res.verdict is Verdict.UNBOUNDED:
@@ -107,7 +110,7 @@ def _emit_instance(instance: GadgetInstance, out: str | None) -> None:
         print(f"# truth: {line}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nftdev",
         description="Hamming-deviation analysis of finite-state transducers",
@@ -200,7 +203,7 @@ def _run(args) -> int:
         for path in args.files:
             res = analyze_deviation(_load_nft(path), args.max_configs)
             if args.json:
-                print(json.dumps(report_dict(res), sort_keys=True))
+                print(json.dumps(_report_dict(res), sort_keys=True))
             else:
                 _print_report(path, res)
         return EXIT_TRUE
@@ -232,18 +235,13 @@ def _run(args) -> int:
         if args.generator == "family":
             instance = gen_family(args.n)
         elif args.generator == "reach":
-            instance = gen_reach_bounded(parse_digraph(Path(args.graph).read_text(encoding="utf-8")))
+            instance = gen_reach_bounded(parse_digraph(_read(args.graph)))
         elif args.generator == "reach-k":
-            instance = gen_reach_threshold(
-                parse_digraph(Path(args.graph).read_text(encoding="utf-8")), args.k
-            )
+            instance = gen_reach_threshold(parse_digraph(_read(args.graph)), args.k)
         elif args.generator == "3sat":
-            instance = gen_3sat(parse_cnf(Path(args.cnf).read_text(encoding="utf-8")))
+            instance = gen_3sat(parse_cnf(_read(args.cnf)))
         else:
-            instance = gen_sat_unsat(
-                parse_cnf(Path(args.cnf1).read_text(encoding="utf-8")),
-                parse_cnf(Path(args.cnf2).read_text(encoding="utf-8")),
-            )
+            instance = gen_sat_unsat(parse_cnf(_read(args.cnf1)), parse_cnf(_read(args.cnf2)))
         _emit_instance(instance, args.output)
         return EXIT_TRUE
 
@@ -259,7 +257,7 @@ def _run(args) -> int:
                 )
             )
         else:
-            print(f"maxSeen: {'INF' if res.max_seen == INF else res.max_seen}")
+            print(f"maxSeen: {res.max_seen}")
             print(f"saturated: {'yes' if res.saturated else 'no'}")
             if witness is not None:
                 print("witness: " + " ".join(str(i) for i in witness))
@@ -277,7 +275,7 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -12,9 +12,11 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import NamedTuple, Union
 
 
+@total_ordering
 class Infinity:
     """The infinite value of the extended naturals.
 
@@ -42,25 +44,6 @@ class Infinity:
     def __lt__(self, other):
         if isinstance(other, (Infinity, int)):
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, Infinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (Infinity, int)):
-            return True
         return NotImplemented
 
 

@@ -63,7 +63,6 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 from operator import ne
 from typing import NamedTuple
@@ -199,20 +198,22 @@ def _parent_chain(parent, q: int) -> tuple[int, ...]:
     return tuple(steps)
 
 
-def _bfs_path(sources, targets, edges) -> tuple[int, ...]:
-    """Labels of a shortest path from a node in `sources` to one in
-    `targets`.
+def _bfs_path(rows, sources, targets, comp=None) -> tuple[int, ...]:
+    """Transitions of a shortest path from a node in `sources` to one in
+    `targets`, over the (v, weight, transition) edges rows[u] leaving u.
 
-    edges(u) yields the (label, v) pairs of the edges leaving u.
+    With comp, a component id per node, the path stays inside the
+    sources' component.
     """
     if any(s in targets for s in sources):
         return ()
     parent: dict[int, tuple[int, int] | None] = dict.fromkeys(sources)
     queue = deque(parent)
+    c = None if comp is None else comp[sources[0]]
     while queue:
         u = queue.popleft()
-        for label, v in edges(u):
-            if v in parent:
+        for v, _, label in rows[u]:
+            if v in parent or (c is not None and comp[v] != c):
                 continue
             parent[v] = (u, label)
             if v in targets:
@@ -269,18 +270,12 @@ def _shift_potential(t: Nft, rows) -> ShiftAssignment:
     return ShiftAssignment(per_state=s, conflict_witness=conflict)
 
 
-def _state_path(rows, sources, targets) -> tuple[int, ...]:
-    """Transitions of a shortest run from a state in `sources` to one in
-    `targets`; rows is _state_rows of the transducer."""
-    return _bfs_path(sources, targets, lambda p: ((ti, v) for v, _, ti in rows[p]))
-
-
 def _unbalanced_accepting_run(t: Nft, rows, conflict: ShiftConflict) -> Run:
     """Turn a shift conflict into an accepting run with |u| != |v|; rows
     is _state_rows(t)."""
     if conflict.run_b is None:
         return conflict.run_a
-    ext = _state_path(rows, (conflict.state,), t.finals)
+    ext = _bfs_path(rows, (conflict.state,), t.finals)
     for base in (conflict.run_a, conflict.run_b):
         steps = base.transitions + ext
         if sum(t.transitions[i].shift for i in steps) != 0:
@@ -605,10 +600,7 @@ def _close_cycle(t: Nft, rows, comp, parent, done, shift) -> tuple[int, Run, int
     cycle's words.  The pair the search confirmed lies inside that path."""
     steps = _parent_chain(parent, done)
     p = t.transitions[steps[0]].src
-    c = comp[p]
-    steps += _bfs_path(
-        (done[0],), {p}, lambda q: ((ti, v) for v, _, ti in rows[q] if comp[v] == c)
-    )
+    steps += _bfs_path(rows, (done[0],), {p}, comp)
     u, v = run_words(t, Run(steps))
     s = shift[p]
     for i in range(max(1, 1 - s), min(len(u), len(v) - s) + 1):
@@ -629,7 +621,6 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
         return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
 
     rows = _state_rows(trimmed, bounds.b == 0)
-    path = partial(_state_path, rows)
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
         """UNBOUNDED from a pumpable cycle at p."""
@@ -638,8 +629,8 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
             bounds=bounds,
             cycle_witness=_map_run(cycle, trans_map),
             anchor_state=state_map[p],
-            cycle_prefix=_map_run(path(sorted(trimmed.initials), {p}), trans_map),
-            cycle_suffix=_map_run(path((p,), trimmed.finals), trans_map),
+            cycle_prefix=_map_run(_bfs_path(rows, sorted(trimmed.initials), {p}), trans_map),
+            cycle_suffix=_map_run(_bfs_path(rows, (p,), trimmed.finals), trans_map),
         )
 
     if bounds.b == 0:
@@ -653,7 +644,7 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
             # every state reaches a final one, so a positive edge inside a
             # component pumps
             u, v, ti = walk.pumped
-            return unbounded(u, (ti,) + path((v,), {u}))
+            return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
     else:
         sa = _shift_potential(trimmed, rows)
         if not sa.consistent:
@@ -696,14 +687,11 @@ def _chain(walk: _Walk, cur: int) -> list[int]:
     """Transitions of the heaviest path from cur to acceptance: through
     each component to the member its choice leaves by (ties go to the
     smallest node id), then along the choice edge."""
-    comp, inner = walk.comp, walk.inner
+    comp = walk.comp
     steps: list[int] = []
     while cur is not None:
-        c = comp[cur]
-        u, v, ti = walk.choice[c]
-        steps += _bfs_path(
-            (cur,), {u}, lambda x: ((lab, w) for w, _, lab in inner[x] if comp[w] == c)
-        )
+        u, v, ti = walk.choice[comp[cur]]
+        steps += _bfs_path(walk.inner, (cur,), {u}, comp)
         if v is not None:
             steps.append(ti)
         cur = v

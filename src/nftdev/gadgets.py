@@ -99,31 +99,29 @@ def gen_family(n: int) -> GadgetInstance:
     return GadgetInstance(nft=nft, expected=expected, provenance=f"family(n={n})")
 
 
-def _reach_base(g: Digraph) -> tuple[tuple[str, ...], dict[int, int], int, int, list[Transition]]:
-    states = ("qi",) + tuple(f"v{i}" for i in range(g.vertex_count)) + ("qf",)
-    vid = {i: i + 1 for i in range(g.vertex_count)}
-    qi = 0
-    qf = g.vertex_count + 1
-    transitions = [Transition(qi, "a", "a", vid[v]) for v in range(g.vertex_count)]
-    transitions += [Transition(vid[v], "a", "a", qf) for v in range(g.vertex_count)]
+def _reach_nft(g: Digraph, extra: list[Transition], name: str) -> Nft:
+    """The graph embedded with (a, a) transitions, then `extra`: qi enters
+    every vertex, every vertex exits to qf, and each edge is a transition.
+    State 0 is qi, vertex v is state v + 1 and qf is state |V| + 1."""
+    n = g.vertex_count
+    # one int object per state id, shared by every transition that holds it
+    vid = list(range(1, n + 2))
+    qf = vid[n]
+    transitions = [Transition(0, "a", "a", vid[v]) for v in range(n)]
+    transitions += [Transition(vid[v], "a", "a", qf) for v in range(n)]
     transitions += [Transition(vid[u], "a", "a", vid[v]) for u, v in g.edges]
-    return states, vid, qi, qf, transitions
+    states = ("qi",) + tuple(f"v{i}" for i in range(n)) + ("qf",)
+    return Nft._trusted(
+        states, frozenset("ab"), frozenset({0}), frozenset({qf}), tuple(transitions + extra), name
+    )
 
 
 def gen_reach_bounded(g: Digraph) -> GadgetInstance:
     """Reachability into boundedness: the graph is embedded with (a, a)
     transitions, and a single mismatching transition from t back to s
     closes a pumpable cycle exactly when an s->t path exists."""
-    states, vid, qi, qf, transitions = _reach_base(g)
-    transitions.append(Transition(vid[g.t], "a", "b", vid[g.s]))
-    nft = Nft._trusted(
-        states,
-        frozenset("ab"),
-        frozenset({qi}),
-        frozenset({qf}),
-        tuple(transitions),
-        f"reach{g.vertex_count}",
-    )
+    extra = [Transition(g.t + 1, "a", "b", g.s + 1)]
+    nft = _reach_nft(g, extra, f"reach{g.vertex_count}")
     path = reachable(g)
     expected = GroundTruth(bounded=not path, deviation=None if path else 1)
     prov = f"reach_bounded(|V|={g.vertex_count}, |E|={len(g.edges)}, s={g.s}, t={g.t})"
@@ -137,17 +135,11 @@ def gen_reach_threshold(g: Digraph, k: int) -> GadgetInstance:
     versus k)."""
     if k < 1:
         raise ValueError("threshold parameter must be at least 1")
-    states, vid, qi, qf, transitions = _reach_base(g)
-    transitions.append(Transition(qi, "a" * k, "b" * k, vid[g.s]))
-    transitions.append(Transition(vid[g.t], "a", "b", qf))
-    nft = Nft._trusted(
-        states,
-        frozenset("ab"),
-        frozenset({qi}),
-        frozenset({qf}),
-        tuple(transitions),
-        f"reachk{g.vertex_count}",
-    )
+    extra = [
+        Transition(0, "a" * k, "b" * k, g.s + 1),
+        Transition(g.t + 1, "a", "b", g.vertex_count + 1),
+    ]
+    nft = _reach_nft(g, extra, f"reachk{g.vertex_count}")
     path = reachable(g)
     expected = GroundTruth(
         bounded=True,
@@ -165,24 +157,18 @@ def _flip(b: str) -> str:
     return "1" if b == "0" else "0"
 
 
-def _init_gadget(n: int) -> Nft:
-    states = tuple(f"i{j}" for j in range(n + 1))
-    transitions = [
-        Transition(j, "", b, j + 1) for j in range(n) for b in "01"
-    ]
-    return Nft._trusted(
-        states, frozenset("01"), frozenset({0}), frozenset({n}), tuple(transitions), "init"
-    )
+def _bit_chain(n: int, reads: bool) -> Nft:
+    """n free bits in a row: the final gadget reads each bit, (b, eps), and
+    the init gadget writes it, (eps, b)."""
+    prefix, name = ("f", "final") if reads else ("i", "init")
+    words = [(b, "") if reads else ("", b) for b in "01"]
+    transitions = tuple(Transition(j, x, y, j + 1) for j in range(n) for x, y in words)
+    states = tuple(f"{prefix}{j}" for j in range(n + 1))
+    return Nft._trusted(states, frozenset("01"), frozenset({0}), frozenset({n}), transitions, name)
 
 
-def _final_gadget(n: int) -> Nft:
-    states = tuple(f"f{j}" for j in range(n + 1))
-    transitions = [
-        Transition(j, b, "", j + 1) for j in range(n) for b in "01"
-    ]
-    return Nft._trusted(
-        states, frozenset("01"), frozenset({0}), frozenset({n}), tuple(transitions), "final"
-    )
+def _renamed(t: Nft, name: str) -> Nft:
+    return Nft._trusted(t.states, t.alphabet, t.initials, t.finals, t.transitions, name)
 
 
 def _clause_gadget(i: int, n: int, clause: tuple[int, int, int]) -> Nft:
@@ -231,13 +217,10 @@ def gen_3sat(f: CnfFormula) -> GadgetInstance:
     """
     n = f.num_vars
     m = f.num_clauses
-    nft = _init_gadget(n)
+    nft = _bit_chain(n, reads=False)
     for i, clause in enumerate(f.clauses, start=1):
         nft = concat(nft, _clause_gadget(i, n, clause))
-    nft = concat(nft, _final_gadget(n))
-    nft = Nft._trusted(
-        nft.states, nft.alphabet, nft.initials, nft.finals, nft.transitions, f"sat3_n{n}m{m}"
-    )
+    nft = _renamed(concat(nft, _bit_chain(n, reads=True)), f"sat3_n{n}m{m}")
     if nft.num_states != (2 * n + 1) * (m + 1):
         raise AssertionError("3-SAT gadget has the wrong number of states")
     sat = sat_brute_force(f) is not None
@@ -276,13 +259,8 @@ def gen_sat_unsat(f1: CnfFormula, f2: CnfFormula) -> GadgetInstance:
         (Transition(0, "0" * (k2 - 1), "1" * (k2 - 1), 1),),
         "pad",
     )
-    nft = concat(repeated, union(g2.nft, pad))
-    nft = Nft._trusted(
-        nft.states,
-        nft.alphabet,
-        nft.initials,
-        nft.finals,
-        nft.transitions,
+    nft = _renamed(
+        concat(repeated, union(g2.nft, pad)),
         f"satunsat_{f1.num_vars}v{f1.num_clauses}c_{f2.num_vars}v{f2.num_clauses}c",
     )
     sat1 = sat_brute_force(f1) is not None

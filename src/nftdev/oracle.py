@@ -34,7 +34,7 @@ class BruteForceResult:
     witness: Run | None
 
 
-def default_caps(t: Nft) -> tuple[int, int]:
+def _default_caps(t: Nft) -> tuple[int, int]:
     """Default limits (max_run_len, max_pair_len) = (4B, 2 * 4B * lmax)."""
     st = stats(t)
     b = min(st.smax * st.num_states, repr_size(t))
@@ -60,7 +60,7 @@ def brute_force_deviation(
     """
     st = stats(t)
     if max_run_len is None:
-        max_run_len = default_caps(t)[0]
+        max_run_len = _default_caps(t)[0]
     if max_pair_len is None:
         max_pair_len = 2 * max_run_len * st.lmax
     if max_run_len < 0 or max_pair_len < 0:
@@ -149,7 +149,7 @@ def brute_force_deviation(
     return BruteForceResult(best, saturated, witness_of(best_key))
 
 
-def domain_upto(t: Nft, max_word_len: int) -> set[str]:
+def _domain_upto(t: Nft, max_word_len: int) -> set[str]:
     """Exactly the inputs of length <= max_word_len accepted with some
     output (of any length).  A negative max_word_len raises ValueError."""
     if max_word_len < 0:
@@ -185,7 +185,7 @@ def domains_equal_upto(t1: Nft, t2: Nft, max_word_len: int) -> bool:
     words coincide up to max_word_len?  Outputs are not length-capped, so
     this is exactly dom(R) restricted to short words.  A negative
     max_word_len raises ValueError."""
-    return domain_upto(t1, max_word_len) == domain_upto(t2, max_word_len)
+    return _domain_upto(t1, max_word_len) == _domain_upto(t2, max_word_len)
 
 
 def sat_brute_force(f: CnfFormula) -> tuple[bool, ...] | None:

@@ -130,6 +130,27 @@ def _merge_name(a: Nft, b: Nft) -> str:
     return a.name if a.name == b.name else f"{a.name}+{b.name}"
 
 
+def _append(a: Nft, b: Nft, merge: tuple[int, int] | None = None):
+    """(states, b_map, transitions): a's states and then b's, renamed apart,
+    and a's transitions and then b's, remapped; b_map[q] is the new id of
+    b's state q.  merge = (q, p) maps b's state q onto a's state p instead
+    of a new state."""
+    states = list(a.states)
+    used = set(states)
+    b_map = []
+    for q, name in enumerate(b.states):
+        if merge is not None and q == merge[0]:
+            b_map.append(merge[1])
+        else:
+            states.append(_unique_name(name, used))
+            b_map.append(len(states) - 1)
+    transitions = list(a.transitions)
+    transitions.extend(
+        Transition(b_map[tr.src], tr.input, tr.output, b_map[tr.dst]) for tr in b.transitions
+    )
+    return states, b_map, transitions
+
+
 def concat(a: Nft, b: Nft) -> Nft:
     """Concatenation of the relations: R = R_a . R_b.
 
@@ -138,34 +159,13 @@ def concat(a: Nft, b: Nft) -> Nft:
     those two states.  Otherwise a fallback adds (eps, eps) bridges from
     every final of a to every initial of b.
     """
-    out_degree = [0] * a.num_states
-    for tr in a.transitions:
-        out_degree[tr.src] += 1
-    in_degree = [0] * b.num_states
-    for tr in b.transitions:
-        in_degree[tr.dst] += 1
-    mergeable = (
-        len(a.finals) == 1
-        and len(b.initials) == 1
-        and out_degree[next(iter(a.finals))] == 0
-        and in_degree[next(iter(b.initials))] == 0
-    )
-
-    states = list(a.states)
-    used = set(states)
-    b_map: dict[int, int] = {}
-    if mergeable:
-        b_map[next(iter(b.initials))] = next(iter(a.finals))
-    for q in range(b.num_states):
-        if q not in b_map:
-            states.append(_unique_name(b.states[q], used))
-            b_map[q] = len(states) - 1
-
-    transitions = list(a.transitions)
-    transitions.extend(
-        Transition(b_map[tr.src], tr.input, tr.output, b_map[tr.dst]) for tr in b.transitions
-    )
-    if not mergeable:
+    merge = None
+    if len(a.finals) == 1 and len(b.initials) == 1:
+        (f,), (i,) = a.finals, b.initials
+        if all(tr.src != f for tr in a.transitions) and all(tr.dst != i for tr in b.transitions):
+            merge = (i, f)
+    states, b_map, transitions = _append(a, b, merge)
+    if merge is None:
         transitions.extend(
             Transition(f, "", "", b_map[i]) for f in sorted(a.finals) for i in sorted(b.initials)
         )
@@ -181,22 +181,12 @@ def concat(a: Nft, b: Nft) -> Nft:
 
 def union(a: Nft, b: Nft) -> Nft:
     """Disjoint union of the transducers: R = R_a | R_b."""
-    states = list(a.states)
-    used = set(states)
-    offset_map = []
-    for q in range(b.num_states):
-        states.append(_unique_name(b.states[q], used))
-        offset_map.append(len(states) - 1)
-    transitions = list(a.transitions)
-    transitions.extend(
-        Transition(offset_map[tr.src], tr.input, tr.output, offset_map[tr.dst])
-        for tr in b.transitions
-    )
+    states, b_map, transitions = _append(a, b)
     return Nft._trusted(
         tuple(states),
         a.alphabet | b.alphabet,
-        a.initials | frozenset(offset_map[q] for q in b.initials),
-        a.finals | frozenset(offset_map[q] for q in b.finals),
+        a.initials | frozenset(b_map[q] for q in b.initials),
+        a.finals | frozenset(b_map[q] for q in b.finals),
         tuple(transitions),
         _merge_name(a, b),
     )

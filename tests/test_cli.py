@@ -100,6 +100,10 @@ def test_analyze_human(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "deviation: 10" in out
     assert "witness:" in out
+    text = "nft u\nalphabet a b\nstate p initial final\ntrans p p a b\nend\n"
+    looping = _write(tmp_path, "u.nft", text)
+    assert main(["analyze", looping]) == 0
+    assert "  deviation: INF\n" in capsys.readouterr().out
 
 
 def test_gen_family_writes_truth_sidecar(tmp_path, capsys):
@@ -166,6 +170,10 @@ def test_oracle_command(tmp_path, capsys):
     assert main(["oracle", fam, "--max-run-len", "24", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["maxSeen"] == 10 and report["saturated"] is False
+    text = "nft u\nalphabet a\nstate p initial final\ntrans p p a -\nend\n"
+    unbalanced = _write(tmp_path, "u.nft", text)
+    assert main(["oracle", unbalanced]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["maxSeen: INF", "saturated: no"]
 
 
 def test_oracle_negative_caps_exit_code(tmp_path, capsys):
@@ -276,6 +284,10 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "TRUE"
+    # the exit code passes through entry(): FALSE is 1, a usage error 2
+    for argv, code in ((["exact", fam, "9"], 1), (["exact", fam], 2)):
+        proc = subprocess.run([sys.executable, "-m", "nftdev", *argv], capture_output=True)
+        assert proc.returncode == code, argv
 
 
 def test_analyze_multiple_files(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -43,7 +44,16 @@ def test_infinity_ordering():
     assert not INF < 5
     assert 5 < INF
     assert INF >= INF
+    assert INF <= INF and not INF > INF and not INF < INF
+    assert INF > True and not INF <= 0
     assert hash(INF) == hash(INF)
+    # only ints and INF compare with INF; floats and others raise
+    for other in (1.5, float("inf"), "a", None):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(INF, other)
+            with pytest.raises(TypeError):
+                op(other, INF)
 
 
 def _conjugate_reference(u, v, n):
@@ -153,6 +163,9 @@ def test_nft_validation():
         Nft(("p",), frozenset({"ab"}), frozenset(), frozenset(), ())
     with pytest.raises(ValueError, match="reserved"):
         Nft(("p",), frozenset({"-"}), frozenset(), frozenset(), ())
+    for bad in ("#", " ", "\t"):
+        with pytest.raises(ValueError, match="may not be '#' or whitespace"):
+            Nft(("p",), frozenset({bad}), frozenset(), frozenset(), ())
     with pytest.raises(ValueError, match="out of range"):
         Nft(("p",), frozenset("a"), frozenset({3}), frozenset(), ())
     with pytest.raises(ValueError, match="outside the state set"):

@@ -252,6 +252,11 @@ def test_unbounded_cycle_pumps(corpus):
 def test_state_budget():
     with pytest.raises(StateBudgetExceeded, match="state budget exceeded"):
         analyze_deviation(gen_family(4).nft, max_configs=3)
+    # two initial configurations: the budget stops the seeding
+    two_starts = union(gen_family(2).nft, gen_family(3).nft)
+    expected = r"^state budget exceeded: 1 configurations reached, b=10, \|Q\|=10, "
+    with pytest.raises(StateBudgetExceeded, match=expected):
+        analyze_deviation(two_starts, max_configs=1)
 
 
 def test_max_configs_below_one_rejected():

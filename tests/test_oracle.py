@@ -18,7 +18,7 @@ from nftdev import (
     sat_brute_force,
     trim,
 )
-from nftdev.oracle import default_caps, domain_upto
+from nftdev.oracle import _default_caps, _domain_upto
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -55,7 +55,7 @@ def test_empty_relation_convention():
 
 def test_default_caps_formula():
     t4 = gen_family(4).nft
-    run_cap, pair_cap = default_caps(t4)
+    run_cap, pair_cap = _default_caps(t4)
     assert run_cap == 4 * 96
     assert pair_cap == 2 * run_cap * 2
 
@@ -120,14 +120,14 @@ def test_domains():
     assert domains_equal_upto(ident_a, ident_a, 5)
     t4 = gen_family(4).nft
     assert domains_equal_upto(t4, trim(t4), 6)
-    assert domain_upto(ident_a, 2) == {"", "a", "aa"}
-    assert domain_upto(ident_a, 0) == {""}
+    assert _domain_upto(ident_a, 2) == {"", "a", "aa"}
+    assert _domain_upto(ident_a, 0) == {""}
 
 
 def test_domains_reject_negative_length():
     t4 = gen_family(4).nft
     with pytest.raises(ValueError, match="max_word_len must be a natural number"):
-        domain_upto(t4, -1)
+        _domain_upto(t4, -1)
     with pytest.raises(ValueError, match="max_word_len must be a natural number"):
         domains_equal_upto(t4, t4, -1)
 
@@ -174,3 +174,31 @@ def test_saturation_flag_on_tight_caps():
     res = brute_force_deviation(t4, 3)
     assert res.saturated is True
     assert res.max_seen <= 10
+
+
+# Each cap below is the only one an exploration reaches, so a cap that cut
+# the frontier without flagging it would leave saturated False.
+
+
+def test_pair_length_cap_saturates():
+    res = brute_force_deviation(gen_family(4).nft, max_run_len=50, max_pair_len=3)
+    assert res.saturated is True
+    assert res.max_seen < 10
+
+
+def test_lag_cap_saturates():
+    # q1 is a dead end whose (a, eps) loop grows the lag without bound; the
+    # lag cap is 3 * smax * |Q| + lmax = 7 and the run cap 4B = 40
+    dead_end = _nft(
+        ["q0", "q1"], {0}, {0}, [Transition(0, "a", "", 1), Transition(1, "a", "", 1)], "a"
+    )
+    assert _default_caps(dead_end) == (40, 80)
+    res = brute_force_deviation(dead_end)
+    assert res.saturated is True
+    assert res.max_seen == 0
+
+
+def test_node_budget_saturates():
+    res = brute_force_deviation(gen_family(4).nft, node_budget=3)
+    assert res.saturated is True
+    assert res.max_seen < 10

@@ -26,7 +26,7 @@ from nftdev import (
     union,
 )
 from nftdev.cli import main
-from nftdev.gadgets import _clause_gadget, _final_gadget, _init_gadget
+from nftdev.gadgets import _bit_chain, _clause_gadget
 from nftdev.reductions import comparison_to_deviation, deviation_to_comparison
 from nftdev.transform import trim_with_maps
 
@@ -60,8 +60,8 @@ def _gadgets():
     for _ in range(10):
         f = random_cnf_mixed(rng, max_vars=4, max_clauses=4, unsat_bias=0.3)
         yield gen_3sat(f).nft
-        yield _init_gadget(f.num_vars)
-        yield _final_gadget(f.num_vars)
+        yield _bit_chain(f.num_vars, reads=False)
+        yield _bit_chain(f.num_vars, reads=True)
         yield _clause_gadget(1, f.num_vars, f.clauses[0])
     for _ in range(4):
         f1 = random_cnf_mixed(rng, max_vars=2, max_clauses=2, unsat_bias=0.5)

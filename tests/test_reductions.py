@@ -198,3 +198,10 @@ def test_unknown_mode_rejected():
         assert "mode" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+    for mode in ("threshold", "exact"):
+        try:
+            compare(_identity(), _identity(), mode)
+        except ValueError as exc:
+            assert str(exc) == f"{mode} mode needs k"
+        else:
+            raise AssertionError("expected ValueError")

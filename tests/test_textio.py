@@ -100,6 +100,8 @@ def test_parse_errors_carry_line_numbers():
         ("nft x\nalphabet - a\nend\n", 2, "reserved"),
         (base + "trans p p a\nend\n", 4, "expected 'trans"),
         (base + "frobnicate\nend\n", 4, "unknown directive"),
+        ("nft x\nalphabet a b a\nend\n", 2, "duplicate letter 'a'"),
+        (base + "end now\n", 4, "unexpected tokens after 'end'"),
     ]
     for text, line, message in cases:
         with pytest.raises(ParseError, match=message) as err:
@@ -125,6 +127,18 @@ def test_parse_digraph():
         parse_digraph("2\n0 x\ns=0\nt=1\n")
     with pytest.raises(ParseError, match="out of range"):
         parse_digraph("2\n0 5\ns=0\nt=1\n")
+    with pytest.raises(ParseError, match="s or t out of range"):
+        parse_digraph("2\n0 1\ns=0\nt=2\n")
+    with pytest.raises(ParseError, match="vertex count on the first line"):
+        parse_digraph("2 3\n0 1\ns=0\nt=1\n")
+    with pytest.raises(ParseError, match="vertex count must be at least 1"):
+        parse_digraph("0\ns=0\nt=0\n")
+    with pytest.raises(ParseError, match="unknown assignment 'u=1'"):
+        parse_digraph("2\nu=1\ns=0\nt=1\n")
+    with pytest.raises(ParseError, match="expected an edge line"):
+        parse_digraph("2\n0 1 1\ns=0\nt=1\n")
+    with pytest.raises(ParseError, match="empty digraph input"):
+        parse_digraph("# no vertex count\n")
 
 
 def test_parse_cnf():
@@ -145,6 +159,18 @@ def test_parse_cnf_errors():
         parse_cnf("p cnf 1 1\n1 1 1\n")
     with pytest.raises(ParseError, match="out of range"):
         parse_cnf("p cnf 1 1\n1 2 1 0\n")
+    with pytest.raises(ParseError, match="need at least one variable"):
+        parse_cnf("p cnf 0 0\n")
+    with pytest.raises(ParseError, match="duplicate problem line"):
+        parse_cnf("p cnf 1 1\np cnf 1 1\n1 1 1 0\n")
+    with pytest.raises(ParseError, match="expected 'p cnf VARS CLAUSES'"):
+        parse_cnf("p dnf 1 1\n1 1 1 0\n")
+    with pytest.raises(ParseError, match="non-numeric problem line"):
+        parse_cnf("p cnf one 1\n1 1 1 0\n")
+    with pytest.raises(ParseError, match="expected a literal, got 'x'"):
+        parse_cnf("p cnf 1 1\n1 x 1 0\n")
+    with pytest.raises(ParseError, match="missing problem line"):
+        parse_cnf("c only a comment\n")
 
 
 def test_union_names_round_trip():

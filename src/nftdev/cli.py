@@ -74,12 +74,7 @@ def _report_dict(res: DeviationResult) -> dict:
         "lengthPreserving": res.length_preserving,
         "verdict": res.verdict.value,
         "deviation": res.value if res.bounded else None,
-        "bounds": {
-            "b": res.bounds.b,
-            "B": res.bounds.B,
-            "Lconj": res.bounds.Lconj,
-            "Lwit": res.bounds.Lwit,
-        },
+        "bounds": {"b": res.bounds.b, "B": res.bounds.B},
         "witness": list(witness.transitions) if witness is not None else None,
     }
 

@@ -96,7 +96,7 @@ class Nft:
     sets of state ids, `transitions` an ordered tuple (runs refer to
     transitions by index).  `Nft(...)` coerces and validates its fields;
     the package's own producers, whose output is valid by construction,
-    build through `Nft._trusted`.
+    build through `Nft._trusted` or derive through `Nft._with`.
     """
 
     states: tuple[str, ...]
@@ -131,6 +131,12 @@ class Nft:
             transitions=transitions,
             name=name,
         )
+        return t
+
+    def _with(self, **fields) -> Nft:
+        """A copy with the given fields replaced, unchecked like _trusted."""
+        t = object.__new__(type(self))
+        t.__dict__.update(self.__dict__, **fields)
         return t
 
     def _validate(self):
@@ -175,9 +181,6 @@ class Run:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(self.transitions))
-
-    def __len__(self):
-        return len(self.transitions)
 
 
 def run_words(t: Nft, r: Run) -> tuple[str, str]:

@@ -80,19 +80,15 @@ class StateBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """The four size bounds attached to an analysis.
+    """The two size bounds attached to an analysis.
 
     b = min(smax * |Q|, repr_size(t)) bounds every state shift; the
     transducer is serialized only when smax * |Q| > 0.  B = (b + lmax +
-    2) * |Q| bounds the deviation of any bounded transducer, Lconj and
-    Lwit are the witness length bounds of the nonconjugate-cycle and
-    threshold searches.
+    2) * |Q| bounds the deviation of any bounded transducer.
     """
 
     b: int
     B: int
-    Lconj: int
-    Lwit: int
 
     @classmethod
     def from_nft(cls, t: Nft) -> "Bounds":
@@ -101,12 +97,7 @@ class Bounds:
         b = st.smax * n
         if b:
             b = min(b, repr_size(t))
-        return cls(
-            b=b,
-            B=(b + st.lmax + 2) * n,
-            Lconj=2 * n + 2 * st.smax * n * n,
-            Lwit=8 * st.smax * n * n * n,
-        )
+        return cls(b=b, B=(b + st.lmax + 2) * n)
 
 
 @dataclass(frozen=True)

@@ -167,39 +167,29 @@ def _bit_chain(n: int, reads: bool) -> Nft:
     return Nft._trusted(states, frozenset("01"), frozenset({0}), frozenset({n}), transitions, name)
 
 
-def _renamed(t: Nft, name: str) -> Nft:
-    return Nft._trusted(t.states, t.alphabet, t.initials, t.finals, t.transitions, name)
-
-
 def _clause_gadget(i: int, n: int, clause: tuple[int, int, int]) -> Nft:
     """Reads an n-bit valuation, writes its bitwise negation, and accepts
     exactly when the valuation satisfies the clause: the only way from the
     bottom row of states to the top row is a transition triggered by a
     literal of the clause."""
-    bot = {j: j for j in range(n + 1)}
+    # the bottom row is states 0..n, the top row n+1..2n+1
     top = {j: n + 1 + j for j in range(n + 1)}
     states = tuple(f"c{i}b{j}" for j in range(n + 1)) + tuple(f"c{i}t{j}" for j in range(n + 1))
     transitions = [
         Transition(top[j], b, _flip(b), top[j + 1]) for j in range(n) for b in "01"
     ]
-    transitions += [
-        Transition(bot[j], b, _flip(b), bot[j + 1]) for j in range(n) for b in "01"
-    ]
-    seen = set()
-    for lit in clause:
+    transitions += [Transition(j, b, _flip(b), j + 1) for j in range(n) for b in "01"]
+    # a literal fixes its variable and its sign: each distinct one, in clause order
+    for lit in dict.fromkeys(clause):
         var = abs(lit)
-        key = (var, lit > 0)
-        if key in seen:
-            continue
-        seen.add(key)
         if lit > 0:
-            transitions.append(Transition(bot[var - 1], "1", "0", top[var]))
+            transitions.append(Transition(var - 1, "1", "0", top[var]))
         else:
-            transitions.append(Transition(bot[var - 1], "0", "1", top[var]))
+            transitions.append(Transition(var - 1, "0", "1", top[var]))
     return Nft._trusted(
         states,
         frozenset("01"),
-        frozenset({bot[0]}),
+        frozenset({0}),
         frozenset({top[n]}),
         tuple(transitions),
         f"clause{i}",
@@ -220,7 +210,7 @@ def gen_3sat(f: CnfFormula) -> GadgetInstance:
     nft = _bit_chain(n, reads=False)
     for i, clause in enumerate(f.clauses, start=1):
         nft = concat(nft, _clause_gadget(i, n, clause))
-    nft = _renamed(concat(nft, _bit_chain(n, reads=True)), f"sat3_n{n}m{m}")
+    nft = concat(nft, _bit_chain(n, reads=True))._with(name=f"sat3_n{n}m{m}")
     if nft.num_states != (2 * n + 1) * (m + 1):
         raise AssertionError("3-SAT gadget has the wrong number of states")
     sat = sat_brute_force(f) is not None
@@ -259,12 +249,12 @@ def gen_sat_unsat(f1: CnfFormula, f2: CnfFormula) -> GadgetInstance:
         (Transition(0, "0" * (k2 - 1), "1" * (k2 - 1), 1),),
         "pad",
     )
-    nft = _renamed(
-        concat(repeated, union(g2.nft, pad)),
-        f"satunsat_{f1.num_vars}v{f1.num_clauses}c_{f2.num_vars}v{f2.num_clauses}c",
+    nft = concat(repeated, union(g2.nft, pad))._with(
+        name=f"satunsat_{f1.num_vars}v{f1.num_clauses}c_{f2.num_vars}v{f2.num_clauses}c"
     )
-    sat1 = sat_brute_force(f1) is not None
-    sat2 = sat_brute_force(f2) is not None
+    # a 3-SAT gadget's threshold answer is FALSE exactly when its formula is satisfiable
+    sat1 = not g1.expected.threshold_answer
+    sat2 = not g2.expected.threshold_answer
     target = k1 * k2 + k2 - 1
     if sat1:
         deviation = target if not sat2 else k1 * k2 + k2

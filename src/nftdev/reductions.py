@@ -80,13 +80,9 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
 def deviation_to_comparison(t: Nft) -> tuple[Nft, Nft]:
     """A pair (t1, t2) with equal domains whose comparison distance is
     dev(R_t): t2 is t itself and t1 copies every input to the output."""
-    t1 = Nft._trusted(
-        t.states,
-        t.alphabet,
-        t.initials,
-        t.finals,
-        tuple(Transition(src, x, x, dst) for src, x, _, dst in t.transitions),
-        f"{t.name}_id",
+    t1 = t._with(
+        transitions=tuple(Transition(src, x, x, dst) for src, x, _, dst in t.transitions),
+        name=f"{t.name}_id",
     )
     return t1, t
 
@@ -106,12 +102,10 @@ def compare(
     z = comparison_to_deviation(t1, t2)
     if mode == "bounded":
         return is_bounded(z)
+    if mode in ("threshold", "exact") and k is None:
+        raise ValueError(f"{mode} mode needs k")
     if mode == "threshold":
-        if k is None:
-            raise ValueError("threshold mode needs k")
         return threshold(z, k, max_configs)
     if mode == "exact":
-        if k is None:
-            raise ValueError("exact mode needs k")
         return exact(z, k, max_configs)
     raise ValueError(f"unknown comparison mode {mode!r}")

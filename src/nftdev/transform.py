@@ -112,18 +112,14 @@ def atomize(t: Nft) -> Nft:
                 nxt = len(states) - 1
             transitions.append(Transition(prev, letter, tr.output if k == 0 else "", nxt))
             prev = nxt
-    return Nft._trusted(
-        tuple(states), t.alphabet, t.initials, t.finals, tuple(transitions), t.name
-    )
+    return t._with(states=tuple(states), transitions=tuple(transitions))
 
 
 def add_eps_self_loops(t: Nft) -> Nft:
     """Add an (eps, eps) self-loop on every state, skipping duplicates."""
     present = {(tr.src, tr.dst) for tr in t.transitions if tr.input == "" and tr.output == ""}
     extra = [Transition(q, "", "", q) for q in range(t.num_states) if (q, q) not in present]
-    return Nft._trusted(
-        t.states, t.alphabet, t.initials, t.finals, t.transitions + tuple(extra), t.name
-    )
+    return t._with(transitions=t.transitions + tuple(extra))
 
 
 def _merge_name(a: Nft, b: Nft) -> str:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import re
+from pathlib import Path
 
 from nftdev import (
     Digraph,
@@ -13,7 +15,7 @@ from nftdev import (
     trim,
     union,
 )
-from nftdev.cli import main
+from nftdev.cli import _build_parser, main
 
 
 def _write_family4(tmp_path):
@@ -59,7 +61,7 @@ def test_analyze_json(tmp_path, capsys):
     assert report["verdict"] == "bounded"
     assert report["deviation"] == 10
     assert report["lengthPreserving"] is True
-    assert set(report["bounds"]) == {"b", "B", "Lconj", "Lwit"}
+    assert set(report["bounds"]) == {"b", "B"}
     assert isinstance(report["witness"], list)
 
 
@@ -343,3 +345,40 @@ def test_sidecar_ground_truth_matches_cli_verdicts(tmp_path):
             assert main(["exact", out, str(truth["exact_k"])]) == want
         if "deviation" in truth:
             assert main(["exact", out, str(truth["deviation"])]) == 0
+
+
+def _option_strings(parser):
+    """Every option string of `parser` and of its nested subcommands,
+    leaving out -h/--help."""
+    opts = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            opts.update(action.option_strings)
+    return opts
+
+
+def test_readme_command_line_lists_every_option():
+    """The README's command-line block names every option of every
+    subcommand in that subcommand's entry."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    entries = {}
+    for line in block.splitlines():
+        if line.startswith("nftdev "):
+            name = line.split()[1]
+            entries[name] = ""
+        if entries:
+            entries[name] += line + "\n"
+    actions = _build_parser()._actions
+    (subcommands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(entries) == set(subcommands.choices)
+    missing = [
+        f"{name} {opt}"
+        for name, parser in subcommands.choices.items()
+        for opt in sorted(_option_strings(parser))
+        if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", entries[name])
+    ]
+    assert not missing, f"options missing from the README's command-line block: {missing}"

@@ -385,8 +385,6 @@ def test_bounds_formulas():
     assert st.smax == 1 and st.lmax == 2 and st.num_states == 8
     assert bounds.b == min(st.smax * 8, repr_size(t4)) == 8
     assert bounds.B == (bounds.b + st.lmax + 2) * 8 == 96
-    assert bounds.Lconj == 2 * 8 + 2 * st.smax * 64 == 144
-    assert bounds.Lwit == 8 * st.smax * 512 == 4096
 
 
 def test_zero_state_nft():

@@ -25,6 +25,7 @@ from nftdev import (
     stats,
     threshold,
 )
+from nftdev import gadgets
 
 
 def test_family_counts_and_values():
@@ -173,6 +174,25 @@ def test_sat_unsat_matrix():
         inst = gen_sat_unsat(f1, f2)
         assert inst.expected.exact_answer is answer
         assert exact(inst.nft, inst.expected.exact_k) is answer
+
+
+def test_sat_unsat_enumerates_each_formula_once(monkeypatch):
+    """The SAT-UNSAT gadget reads each formula's satisfiability from its
+    3-SAT gadget's ground truth instead of enumerating the valuations again."""
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return sat_brute_force(f)
+
+    monkeypatch.setattr(gadgets, "sat_brute_force", counting)
+    sat = CnfFormula(2, ((1, -2, 2),))
+    unsat = CnfFormula(1, ((1, 1, 1), (-1, -1, -1)))
+    for f1, f2 in ((sat, unsat), (unsat, sat)):
+        calls.clear()
+        inst = gen_sat_unsat(f1, f2)
+        assert calls == [f1, f2]
+        assert inst.expected.exact_answer is (f1 is sat)
 
 
 def test_sat_unsat_both_sat_value():

@@ -45,14 +45,19 @@ and each strongly connected component is decided and valued as it pops,
 from the final values of the components it leads to, which pop first.
 Edge rows are kept only for nodes on the Tarjan stack and in multi-node
 components.  threshold and exact stop at the first component whose
-root's tree path and value together weigh more than k.
+root's tree path and value together weigh more than k.  When b > 0 and
+the search finds the deviation finite, it is at most B, so threshold at
+k >= B (True) and exact at k > B (False) walk no configuration.
 
 For a length-preserving trimmed transducer every lag stays within the
 state-shift bound b = min(smax * |Q|, repr_size(t)), repr_size being the
 byte length of the canonical serialization (textio.repr_size, taken only
 when smax * |Q| > 0), so the graph is finite; its size is still
 exponential in b in the worst case, hence the max_configs budget (at
-least 1).
+least 1).  A lag is kept as one int, its letters packed in a fixed number
+of bits each: since the lag at q always holds |s_q| letters, every
+transition moves fixed bit fields, and an edge costs a few integer
+operations and a dict lookup on an int key.
 """
 
 from __future__ import annotations
@@ -458,20 +463,54 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
 
     Node ids number the configurations (q, lag) in discovery order, the
     starts first; state[u] and lags[u] are u's state and lag, and each
-    state keeps a dict from lag to node id.  A transition's plan is
-    (transition, dst, x, y, s_src, dst is final).  The lag goes before the
-    input when s_src > 0 and before the output when s_src < 0, the overlap
-    of the two streams is compared letter by letter, and the rest of the
-    longer one is the new lag.  s_f = 0, so a configuration at a final
-    state has the empty lag and accepts.
+    state keeps a dict from lag to node id.  A lag is a packed int: each
+    letter is its index in the sorted alphabet, in w = max(1,
+    ceil(log2 |alphabet|)) bits, the first letter most significant.  The
+    lag at q holds exactly |s_q| letters, so the int alone identifies it
+    among q's configurations, and every stream length along a transition
+    is fixed.  The lag joins the input when s_src >= 0 and the output when
+    s_src < 0 (the joined stream; the other word is the fixed one); the
+    overlap of the two streams is compared and the rest of the longer one
+    is the new lag.  A transition's plan is (transition, dst, dst's dict,
+    dst is final, shift, joined, cut, other, tail, rest, n): the joined
+    stream is (lag << shift) | joined, its top letters (>> cut) are
+    compared with `other`, the overlap of the fixed word, and the new lag
+    of n letters is (joined stream & tail) | rest, rest being the tail of
+    the fixed word when that one is longer.  The mismatches are the
+    nonzero w-bit digits of the xor: with w > 1 each digit's bits are
+    or-folded into its lowest bit, kept by a digit mask as wide as the
+    longest overlap.  s_f = 0, so a configuration at a final state has the
+    empty lag and accepts.
     """
     began = time.perf_counter()
+    code = {a: i for i, a in enumerate(sorted(trimmed.alphabet))}
+    w = max(1, (len(code) - 1).bit_length())
+
+    def pack(word: str) -> int:
+        n = 0
+        for a in word:
+            n = n << w | code[a]
+        return n
+
+    node_id: list[dict[int, int]] = [{} for _ in range(trimmed.num_states)]
     plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
+    overlap = 0
     for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
-        plans[src].append((ti, dst, x, y, sa.per_state[src], dst in trimmed.finals))
-    node_id: list[dict[str, int]] = [{} for _ in range(trimmed.num_states)]
+        s = sa.per_state[src]
+        joined, fixed = (x, y) if s >= 0 else (y, x)
+        lj, lf = abs(s) + len(joined), len(fixed)
+        overlap = max(overlap, min(lj, lf))
+        # bits past the overlap in the joined stream and in the fixed word
+        cut, spare = w * max(lj - lf, 0), w * max(lf - lj, 0)
+        word = pack(fixed)
+        plans[src].append(
+            (ti, dst, node_id[dst], dst in trimmed.finals, w * len(joined), pack(joined),
+             cut, word >> spare, (1 << cut) - 1, word & (1 << spare) - 1, abs(lj - lf))
+        )
+    wide, folds = w > 1, range(1, w)
+    digits = sum(1 << w * i for i in range(overlap))
     state: list[int] = []
-    lags: list[str] = []
+    lags: list[int] = []
     accepts: set[int] = set()
 
     def over_budget():
@@ -482,25 +521,22 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
         if len(state) >= max_configs:
             raise over_budget()
         starts.append(len(state))
-        node_id[q][""] = len(state)
+        node_id[q][0] = len(state)
         if q in trimmed.finals:
             accepts.add(len(state))
         state.append(q)
-        lags.append("")
+        lags.append(0)
 
     def expand(u: int) -> list[tuple[int, int, int]]:
         lag = lags[u]
         row = []
-        for ti, r, x, y, s, final in plans[state[u]]:
-            if s > 0:
-                x = lag + x
-            elif s < 0:
-                y = lag + y
-            nlag = x[len(y):] if len(x) > len(y) else y[len(x):]
-            ids = node_id[r]
+        for ti, r, ids, final, shift, joined, cut, other, tail, rest, n in plans[state[u]]:
+            stream = lag << shift | joined
+            d = stream >> cut ^ other
+            nlag = stream & tail | rest
             v = ids.get(nlag)
             if v is None:
-                if len(nlag) > b:
+                if n > b:
                     raise AssertionError(
                         "lag exceeded the state-shift bound on a length-preserving transducer"
                     )
@@ -511,8 +547,12 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
                 lags.append(nlag)
                 if final:
                     accepts.add(v)
-            # equal streams, common on identity moves, need no letter scan
-            row.append((v, sum(map(ne, x, y)) if x != y else 0, ti))
+            if wide and d:
+                f = d
+                for j in folds:
+                    f |= d >> j
+                d = f & digits
+            row.append((v, d.bit_count(), ti))
         return row
 
     return expand, state, lags, starts, accepts
@@ -600,10 +640,15 @@ def _close_cycle(t: Nft, rows, comp, parent, done, shift) -> tuple[int, Run, int
     raise AssertionError("nonconjugate cycle lacks a witness position")
 
 
-def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationResult | Run:
+def _analyze(
+    t: Nft, max_configs: int, limit: int | None = None, bound_limit: int | None = None
+) -> DeviationResult | Run | Bounds:
     """analyze_deviation, except that with a limit the walk may stop at
     the first accepting run it finds heavier than the limit, and that run
-    (in original identifiers) is returned in place of the result."""
+    (in original identifiers) is returned in place of the result; and that
+    when b > 0, the search has found the deviation finite and B is at most
+    bound_limit, the bounds are returned and no configuration is walked:
+    every finite deviation is at most B."""
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     trimmed, state_map, trans_map = trim_with_maps(t)
@@ -648,6 +693,8 @@ def _analyze(t: Nft, max_configs: int, limit: int | None = None) -> DeviationRes
         found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
+        if bound_limit is not None and bounds.B <= bound_limit:
+            return bounds
         expand, _, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
@@ -724,18 +771,23 @@ def is_bounded(t: Nft) -> bool:
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """True iff the deviation is at most k; k may be arbitrarily large (it
-    arrives in binary from the CLI).  The walk of the configuration graph
-    stops, with False, at the first path it finds heavier than k."""
+    arrives in binary from the CLI).  When b > 0 and the deviation is
+    finite, k >= B answers True without the configuration graph; otherwise
+    its walk stops, with False, at the first path it finds heavier than k."""
     if k < 0:
         raise ValueError("threshold expects a natural number")
-    res = _analyze(t, max_configs, k)
-    return isinstance(res, DeviationResult) and res.bounded and res.value <= k
+    res = _analyze(t, max_configs, k, k)
+    return isinstance(res, Bounds) or (
+        isinstance(res, DeviationResult) and res.bounded and res.value <= k
+    )
 
 
 def exact(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """True iff the deviation is finite and equal to k; like threshold, it
-    stops with False at the first path heavier than k."""
+    answers k > B from the bound when b > 0 and the deviation is finite
+    (False), and otherwise stops with False at the first path heavier than
+    k."""
     if k < 0:
         raise ValueError("exact expects a natural number")
-    res = _analyze(t, max_configs, k)
+    res = _analyze(t, max_configs, k, k - 1)
     return isinstance(res, DeviationResult) and res.bounded and res.value == k

@@ -68,11 +68,11 @@ def random_untrimmed_nft(rng: random.Random, max_states: int = 5, max_transition
     )
 
 
-def random_length_preserving_nft(rng: random.Random):
+def random_length_preserving_nft(rng: random.Random, alphabet: str = "abc"):
     """One random trimmed length-preserving NFT with 2 to 6 states, or None
     when trimming empties the draw.
 
-    The alphabet is {a, b, c}.  Each state q gets a potential s_q in
+    The letters are those of `alphabet`.  Each state q gets a potential s_q in
     [-3, 3], 0 exactly at the initial and final states, and every
     transition p -> q has |x| - |y| = s_q - s_p, so the lags reach 3
     letters.
@@ -94,12 +94,12 @@ def random_length_preserving_nft(rng: random.Random):
         d = potential[q] - potential[p]
         base = rng.randint(0, 1)
         nx, ny = (base + d, base) if d >= 0 else (base, base - d)
-        x = "".join(rng.choice("abc") for _ in range(nx))
-        y = "".join(rng.choice("abc") for _ in range(ny))
+        x = "".join(rng.choice(alphabet) for _ in range(nx))
+        y = "".join(rng.choice(alphabet) for _ in range(ny))
         transitions.append(Transition(p, x, y, q))
     t = Nft(
         states=tuple(f"s{i}" for i in range(nq)),
-        alphabet=frozenset("abc"),
+        alphabet=frozenset(alphabet),
         initials=frozenset(initials),
         finals=frozenset(finals),
         transitions=tuple(transitions),

@@ -97,6 +97,20 @@ def test_threshold_false_within_a_small_budget(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "FALSE"
 
 
+def test_threshold_at_the_bound_walks_no_configuration(tmp_path, capsys):
+    # T_400 has B = 643,200 and a walk far beyond any budget; k >= B (and
+    # k > B for exact) is answered from the bound, so one configuration of
+    # budget is enough, while exact at k = B still needs the walk
+    fam = str(tmp_path / "fam400.nft")
+    assert main(["gen", "family", "400", "-o", fam]) == 0
+    capsys.readouterr()
+    assert main(["threshold", fam, "643200", "--max-configs", "1"]) == 0
+    assert main(["exact", fam, "643201", "--max-configs", "1"]) == 1
+    assert capsys.readouterr().out.split() == ["TRUE", "FALSE"]
+    assert main(["threshold", fam, "643199", "--max-configs", "1"]) == 3
+    assert main(["exact", fam, "643200", "--max-configs", "1"]) == 3
+
+
 def test_analyze_human(tmp_path, capsys):
     assert main(["analyze", _write_family4(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -289,12 +289,74 @@ def test_state_budget_boundary():
         analyze_deviation(t, max_configs=n - 1)
 
 
+def _unpack_lag(lag: int, n: int, alphabet) -> str:
+    """The n-letter word of a packed lag: w bits per letter, the first
+    letter most significant, each letter its index in the sorted
+    alphabet."""
+    letters = sorted(alphabet)
+    w = max(1, (len(letters) - 1).bit_length())
+    return "".join(letters[lag >> w * (n - 1 - i) & (1 << w) - 1] for i in range(n))
+
+
+def test_lag_bound_is_checked_by_the_walk():
+    # T_6 needs lags of up to 5 letters; with b = 1 the first configuration
+    # whose lag outgrows it must trip the invariant, an explicit raise that
+    # python -O keeps
+    t = gen_family(6).nft
+    expand, _, _, starts, accepts = _configurations(t, shift_assignment(t), 1, 2**20)
+    with pytest.raises(AssertionError, match="^lag exceeded the state-shift bound"):
+        _walk(starts, expand, accepts)
+
+
+def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
+    # at b > 0, once the search finds the deviation finite, it is at most
+    # B: threshold(k >= B) is True and exact(k > B) False with no
+    # configuration graph.  Every answer must equal the one the walk's
+    # value gives.
+    real = nftdev.engine._configurations
+    graphs = []
+
+    def counted(*args):
+        graphs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nftdev.engine, "_configurations", counted)
+    # the acceptance corpus has no bounded instance with b > 0, so seeded
+    # length-preserving draws join it and T_2..T_10
+    instances = make_corpus(500, seed=CORPUS_SEED)
+    rng = random.Random(43)
+    draws = (random_length_preserving_nft(rng) for _ in range(600))
+    instances += [t for t in draws if t is not None]
+    instances += [gen_family(n).nft for n in range(2, 11)]
+    skipped = 0
+    for t in instances:
+        res = analyze_deviation(t)
+        b, B = res.bounds.b, res.bounds.B
+        for k in (B - 1, B, B + 1):
+            if k < 0:
+                continue
+            graphs.clear()
+            assert threshold(t, k) == (res.bounded and res.value <= k)
+            walked_threshold = bool(graphs)
+            graphs.clear()
+            assert exact(t, k) == (res.bounded and res.value == k)
+            walked_exact = bool(graphs)
+            if res.verdict is Verdict.BOUNDED and b > 0:
+                assert walked_threshold == (k < B) and walked_exact == (k <= B)
+                skipped += (k >= B) + (k > B)
+    assert skipped >= 300
+
+
 def test_flat_graph_matches_tuple_keyed_reference():
     # node ids are the walk's discovery order, so the graphs are compared
-    # by configuration (state, lag), each node's edges in order
+    # by configuration (state, lag), each node's edges in order; the
+    # engine's packed lags are unpacked to the reference's strings
     instances = make_corpus(500, seed=CORPUS_SEED)
     rng = random.Random(41)
-    draws = (random_length_preserving_nft(rng) for _ in range(500))
+    draws = [random_length_preserving_nft(rng) for _ in range(500)]
+    # one letter (w = 1, no mismatch ever) and five (w = 3, codes 5 to 7 unused)
+    draws += [random_length_preserving_nft(rng, "a") for _ in range(150)]
+    draws += [random_length_preserving_nft(rng, "abcde") for _ in range(150)]
     instances += [t for t in draws if t is not None]
     instances += [gen_family(n).nft for n in range(2, 13)]
     built = walked = 0
@@ -321,7 +383,9 @@ def test_flat_graph_matches_tuple_keyed_reference():
                 rows[u] = expand(u)
             u += 1
         nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, bounds.b)
-        configs = list(zip(state, lags))
+        configs = [
+            (q, _unpack_lag(lag, abs(sa.per_state[q]), t.alphabet)) for q, lag in zip(state, lags)
+        ]
         assert len(set(configs)) == len(configs)
         assert set(configs) == set(nodes)
         got = {configs[u]: [(configs[v], w, ti) for v, w, ti in rows[u]] for u in rows}

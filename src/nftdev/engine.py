@@ -49,10 +49,10 @@ root's tree path and value together weigh more than k.  When b > 0 and
 the search finds the deviation finite, it is at most B, so threshold at
 k >= B (True) and exact at k > B (False) walk no configuration.
 
-For a length-preserving trimmed transducer every lag stays within the
-state-shift bound b = min(smax * |Q|, repr_size(t)), repr_size being the
-byte length of the canonical serialization (textio.repr_size, taken only
-when smax * |Q| > 0), so the graph is finite; its size is still
+For a length-preserving trimmed transducer the lag at q holds |s_q|
+letters, so every lag stays within b = max |s_q|, read from the shift
+potential (Bounds gives the argument that B built on it is still the
+paper's quadratic bound), and the graph is finite; its size is still
 exponential in b in the worst case, hence the max_configs budget (at
 least 1).  A lag is kept as one int, its letters packed in a fixed number
 of bits each: since the lag at q always holds |s_q| letters, every
@@ -73,7 +73,6 @@ from operator import ne
 from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
-from .textio import repr_size
 from .transform import is_trim, trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
@@ -85,24 +84,20 @@ class StateBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    """The two size bounds attached to an analysis.
+    """The two size bounds of an analysis, for the trimmed transducer.
 
-    b = min(smax * |Q|, repr_size(t)) bounds every state shift; the
-    transducer is serialized only when smax * |Q| > 0.  B = (b + lmax +
-    2) * |Q| bounds the deviation of any bounded transducer.
+    b = max |s_q| over the shift potential: 0 at smax = 0, where no state
+    shifts, and over the states assigned before the conflict when the
+    transducer is not length-preserving.  B = (b + lmax + 2) * |Q| is
+    still the paper's quadratic bound: each s_q is the shift of a simple
+    path from an initial state, at most |Q| - 1 transitions whose letters
+    all appear in the serialization, so b <= smax * |Q| and b <=
+    textio.repr_size(t); and the deviation argument uses b only as the
+    length of a lag, while the lag at q holds exactly |s_q| letters.
     """
 
     b: int
     B: int
-
-    @classmethod
-    def from_nft(cls, t: Nft) -> "Bounds":
-        st = stats(t)
-        n = st.num_states
-        b = st.smax * n
-        if b:
-            b = min(b, repr_size(t))
-        return cls(b=b, B=(b + st.lmax + 2) * n)
 
 
 @dataclass(frozen=True)
@@ -652,11 +647,22 @@ def _analyze(
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     trimmed, state_map, trans_map = trim_with_maps(t)
-    bounds = Bounds.from_nft(trimmed)
     if trimmed.num_states == 0:
-        return DeviationResult(verdict=Verdict.EMPTY, bounds=bounds, value=0)
+        return DeviationResult(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
 
-    rows = _state_rows(trimmed, bounds.b == 0)
+    st = stats(trimmed)
+    # route on smax, never on b: a conflict met early can leave b = 0
+    rows = _state_rows(trimmed, st.smax == 0)
+    sa = None if st.smax == 0 else _shift_potential(trimmed, rows)
+    b = 0 if sa is None else max(map(abs, sa.per_state.values()))
+    bounds = Bounds(b, (b + st.lmax + 2) * trimmed.num_states)
+    if sa is not None and not sa.consistent:
+        witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
+        return DeviationResult(
+            verdict=Verdict.NOT_LENGTH_PRESERVING,
+            bounds=bounds,
+            witness=_map_run(witness.transitions, trans_map),
+        )
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
         """UNBOUNDED from a pumpable cycle at p."""
@@ -669,7 +675,7 @@ def _analyze(
             cycle_suffix=_map_run(_bfs_path(rows, (p,), trimmed.finals), trans_map),
         )
 
-    if bounds.b == 0:
+    if sa is None:
         # smax = 0: every shift is 0, so the potential is consistent, every
         # lag is empty and the configuration graph is the state graph
         if trimmed.num_states > max_configs:
@@ -682,20 +688,12 @@ def _analyze(
             u, v, ti = walk.pumped
             return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
     else:
-        sa = _shift_potential(trimmed, rows)
-        if not sa.consistent:
-            witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
-            return DeviationResult(
-                verdict=Verdict.NOT_LENGTH_PRESERVING,
-                bounds=bounds,
-                witness=_map_run(witness.transitions, trans_map),
-            )
         found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
         if bound_limit is not None and bounds.B <= bound_limit:
             return bounds
-        expand, _, _, starts, accepts = _configurations(trimmed, sa, bounds.b, max_configs)
+        expand, _, _, starts, accepts = _configurations(trimmed, sa, b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
             # the search above has ruled out every pumpable cycle

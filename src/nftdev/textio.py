@@ -11,7 +11,8 @@ The NFT format is line oriented, UTF-8, with '#' comments:
 Serialization is canonical: states and transitions in declaration order,
 alphabet sorted.  parse(serialize(t)) reproduces t exactly, and
 repr_size(t), the byte length of the canonical form, is the machine-size
-measure used by the deviation bounds.
+measure in which the paper states its deviation bounds; the oracle's
+default caps read it.
 """
 
 from __future__ import annotations
@@ -152,11 +153,10 @@ def parse_nft(text: str) -> Nft:
 
 
 def parse_digraph(text: str) -> Digraph:
-    """Edge-list digraph: vertex count, then 'u v' lines, then s= and t= lines."""
+    """Edge-list digraph: vertex count, then 'u v' lines, then one s= and one t= line."""
     count = None
     edges: list[tuple[int, int]] = []
-    s = None
-    t = None
+    ends: dict[str, int] = {}
 
     def parse_int(token: str, no: int) -> int:
         try:
@@ -174,12 +174,11 @@ def parse_digraph(text: str) -> Digraph:
             continue
         if len(tokens) == 1 and "=" in tokens[0]:
             key, _, value = tokens[0].partition("=")
-            if key == "s":
-                s = parse_int(value, no)
-            elif key == "t":
-                t = parse_int(value, no)
-            else:
+            if key not in ("s", "t"):
                 raise ParseError(f"unknown assignment {tokens[0]!r}", no)
+            if key in ends:
+                raise ParseError(f"duplicate '{key}=' line", no)
+            ends[key] = parse_int(value, no)
             continue
         if len(tokens) != 2:
             raise ParseError("expected an edge line 'u v'", no)
@@ -189,10 +188,10 @@ def parse_digraph(text: str) -> Digraph:
 
     if count is None:
         raise ParseError("empty digraph input")
-    if s is None or t is None:
+    if len(ends) < 2:
         raise ParseError("missing 's=' or 't=' line")
     try:
-        return Digraph(vertex_count=count, edges=tuple(edges), s=s, t=t)
+        return Digraph(vertex_count=count, edges=tuple(edges), s=ends["s"], t=ends["t"])
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

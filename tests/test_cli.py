@@ -65,6 +65,16 @@ def test_analyze_json(tmp_path, capsys):
     assert isinstance(report["witness"], list)
 
 
+def test_readme_json_report_is_the_family4_report(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### JSON report", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    fam = str(tmp_path / "family4.nft")
+    assert main(["gen", "family", "4", "-o", fam]) == 0
+    capsys.readouterr()
+    assert main(["analyze", fam, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(example)
+
+
 def test_analyze_json_null_deviation(tmp_path, capsys):
     bad = _write(
         tmp_path,
@@ -98,17 +108,17 @@ def test_threshold_false_within_a_small_budget(tmp_path, capsys):
 
 
 def test_threshold_at_the_bound_walks_no_configuration(tmp_path, capsys):
-    # T_400 has B = 643,200 and a walk far beyond any budget; k >= B (and
+    # T_400 has B = 322,400 and a walk far beyond any budget; k >= B (and
     # k > B for exact) is answered from the bound, so one configuration of
     # budget is enough, while exact at k = B still needs the walk
     fam = str(tmp_path / "fam400.nft")
     assert main(["gen", "family", "400", "-o", fam]) == 0
     capsys.readouterr()
-    assert main(["threshold", fam, "643200", "--max-configs", "1"]) == 0
-    assert main(["exact", fam, "643201", "--max-configs", "1"]) == 1
+    assert main(["threshold", fam, "322400", "--max-configs", "1"]) == 0
+    assert main(["exact", fam, "322401", "--max-configs", "1"]) == 1
     assert capsys.readouterr().out.split() == ["TRUE", "FALSE"]
-    assert main(["threshold", fam, "643199", "--max-configs", "1"]) == 3
-    assert main(["exact", fam, "643200", "--max-configs", "1"]) == 3
+    assert main(["threshold", fam, "322399", "--max-configs", "1"]) == 3
+    assert main(["exact", fam, "322400", "--max-configs", "1"]) == 3
 
 
 def test_analyze_human(tmp_path, capsys):
@@ -239,7 +249,7 @@ def test_budget_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "state budget exceeded" in err
     assert "2 configurations reached" in err
-    assert "b=8" in err and "|Q|=8" in err
+    assert "b=3" in err and "|Q|=8" in err
     assert re.search(r"\|Q\|=8, \d+\.\d\d s elapsed", err)
 
 

@@ -34,6 +34,8 @@ from nftdev import (
     add_eps_self_loops,
     analyze_deviation,
     brute_force_deviation,
+    comparison_to_deviation,
+    deviation_to_comparison,
     exact,
     gen_3sat,
     gen_family,
@@ -41,8 +43,11 @@ from nftdev import (
     gen_reach_threshold,
     hamming_distance,
     is_bounded,
+    repr_size,
     run_words,
+    sat_brute_force,
     shift_assignment,
+    stats,
     threshold,
     trim,
     union,
@@ -254,7 +259,7 @@ def test_state_budget():
         analyze_deviation(gen_family(4).nft, max_configs=3)
     # two initial configurations: the budget stops the seeding
     two_starts = union(gen_family(2).nft, gen_family(3).nft)
-    expected = r"^state budget exceeded: 1 configurations reached, b=10, \|Q\|=10, "
+    expected = r"^state budget exceeded: 1 configurations reached, b=2, \|Q\|=10, "
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(two_starts, max_configs=1)
 
@@ -276,14 +281,15 @@ def test_max_configs_below_one_rejected():
 
 def test_state_budget_boundary():
     t = gen_family(10).nft
-    bounds = Bounds.from_nft(t)
-    expand, state, _, starts, accepts = _configurations(t, shift_assignment(t), bounds.b, 2**20)
+    sa = shift_assignment(t)
+    b = max(map(abs, sa.per_state.values()))
+    expand, state, _, starts, accepts = _configurations(t, sa, b, 2**20)
     _walk(starts, expand, accepts)
     n = len(state)
     assert analyze_deviation(t, max_configs=n).value == 55
     expected = (
         rf"^state budget exceeded: {n - 1} configurations reached,"
-        rf" b={bounds.b}, \|Q\|={t.num_states}, "
+        rf" b={b}, \|Q\|={t.num_states}, "
     )
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(t, max_configs=n - 1)
@@ -306,6 +312,39 @@ def test_lag_bound_is_checked_by_the_walk():
     expand, _, _, starts, accepts = _configurations(t, shift_assignment(t), 1, 2**20)
     with pytest.raises(AssertionError, match="^lag exceeded the state-shift bound"):
         _walk(starts, expand, accepts)
+
+
+def test_bounded_value_stays_within_B_where_lags_are_nonempty():
+    # threshold(k >= B) answers True without the graph, so B must bound
+    # every finite deviation with b > 0; b = max |s_q| is also at most the
+    # size measures smax * |Q| and repr_size the paper states B in
+    rng = random.Random(61)
+    sources = {
+        alphabet: [random_length_preserving_nft(rng, alphabet) for _ in range(2000)]
+        for alphabet in ("a", "ab", "abc")
+    }
+    sources["family"] = [gen_family(n).nft for n in range(2, 19)]
+    sources["3-SAT"] = []
+    while len(sources["3-SAT"]) < 40:
+        f = random_cnf(rng)
+        if sat_brute_force(f) is not None:
+            sources["3-SAT"].append(gen_3sat(f).nft)
+    products = [deviation_to_comparison(gen_family(n).nft) for n in range(2, 13)]
+    sources["product"] = [comparison_to_deviation(t1, t2) for t1, t2 in products]
+    checked = Counter()
+    for source, instances in sources.items():
+        for t in instances:
+            if t is None:
+                continue
+            res = analyze_deviation(t)
+            if res.verdict is not Verdict.BOUNDED or res.bounds.b == 0:
+                continue
+            trimmed = trim(t)
+            st = stats(trimmed)
+            assert res.value <= res.bounds.B
+            assert res.bounds.b <= min(st.smax * st.num_states, repr_size(trimmed))
+            checked[source] += 1
+    assert set(checked) == set(sources) and sum(checked.values()) >= 1500
 
 
 def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
@@ -364,8 +403,8 @@ def test_flat_graph_matches_tuple_keyed_reference():
         sa = shift_assignment(t)
         if not sa.consistent:
             continue
-        bounds = Bounds.from_nft(t)
-        expand, state, lags, starts, accepts = _configurations(t, sa, bounds.b, 2**20)
+        b = max(map(abs, sa.per_state.values()))
+        expand, state, lags, starts, accepts = _configurations(t, sa, b, 2**20)
         rows = {}
 
         def record(u):
@@ -382,7 +421,7 @@ def test_flat_graph_matches_tuple_keyed_reference():
             if u not in rows:
                 rows[u] = expand(u)
             u += 1
-        nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, bounds.b)
+        nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, b)
         configs = [
             (q, _unpack_lag(lag, abs(sa.per_state[q]), t.alphabet)) for q, lag in zip(state, lags)
         ]
@@ -443,12 +482,10 @@ def test_trim_inside_analysis_matches_trim_then_analyze(corpus):
 def test_bounds_formulas():
     t4 = gen_family(4).nft
     bounds = analyze_deviation(t4).bounds
-    from nftdev import repr_size, stats
-
     st = stats(t4)
     assert st.smax == 1 and st.lmax == 2 and st.num_states == 8
-    assert bounds.b == min(st.smax * 8, repr_size(t4)) == 8
-    assert bounds.B == (bounds.b + st.lmax + 2) * 8 == 96
+    assert bounds.b == max(map(abs, shift_assignment(t4).per_state.values())) == 3
+    assert bounds.B == (bounds.b + st.lmax + 2) * 8 == 56
 
 
 def test_zero_state_nft():
@@ -627,16 +664,18 @@ def _assert_pumps(t, res):
 
 
 def test_bounds_b_is_its_formula():
-    from nftdev import repr_size, stats
-
+    # b is the largest |s_q| of the potential, also of the partial one a
+    # conflict leaves, and 0 when no transition shifts
     instances = make_corpus(500, seed=CORPUS_SEED) + [gen_family(n).nft for n in range(2, 11)]
     for t in instances:
         st = stats(t)
-        assert Bounds.from_nft(t).b == min(st.smax * st.num_states, repr_size(t))
+        b = 0 if st.smax == 0 else max(map(abs, shift_assignment(t).per_state.values()))
+        assert analyze_deviation(t).bounds == Bounds(b, (b + st.lmax + 2) * st.num_states)
 
 
 def test_zero_shift_analysis_never_serializes(monkeypatch):
-    # smax = 0 makes b = min(0, size) = 0, so the size is never needed
+    # the bounds come from the shift potential, never from the size of the
+    # serialization; at smax = 0 they have b = 0
     rng = random.Random(77)
     n = 2000
     edges = tuple((rng.randrange(n - 1), rng.randrange(n - 1)) for _ in range(2 * n))
@@ -647,7 +686,7 @@ def test_zero_shift_analysis_never_serializes(monkeypatch):
     def refuse(*args):
         raise AssertionError("serialized although smax = 0")
 
-    monkeypatch.setattr(nftdev.engine, "repr_size", refuse)
+    monkeypatch.setattr(nftdev.textio, "serialize_nft", refuse)
     got = [(analyze_deviation(t), threshold(t, 1)) for t in gadgets]
     assert got == want
     assert [res.verdict for res, _ in got] == [Verdict.BOUNDED, Verdict.UNBOUNDED]
@@ -659,7 +698,7 @@ def test_unbounded_decided_before_any_configuration():
     # b > 0: the polynomial search answers before the walk, so a budget of
     # one configuration suffices where the graph of T_12 has 6,143
     t = union(gen_family(12).nft, _mismatch_loop())
-    assert Bounds.from_nft(t).b > 0
+    assert stats(t).smax > 0
     res = analyze_deviation(t, max_configs=1)
     assert res.verdict is Verdict.UNBOUNDED
     _assert_pumps(t, res)
@@ -673,7 +712,7 @@ def test_unbounded_at_zero_shift_comes_from_the_walk(monkeypatch):
 
     monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", refuse)
     instances = [gen_reach_bounded(Digraph(3, ((0, 1), (1, 2)), s=0, t=2)).nft]
-    instances += [t for t in make_corpus(200, seed=CORPUS_SEED) if Bounds.from_nft(t).b == 0]
+    instances += [t for t in make_corpus(200, seed=CORPUS_SEED) if stats(t).smax == 0]
     unbounded = 0
     for t in instances:
         res = analyze_deviation(t)
@@ -702,7 +741,7 @@ def test_state_graph_walk_matches_the_configuration_graph():
         trimmed = trim(t)
         if trimmed.num_states == 0:
             continue
-        assert Bounds.from_nft(trimmed).b == 0
+        assert stats(trimmed).smax == 0
         expand, _, _, starts, accepts = _configurations(trimmed, shift_assignment(trimmed), 0, 2**20)
         walk = _walk(starts, expand, accepts)
         res = analyze_deviation(t)

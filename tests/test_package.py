@@ -104,3 +104,15 @@ def test_every_public_function_has_a_caller_or_is_an_entry_point():
     # algorithms that only tests call belong in tests/helpers.py, and a
     # function that only its own module calls is private to it
     assert _uncalled_public_functions() == ENTRY_POINTS
+
+
+def test_engine_does_not_reach_textio():
+    # the engine reads its bounds from the shift potential, so no analysis
+    # serializes the transducer it analyzes
+    graph, _ = _module_graph()
+    reached, todo = set(), ["engine"]
+    while todo:
+        for target in graph[todo.pop()] - reached:
+            reached.add(target)
+            todo.append(target)
+    assert "textio" not in reached

@@ -141,6 +141,17 @@ def test_parse_digraph():
         parse_digraph("# no vertex count\n")
 
 
+def test_parse_digraph_rejects_a_repeated_end():
+    # the first s= or t= line would otherwise be silently overridden
+    for text, line, key in (
+        ("3\n0 1\ns=0\ns=2\nt=1\n", 4, "s"),
+        ("3\nt=1\n0 1\ns=0\n# t again\nt=1\n", 6, "t"),
+    ):
+        with pytest.raises(ParseError, match=rf"^line {line}: duplicate '{key}=' line$") as err:
+            parse_digraph(text)
+        assert err.value.line == line
+
+
 def test_parse_cnf():
     f = parse_cnf("c comment\np cnf 1 1\n1 1 1 0\n")
     assert f == CnfFormula(1, ((1, 1, 1),))

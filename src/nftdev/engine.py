@@ -43,8 +43,11 @@ The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
 a configuration is expanded when the depth-first walk first enters it,
 and each strongly connected component is decided and valued as it pops,
 from the final values of the components it leads to, which pop first.
-Edge rows are kept only for nodes on the Tarjan stack and in multi-node
-components.  threshold and exact stop at the first component whose
+The node being scanned lives in locals and each tree edge of the DFS
+path is one saved frame.  Edge rows are kept only for nodes on that path
+and in multi-node components; a popped node keeps ints only: its
+component id, its value and, at the member its component leaves by, the
+leaving edge.  threshold and exact stop at the first component whose
 root's tree path and value together weigh more than k.  When b > 0 and
 the search finds the deviation finite, it is at most B, so threshold at
 k >= B (True) and exact at k > B (False) walk no configuration.
@@ -62,7 +65,6 @@ operations and a dict lookup on an int key.
 
 from __future__ import annotations
 
-import sys
 import time
 from bisect import bisect_left
 from collections import deque
@@ -86,14 +88,17 @@ class StateBudgetExceeded(RuntimeError):
 class Bounds:
     """The two size bounds of an analysis, for the trimmed transducer.
 
-    b = max |s_q| over the shift potential: 0 at smax = 0, where no state
-    shifts, and over the states assigned before the conflict when the
-    transducer is not length-preserving.  B = (b + lmax + 2) * |Q| is
-    still the paper's quadratic bound: each s_q is the shift of a simple
-    path from an initial state, at most |Q| - 1 transitions whose letters
-    all appear in the serialization, so b <= smax * |Q| and b <=
-    textio.repr_size(t); and the deviation argument uses b only as the
-    length of a lag, while the lag at q holds exactly |s_q| letters.
+    b = max |s_q| over the shift potential, and 0 at smax = 0, where no
+    state shifts.  B = (b + lmax + 2) * |Q| is still the paper's quadratic
+    bound: each s_q is the shift of a simple path from an initial state,
+    at most |Q| - 1 transitions whose letters all appear in the
+    serialization, so b <= smax * (|Q| - 1) and b <= textio.repr_size(t);
+    and the deviation argument uses b only as the length of a lag, while
+    the lag at q holds exactly |s_q| letters.  A transducer that is not
+    length-preserving has no consistent potential, and b is that bound,
+    smax * (|Q| - 1): every s_q the propagation assigns before it meets a
+    conflict is the shift of the simple breadth-first path that reached
+    q, so b bounds each of them whatever the order of the transitions.
     """
 
     b: int
@@ -279,28 +284,37 @@ def _map_run(steps, trans_map) -> Run:
 
 
 class _Walk(NamedTuple):
-    """What _walk found.
+    """What _walk found, per node id.
 
-    comp[u] is the index of u's component in pop order, which is reverse
-    topological; best[c] is the heaviest path weight from component c to
-    acceptance, and choice[c] the (u, v, transition) edge that path leaves
-    c by, or (m, None, None) when it ends at the accepting member m.
-    inner holds the rows of the members of multi-node components.  The
-    walk ends early at pumped, a positive (u, v, transition) edge inside a
-    component, or at heavier, (steps, v) when the tree path `steps` to the
-    root v of a popped component outweighs the limit together with that
-    component's best value.
+    comp[u] is -1 before the walk enters u and u's DFS number while u is
+    on the Tarjan stack; once u's component pops it is -2 - m, m being the
+    member the component's heaviest path to acceptance leaves by (-2 - r,
+    r its root, while a multi-node component is being valued), so it
+    tells the components apart.  value[u] is then the weight of that path
+    (-1 before), and nxt[m], via[m] the node and transition it leaves by,
+    or nxt[m] = -1 when it ends at the accepting member m; exit reads
+    them.  inner holds the rows of the members of multi-node components.
+    The walk ends early at pumped, a positive (u, v, transition) edge
+    inside a component, or at heavier, (steps, v) when the tree path
+    `steps` to the root v of a popped component outweighs the limit
+    together with v's value.
     """
 
     comp: list[int]
-    best: list[int]
-    choice: list[tuple]
+    value: list[int]
+    nxt: list[int]
+    via: list[int]
     inner: dict[int, list[tuple[int, int, int]]]
     pumped: tuple[int, int, int] | None
     heavier: tuple[list[int], int] | None
 
-
-_POPPED = sys.maxsize
+    def exit(self, u: int) -> tuple[int, int | None, int | None]:
+        """(m, v, transition): the edge the heaviest path from u's
+        component leaves it by, or (m, None, None) when that path ends at
+        the accepting member m."""
+        m = -2 - self.comp[u]
+        v = self.nxt[m]
+        return (m, None, None) if v < 0 else (m, v, self.via[m])
 
 
 def _walk(starts, expand, accepts, limit=None) -> _Walk:
@@ -310,126 +324,125 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
     Nodes are ints.  expand(u) returns u's row of (v, weight, transition)
     edges; it is called once, when the depth-first walk first enters u,
     so the graph is unfolded as it is walked.  A row is kept while u is on
-    the Tarjan stack and afterwards only if u's component has more than
-    one node.  Components pop in reverse topological order, so every edge
-    leaving a component reaches one whose best value is already final.
-    Members are scanned in node order, an accepting member first and then
-    strictly heavier edges, so ties go to the smallest node id.  Each node
-    on the DFS path carries the weight g of its tree path from the start;
-    with a limit the walk stops at the first popped component whose root
-    has g + best > limit.
+    the DFS path and afterwards only if u's component has more than one
+    node.  The node being scanned lives in locals (node, row cursor, row,
+    low link, tree path weight g, tree transition); descending pushes them
+    as one frame and returning pops it.  Components pop in reverse
+    topological order, so every edge leaving a component reaches one
+    whose value is already final, while value[w] < 0 marks w as inside
+    the popping component.  Members are scanned in node order, an
+    accepting member first and then strictly heavier edges, so ties go to
+    the smallest node id.  With a limit the walk stops at the first popped
+    component whose root has g + value > limit.
     """
-    # index[u] is -1 before the walk enters u, then u's DFS number until
-    # its component pops, then _POPPED, which no low link undercuts; comp[u]
-    # is u's component once it pops.  Both lists at least double whenever
-    # expand hands out a node id beyond them.
-    index: list[int] = []
+    # comp[u] (see _Walk) doubles as Tarjan's index: a popped id is
+    # negative, so it never undercuts a low link.  The per-node lists at
+    # least double whenever expand hands out a node id beyond them.
     comp: list[int] = []
+    value: list[int] = []
+    nxt: list[int] = []
+    via: list[int] = []
     size = 0
 
     def grow(u: int) -> int:
-        index.extend(repeat(-1, u + 1))
-        comp.extend(repeat(-1, u + 1))
-        return len(index)
+        for a in (comp, value, nxt, via):
+            a.extend(repeat(-1, u + 1))
+        return len(comp)
 
-    best: list[int] = []
-    choice: list[tuple] = []
     held: dict[int, list] = {}
     stack: list[int] = []
+    frames: list[tuple] = []  # the DFS path above the node being scanned
     tick = 0
-    for root in starts:
-        if root >= size:
-            size = grow(root)
-        if index[root] >= 0:
+    for v in starts:
+        # v, cursor, row, low, g and tl are the node being scanned
+        if v >= size:
+            size = grow(v)
+        if comp[v] != -1:
             continue
-        index[root] = tick
+        comp[v] = low = tick
         tick += 1
-        stack.append(root)
-        row = expand(root)
-        # the DFS path: per node its next-edge cursor, row, low link, tree
-        # path weight and the transition of its tree edge
-        nodes, cursors, rows, labs = [root], [iter(row)], [row], [None]
-        lows, gs = [index[root]], [0]
-        while nodes:
-            low = lows[-1]
-            for w, wt, ti in cursors[-1]:
+        stack.append(v)
+        row = expand(v)
+        cursor = iter(row)
+        g = tl = 0
+        while True:
+            for w, wt, ti in cursor:
                 if w >= size:
                     size = grow(w)
-                i = index[w]
+                i = comp[w]
                 if i < 0:
-                    lows[-1] = low
-                    index[w] = tick
-                    stack.append(w)
-                    row = expand(w)
-                    nodes.append(w)
-                    cursors.append(iter(row))
-                    rows.append(row)
-                    lows.append(tick)
-                    gs.append(gs[-1] + wt)
-                    labs.append(ti)
-                    tick += 1
-                    break
-                if i < low:
+                    if i == -1:
+                        frames.append((v, cursor, row, low, g, tl))
+                        comp[w] = low = tick
+                        tick += 1
+                        stack.append(w)
+                        v, g, tl = w, g + wt, ti
+                        row = expand(w)
+                        cursor = iter(row)
+                        break
+                elif i < low:
                     low = i
             else:
-                v = nodes.pop()
-                cursors.pop()
-                row = rows.pop()
-                lows.pop()
-                g = gs.pop()
-                if lows and low < lows[-1]:
-                    lows[-1] = low
-                if low != index[v]:
+                if low != comp[v]:
                     held[v] = row
-                    labs.pop()
-                    continue
-                ci = len(best)
-                b, ch = -1, None
-                if stack[-1] == v:
-                    # one node, the common case (every component of an
-                    # acyclic graph): no member list, and its row is at hand
-                    stack.pop()
-                    index[v] = _POPPED
-                    comp[v] = ci
-                    if v in accepts:
-                        b, ch = 0, (v, None, None)
-                    for w, wt, ti in row:
-                        cj = comp[w]
-                        if cj == ci:
-                            if wt > 0:
-                                return _Walk(comp, best, choice, held, (v, w, ti), None)
-                        elif wt + best[cj] > b:
-                            b, ch = wt + best[cj], (v, w, ti)
                 else:
-                    # the stack is in index order; v's component is the
-                    # part from v up
-                    height = bisect_left(stack, index[v], key=index.__getitem__)
-                    members = sorted(stack[height:])
-                    del stack[height:]
-                    held[v] = row
-                    for m in members:
-                        index[m] = _POPPED
-                        comp[m] = ci
-                    for m in members:
-                        if m in accepts:
-                            b, ch = 0, (m, None, None)
-                            break
-                    for u in members:
-                        for w, wt, ti in held[u]:
-                            cj = comp[w]
-                            if cj == ci:
+                    b = nx = lb = -1
+                    m0 = v
+                    if stack[-1] == v:
+                        # one node, the common case (every component of an
+                        # acyclic graph): no member list, and its row is at hand
+                        stack.pop()
+                        if v in accepts:
+                            b = 0
+                        for w, wt, ti in row:
+                            x = value[w]
+                            if x < 0:
                                 if wt > 0:
-                                    return _Walk(comp, best, choice, held, (u, w, ti), None)
-                            elif wt + best[cj] > b:
-                                b, ch = wt + best[cj], (u, w, ti)
-                if b < 0:
-                    raise AssertionError("configuration cannot reach acceptance")
-                best.append(b)
-                choice.append(ch)
-                if limit is not None and g + b > limit:
-                    return _Walk(comp, best, choice, held, None, (labs[1:], v))
-                labs.pop()
-    return _Walk(comp, best, choice, held, None, None)
+                                    return _Walk(comp, value, nxt, via, held, (v, w, ti), None)
+                            elif wt + x > b:
+                                b, nx, lb = wt + x, w, ti
+                    else:
+                        # the stack is in index order; v's component is the
+                        # part from v up
+                        height = bisect_left(stack, low, key=comp.__getitem__)
+                        members = sorted(stack[height:])
+                        del stack[height:]
+                        held[v] = row
+                        for m in members:
+                            comp[m] = -2 - v
+                        for m in members:
+                            if m in accepts:
+                                b, m0 = 0, m
+                                break
+                        for u in members:
+                            for w, wt, ti in held[u]:
+                                x = value[w]
+                                if x < 0:
+                                    if wt > 0:
+                                        return _Walk(comp, value, nxt, via, held, (u, w, ti), None)
+                                elif wt + x > b:
+                                    b, m0, nx, lb = wt + x, u, w, ti
+                        for m in members:
+                            comp[m] = -2 - m0
+                            value[m] = b
+                    if b < 0:
+                        raise AssertionError("configuration cannot reach acceptance")
+                    comp[v] = -2 - m0
+                    value[v] = b
+                    nxt[m0] = nx
+                    via[m0] = lb
+                    if limit is not None and g + b > limit:
+                        steps = [f[5] for f in frames[1:]]
+                        if frames:
+                            steps.append(tl)
+                        return _Walk(comp, value, nxt, via, held, None, (steps, v))
+                if not frames:
+                    break
+                x = low
+                v, cursor, row, low, g, tl = frames.pop()
+                if x < low:
+                    low = x
+    return _Walk(comp, value, nxt, via, held, None, None)
 
 
 def _over_budget(reached: int, b: int, num_states: int, began: float) -> StateBudgetExceeded:
@@ -654,7 +667,12 @@ def _analyze(
     # route on smax, never on b: a conflict met early can leave b = 0
     rows = _state_rows(trimmed, st.smax == 0)
     sa = None if st.smax == 0 else _shift_potential(trimmed, rows)
-    b = 0 if sa is None else max(map(abs, sa.per_state.values()))
+    if sa is None:
+        b = 0
+    elif sa.consistent:
+        b = max(map(abs, sa.per_state.values()))
+    else:
+        b = st.smax * (trimmed.num_states - 1)
     bounds = Bounds(b, (b + st.lmax + 2) * trimmed.num_states)
     if sa is not None and not sa.consistent:
         witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
@@ -704,8 +722,8 @@ def _analyze(
         if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
             raise AssertionError("run heavier than the limit does not exceed it")
         return _map_run(steps, trans_map)
-    start = max(starts, key=lambda s: (walk.best[walk.comp[s]], -s))
-    value = walk.best[walk.comp[start]]
+    start = max(starts, key=lambda s: (walk.value[s], -s))
+    value = walk.value[start]
     steps = _chain(walk, start)
     if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
         raise AssertionError("witness must realize the computed deviation")
@@ -721,13 +739,12 @@ def _analyze(
 
 def _chain(walk: _Walk, cur: int) -> list[int]:
     """Transitions of the heaviest path from cur to acceptance: through
-    each component to the member its choice leaves by (ties go to the
-    smallest node id), then along the choice edge."""
-    comp = walk.comp
+    each component to the member its exit leaves by (ties go to the
+    smallest node id), then along the exit edge."""
     steps: list[int] = []
     while cur is not None:
-        u, v, ti = walk.choice[comp[cur]]
-        steps += _bfs_path(walk.inner, (cur,), {u}, comp)
+        u, v, ti = walk.exit(cur)
+        steps += _bfs_path(walk.inner, (cur,), {u}, walk.comp)
         if v is not None:
             steps.append(ti)
         cur = v

@@ -518,6 +518,64 @@ def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
     return nodes, succ, parent, starts, accepts
 
 
+def reference_walk(succ, starts, accepts):
+    """Reference for engine._walk on a small graph given as per-node rows
+    of (v, weight, transition) edges, from reachability closures instead
+    of a depth-first walk.  Returns (reached, comp, value, exit): the set
+    of nodes reachable from starts; comp[u], the frozenset of reached
+    nodes that u reaches and that reach u; value[u], the heaviest path
+    weight from u to an accepting node, INF when a path from u meets a
+    positive edge inside a component (the node must reach acceptance);
+    and, where the value is finite, exit[u], the (member, next,
+    transition) edge of the documented tie-breaks: the smallest accepting
+    member, then strictly heavier edges over the members in node order
+    and each row in order, or (member, None, None)."""
+    closure = {}
+    for u in range(len(succ)):
+        seen, todo = {u}, [u]
+        while todo:
+            for v, _, _ in succ[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        closure[u] = seen
+    reached = set().union(*(closure[s] for s in starts))
+    comp = {u: frozenset(v for v in closure[u] if u in closure[v]) for u in reached}
+    value, exit = {}, {}
+
+    def valued(c):
+        members = sorted(c)
+        if members[0] in value:
+            return value[members[0]]
+        b, out = -1, None
+        for m in members:
+            if m in accepts:
+                b, out = 0, (m, None, None)
+                break
+        for u in members:
+            for v, wt, ti in succ[u]:
+                if v in c:
+                    if wt > 0:
+                        b = INF
+                elif b != INF:
+                    x = valued(comp[v])
+                    if x == INF:
+                        b = INF
+                    elif wt + x > b:
+                        b, out = wt + x, (u, v, ti)
+        if b == -1:
+            raise AssertionError("node cannot reach acceptance")
+        for m in members:
+            value[m] = b
+            if b != INF:
+                exit[m] = out
+        return b
+
+    for u in sorted(reached):
+        valued(comp[u])
+    return reached, comp, value, exit
+
+
 # Breadth-first small-witness searches: the nondeterministic procedures of
 # the analysis made deterministic over a finite product of the state with
 # the few counters a guess would carry (length-class shift, pending mark

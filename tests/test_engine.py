@@ -7,6 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conjugate_by,
@@ -15,6 +17,7 @@ from helpers import (
     random_digraph,
     random_equal_length_nft,
     random_length_preserving_nft,
+    reference_walk,
     simple_cycles_shifts,
     tuple_keyed_graph,
 )
@@ -34,6 +37,7 @@ from nftdev import (
     add_eps_self_loops,
     analyze_deviation,
     brute_force_deviation,
+    compare,
     comparison_to_deviation,
     deviation_to_comparison,
     exact,
@@ -608,37 +612,101 @@ def test_value_components_zero_weight_component():
         [],
         [],
     ]
-    comp, best, choice, _, pumped, _ = _walk_hand(succ, {3, 4, 5})
-    assert pumped is None
+    walk = _walk_hand(succ, {3, 4, 5})
+    comp = walk.comp
+    assert walk.pumped is None
     assert comp[0] == comp[1] == comp[2]
     assert len({comp[0], comp[3], comp[4], comp[5]}) == 4
-    c = comp[0]
-    assert best[c] == 1
-    assert choice[c] == (1, 4, 13)  # the tie goes to the smaller node 1
-    assert best[comp[3]] == 0 and choice[comp[3]] == (3, None, None)
+    assert walk.value[0] == walk.value[1] == walk.value[2] == 1
+    assert walk.exit(0) == (1, 4, 13)  # the tie goes to the smaller node 1
+    assert walk.value[3] == 0 and walk.exit(3) == (3, None, None)
 
 
 def test_value_components_accepting_member_wins_ties():
     # the 0-weight cycle 0 <-> 1 holds the accepting node 1 and leaves by
     # a 0-weight edge to the accepting node 2
     succ = [[(1, 0, 0)], [(0, 0, 1), (2, 0, 2)], []]
-    comp, best, choice, _, pumped, _ = _walk_hand(succ, {1, 2})
-    assert pumped is None
-    assert best[comp[0]] == 0 and choice[comp[0]] == (1, None, None)
+    walk = _walk_hand(succ, {1, 2})
+    assert walk.pumped is None
+    assert walk.value[0] == 0 and walk.exit(0) == (1, None, None)
 
 
 def test_value_components_reports_inner_positive_edge():
     # 0 -> 1 -> 0 is a cycle whose edge 1 -> 0 weighs 1
     succ = [[(1, 0, 0)], [(2, 0, 1), (0, 1, 2)], []]
-    comp, _, _, _, pumped, _ = _walk_hand(succ, {2})
-    assert pumped == (1, 0, 2)
-    assert comp[0] == comp[1]
+    walk = _walk_hand(succ, {2})
+    assert walk.pumped == (1, 0, 2)
+    assert walk.comp[0] == walk.comp[1]
 
 
 def test_value_components_requires_acceptance():
     succ = [[(1, 0, 0)], [(0, 0, 1)]]
     with pytest.raises(AssertionError, match="cannot reach acceptance"):
         _walk_hand(succ, set())
+
+
+@st.composite
+def _walk_graphs(draw):
+    """(succ, starts, accepts, limit) for _walk: up to 12 nodes, parallel
+    edges and self-loops, every node reaching an accepting one.  In about
+    half the draws every edge inside a component weighs 0, so the walk
+    values all it reaches."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    weight = st.sampled_from((0, 0, 0, 1, 2))
+    edges = draw(st.lists(st.tuples(node, node, weight), min_size=n, max_size=3 * n))
+    _, comp, _, _ = reference_walk(
+        [[(v, 0, 0) for u2, v, _ in edges if u2 == u] for u in range(n)], range(n), range(n)
+    )
+    if draw(st.booleans()):
+        edges = [(u, v, 0 if v in comp[u] else wt) for u, v, wt in edges]
+    succ = [[] for _ in range(n)]
+    for ti, (u, v, wt) in enumerate(edges):
+        succ[u].append((v, wt, ti))
+    accepts = set(draw(st.sets(node, max_size=n)))
+    for c in set(comp.values()):
+        # a component no edge leaves keeps an accepting member
+        if not accepts & c and all(v in c for u in c for v, _, _ in succ[u]):
+            accepts.add(min(c))
+    starts = draw(st.lists(node, min_size=1, max_size=4))
+    limit = draw(st.none() | st.integers(0, 4))
+    return succ, starts, accepts, limit
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_walk_graphs())
+def test_walk_matches_the_closure_reference(graph):
+    succ, starts, accepts, limit = graph
+    walk = _walk(starts, succ.__getitem__, accepts, limit)
+    reached, comp, value, exit = reference_walk(succ, starts, accepts)
+    n = len(succ)
+    edges = {ti: (u, v, wt) for u, row in enumerate(succ) for v, wt, ti in row}
+    ids = walk.comp + [-1] * (n - len(walk.comp))
+    popped = {u for u in range(n) if u < len(walk.value) and walk.value[u] >= 0}
+    for u in popped:
+        # a popped node's whole component popped with it, under an id of its own
+        assert {v for v in range(n) if ids[v] == ids[u]} == comp[u]
+        assert walk.value[u] == value[u]
+        assert walk.exit(u) == exit[u]
+    if walk.pumped is not None:
+        u, v, ti = walk.pumped
+        assert edges[ti][:2] == (u, v) and edges[ti][2] > 0 and v in comp[u]
+    elif walk.heavier is None:
+        # the walk ran to the end, so no positive edge lies inside a
+        # component (every value is finite) and no start outweighs the limit
+        assert popped == reached
+        assert limit is None or max(value[s] for s in starts) <= limit
+    if walk.heavier is not None:
+        steps, v = walk.heavier
+        assert v in popped
+        at = edges[steps[0]][0] if steps else v
+        assert at in starts
+        g = 0
+        for ti in steps:  # the tree path chains from a start to v
+            src, dst, wt = edges[ti]
+            assert src == at
+            at, g = dst, g + wt
+        assert at == v and g + walk.value[v] > limit
 
 
 def _mismatch_loop():
@@ -664,13 +732,45 @@ def _assert_pumps(t, res):
 
 
 def test_bounds_b_is_its_formula():
-    # b is the largest |s_q| of the potential, also of the partial one a
-    # conflict leaves, and 0 when no transition shifts
+    # b is the largest |s_q| of the potential, 0 when no transition shifts,
+    # and smax * (|Q| - 1), which bounds every partial potential, when the
+    # transducer is not length-preserving
     instances = make_corpus(500, seed=CORPUS_SEED) + [gen_family(n).nft for n in range(2, 11)]
+    conflicts = 0
     for t in instances:
         st = stats(t)
-        b = 0 if st.smax == 0 else max(map(abs, shift_assignment(t).per_state.values()))
+        sa = shift_assignment(t)
+        if st.smax == 0:
+            b = 0
+        elif sa.consistent:
+            b = max(map(abs, sa.per_state.values()))
+        else:
+            b = st.smax * (st.num_states - 1)
+            assert all(abs(s) <= b for s in sa.per_state.values())
+            conflicts += 1
         assert analyze_deviation(t).bounds == Bounds(b, (b + st.lmax + 2) * st.num_states)
+    assert conflicts >= 100
+
+
+def test_bounds_do_not_depend_on_the_order_of_transitions():
+    # the propagation meets a conflict after a prefix that depends on the
+    # transition order; the reported bounds must not
+    pair = _nft(
+        ["i", "x", "f"],
+        {0},
+        {2},
+        [Transition(0, "a", "a", 1), Transition(0, "a", "", 1), Transition(1, "a", "a", 2)],
+    )
+    swapped = pair._with(transitions=(pair.transitions[1], pair.transitions[0], pair.transitions[2]))
+    assert analyze_deviation(pair).bounds == analyze_deviation(swapped).bounds == Bounds(2, 18)
+    rng = random.Random(13)
+    instances = make_corpus(300, seed=CORPUS_SEED) + [gen_family(n).nft for n in range(2, 9)]
+    for t in instances:
+        want = analyze_deviation(t).bounds
+        for _ in range(3):
+            order = list(t.transitions)
+            rng.shuffle(order)
+            assert analyze_deviation(t._with(transitions=tuple(order))).bounds == want
 
 
 def test_zero_shift_analysis_never_serializes(monkeypatch):
@@ -752,7 +852,7 @@ def test_state_graph_walk_matches_the_configuration_graph():
             assert not threshold(t, 10**6) and not exact(t, 0)
             unbounded += 1
             continue
-        value = max(walk.best[walk.comp[s]] for s in starts)
+        value = max(walk.value[s] for s in starts)
         assert res.verdict is Verdict.BOUNDED and res.value == value
         steps = res.witness.transitions
         if steps:
@@ -813,6 +913,34 @@ def test_threshold_and_exact_stop_at_the_first_heavier_path():
     assert not threshold(gen_family(16).nft, 135, max_configs=1000)
     with pytest.raises(StateBudgetExceeded):
         threshold(t, 78, max_configs=500)
+
+
+def test_decisions_write_nothing(capsys):
+    # the decisions answer through their return values and exceptions
+    # only: a caller that prints its own last line (the CLI, the
+    # benchmark) must find stdout and stderr untouched
+    instances = [
+        gen_family(6).nft,
+        gen_reach_bounded(Digraph(3, ((0, 1), (1, 2)), s=0, t=2)).nft,
+        gen_reach_bounded(Digraph(3, ((1, 0),), s=0, t=2)).nft,
+        _nft(["i", "f"], {0}, {1}, [Transition(0, "a", "", 1)]),
+        union(gen_family(4).nft, _mismatch_loop()),
+        _nft(["i", "f"], {0}, {1}, []),
+    ]
+    for t in instances:
+        analyze_deviation(t)
+        is_bounded(t)
+        for k in (0, 3, 20, 10**9):
+            threshold(t, k)
+            exact(t, k)
+        t1, t2 = deviation_to_comparison(t)
+        for mode, k in (("bounded", None), ("threshold", 3), ("exact", 3)):
+            compare(t1, t2, mode, k)
+    with pytest.raises(StateBudgetExceeded):
+        analyze_deviation(gen_family(10).nft, max_configs=100)
+    with pytest.raises(StateBudgetExceeded):
+        threshold(gen_family(10).nft, 55, max_configs=100)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_threshold_raises_on_a_too_light_early_run(monkeypatch):

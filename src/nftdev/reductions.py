@@ -6,7 +6,9 @@ comparison_to_deviation builds the synchronized product whose accepted
 pairs are exactly the output pairs of the two transducers on a common
 input, so its deviation equals the comparison distance whenever the
 domains coincide (domain equality is the caller's responsibility: the
-bounded surrogate check lives in the oracle module).
+bounded surrogate check lives in the oracle module).  The product comes
+out trimmed from one pass over its reachable pairs, without a separate
+trim.
 deviation_to_comparison goes the other way by pairing a transducer with
 the identity on its own domain.
 """
@@ -17,7 +19,7 @@ from collections import deque
 
 from .core import Nft, Transition
 from .engine import DEFAULT_MAX_CONFIGS, exact, is_bounded, threshold
-from .transform import _unique_name, add_eps_self_loops, atomize, trim
+from .transform import _closure, _unique_name, add_eps_self_loops, atomize
 
 
 def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
@@ -26,10 +28,12 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
 
     Both operands are made input-atomic and given (eps, eps) self-loops,
     then transitions are paired on equal input x in the alphabet or eps.
-    Only the pairs reachable from the initial pairs are built, and the
-    result is trimmed; it equals the trim of the full pair product, whose
-    pair (qa, qb) has index qa * |Q_b| + qb and whose transitions come in
-    the order of the operands' transition pairs.
+    One breadth-first pass builds the pairs reachable from the initial
+    pairs and records each one's predecessors; the pairs among them that
+    reach a final pair are kept.  Z is the trim of the full pair product:
+    pair (qa, qb) has index qa * |Q_b| + qb, kept pairs are numbered in
+    index order and transitions come in the order of the operands'
+    transition pairs.
     """
     a = add_eps_self_loops(atomize(t1))
     b = add_eps_self_loops(atomize(t2))
@@ -43,8 +47,9 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
         b_out.setdefault((tb.src, tb.input), []).append((ib, tb))
 
     initials = {qa * nb + qb for qa in a.initials for qb in b.initials}
-    seen = set(initials)
-    queue = deque(seen)
+    # the reached pairs, each with the source pair of every transition into it
+    pred: dict[int, list[int]] = {pair: [] for pair in initials}
+    queue = deque(pred)
     paired = []
     while queue:
         pair = queue.popleft()
@@ -53,28 +58,38 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
             for ib, tb in b_out.get((qb, ta.input), ()):
                 dst = ta.dst * nb + tb.dst
                 paired.append((ia, ib, ta.output, tb.output, dst, pair))
-                if dst not in seen:
-                    seen.add(dst)
+                if dst in pred:
+                    pred[dst].append(pair)
+                else:
+                    pred[dst] = [pair]
                     queue.append(dst)
-    kept = sorted(seen)
-    new_id = {pair: i for i, pair in enumerate(kept)}
-    paired.sort()
-    # names holding '|' can collide: a name already taken gets a ~k suffix
+    reached = sorted(pred)
+    finals = [pair for pair in reached if pair // nb in a.finals and pair % nb in b.finals]
+    live = _closure(finals, pred)
+    # names holding '|' can collide: a name already taken gets a ~k suffix.
+    # Every reached pair is named, dead ones too, so the suffixes are those
+    # of the trim of the whole reached product.
     used: set[str] = set()
-    states = tuple(
-        _unique_name(f"{a.states[pair // nb]}|{b.states[pair % nb]}", used) for pair in kept
-    )
-    z = Nft._trusted(
-        states,
+    new_id = {}
+    states = []
+    for pair in reached:
+        name = _unique_name(f"{a.states[pair // nb]}|{b.states[pair % nb]}", used)
+        if pair in live:
+            new_id[pair] = len(states)
+            states.append(name)
+    # a transition is kept iff its target is: a live target makes the source live
+    kept = sorted(entry for entry in paired if entry[4] in new_id)
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    return Nft._trusted(
+        tuple(states),
         a.alphabet | b.alphabet,
-        frozenset(new_id[pair] for pair in initials),
-        frozenset(
-            new_id[pair] for pair in kept if pair // nb in a.finals and pair % nb in b.finals
+        frozenset(new_id[pair] for pair in initials if pair in new_id),
+        frozenset(new_id[pair] for pair in finals),
+        tuple(
+            new(Transition, (new_id[src], x, y, new_id[dst])) for _, _, x, y, dst, src in kept
         ),
-        tuple(Transition(new_id[src], x, y, new_id[dst]) for _, _, x, y, dst, src in paired),
         f"{t1.name}x{t2.name}",
     )
-    return trim(z)
 
 
 def deviation_to_comparison(t: Nft) -> tuple[Nft, Nft]:
@@ -99,13 +114,14 @@ def compare(
     mode is one of "bounded", "threshold", "exact"; the latter two take
     the threshold k.  The caller asserts dom(R_t1) = dom(R_t2).
     """
-    z = comparison_to_deviation(t1, t2)
     if mode == "bounded":
-        return is_bounded(z)
-    if mode in ("threshold", "exact") and k is None:
+        return is_bounded(comparison_to_deviation(t1, t2))
+    # the arguments are checked before the product is built
+    if mode not in ("threshold", "exact"):
+        raise ValueError(f"unknown comparison mode {mode!r}")
+    if k is None:
         raise ValueError(f"{mode} mode needs k")
-    if mode == "threshold":
-        return threshold(z, k, max_configs)
-    if mode == "exact":
-        return exact(z, k, max_configs)
-    raise ValueError(f"unknown comparison mode {mode!r}")
+    if k < 0:
+        raise ValueError(f"{mode} expects a natural number")
+    z = comparison_to_deviation(t1, t2)
+    return threshold(z, k, max_configs) if mode == "threshold" else exact(z, k, max_configs)

@@ -18,6 +18,11 @@ The instances are the acceptance corpus, the seed 1-3 corpora of 500,
 1,500 length-preserving draws (500 each over "a", "ab" and "abc", seed
 99) and T_2..T_16.  The bounds of NOT_LENGTH_PRESERVING results get a
 second digest of their own, so a change to them alone shows as such.
+
+A third digest, `product`, hashes serialize_nft of comparison_to_deviation
+on every deviation_to_comparison pair above, on 300 seeded
+union(t1, t3) x t2 pairs of random_trimmed_nft draws and on the
+colliding-name fixtures of test_producers.py.
 """
 
 from __future__ import annotations
@@ -30,22 +35,28 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from helpers import make_corpus, random_length_preserving_nft  # noqa: E402
+from helpers import make_corpus, random_length_preserving_nft, random_trimmed_nft  # noqa: E402
 from test_acceptance import CORPUS_SEED  # noqa: E402
+from test_producers import COLLIDING, COLLIDING_DEAD  # noqa: E402
 
 from nftdev import (  # noqa: E402
     StateBudgetExceeded,
     Verdict,
     analyze_deviation,
     compare,
+    comparison_to_deviation,
     deviation_to_comparison,
     exact,
     gen_family,
+    parse_nft,
+    serialize_nft,
     threshold,
+    union,
 )
 
 BUDGET = 1000
 COMPARE_MAX_STATES = 64  # compares T_n up to n = 12 (4n states)
+UNION_PAIRS = 300
 
 
 def instances():
@@ -68,9 +79,27 @@ def budget_message(e: StateBudgetExceeded) -> str:
     return str(e).rpartition(",")[0]
 
 
+def union_pairs():
+    """(label, t1, t2) for UNION_PAIRS seeded union(t1, t3) x t2 products,
+    which have several initial pairs, and for the colliding-name fixtures."""
+    rng = random.Random(4243)
+    i = 0
+    while i < UNION_PAIRS:
+        t1, t2, t3 = (random_trimmed_nft(rng) for _ in range(3))
+        if t1 is not None and t2 is not None and t3 is not None:
+            yield f"union#{i}", union(t1, t3), t2
+            i += 1
+    for label, texts in (("colliding", COLLIDING), ("colliding-dead", COLLIDING_DEAD)):
+        yield label, *(parse_nft(text) for text in texts)
+
+
+def product_lines(label: str, t1, t2) -> list[str]:
+    return [label, serialize_nft(comparison_to_deviation(t1, t2))]
+
+
 def outputs(label: str, t):
-    """The strings hashed for one instance: (main, nlp_bounds)."""
-    main, nlp = [label], []
+    """The strings hashed for one instance: (main, nlp_bounds, product)."""
+    main, nlp, product = [label], [], []
     res = analyze_deviation(t)
     if res.verdict is Verdict.NOT_LENGTH_PRESERVING:
         nlp.append(repr(res.bounds))
@@ -85,6 +114,7 @@ def outputs(label: str, t):
         main.append(f"threshold {k} {threshold(t, k)} exact {exact(t, k)}")
     if not label.startswith("T") or t.num_states <= COMPARE_MAX_STATES:
         t1, t2 = deviation_to_comparison(t)
+        product = product_lines(label, t1, t2)
         main.append(f"compare bounded {compare(t1, t2, 'bounded')}")
         for k in ks:
             main.append(
@@ -95,17 +125,23 @@ def outputs(label: str, t):
             main.append(repr(analyze_deviation(t, max_configs=BUDGET)))
         except StateBudgetExceeded as e:
             main.append(budget_message(e))
-    return main, nlp
+    return main, nlp, product
 
 
 def main() -> None:
-    digests = {"main": hashlib.sha256(), "nlp-bounds": hashlib.sha256()}
+    digests = {name: hashlib.sha256() for name in ("main", "nlp-bounds", "product")}
     counts = dict.fromkeys(digests, 0)
+
+    def add(name, lines):
+        for line in lines:
+            digests[name].update(line.encode() + b"\n")
+        counts[name] += len(lines)
+
     for label, t in instances():
         for name, lines in zip(digests, outputs(label, t)):
-            for line in lines:
-                digests[name].update(line.encode() + b"\n")
-            counts[name] += len(lines)
+            add(name, lines)
+    for label, t1, t2 in union_pairs():
+        add("product", product_lines(label, t1, t2))
     for name, h in digests.items():
         print(f"{name} {h.hexdigest()} ({counts[name]} lines)")
 

@@ -97,12 +97,25 @@ def test_producers_build_well_formed_nfts():
     assert checked > 14_000, checked
 
 
+# '|' joins the product's pair names, so 'p|q' x 'r' and 'p' x 'q|r' collide
+COLLIDING = (
+    "nft a\nalphabet x y\nstate p|q initial\nstate p final\ntrans p|q p x x\nend\n",
+    "nft b\nalphabet x y\nstate r initial\nstate q|r final\ntrans r q|r x y\nend\n",
+)
+# the same collision where the lower-indexed pair, p|q x r, is reached but
+# dead, and the initial pair p|q x t is dead too
+COLLIDING_DEAD = (
+    "nft a\nalphabet x y\nstate s initial\nstate p|q initial\nstate p final\n"
+    "trans s p|q x x\ntrans s p y y\nend\n",
+    "nft b\nalphabet x y\nstate t initial\nstate r\nstate q|r final\n"
+    "trans t r x x\ntrans t q|r y x\nend\n",
+)
+
+
 def test_product_state_names_that_collide_are_answered(tmp_path):
-    """'|' joins the product's pair names, so 'p|q' x 'r' and 'p' x 'q|r'
-    collide; the second gets a ~k suffix, and every compare answer equals
-    the one for the same files with '|' renamed."""
-    a = "nft a\nalphabet x y\nstate p|q initial\nstate p final\ntrans p|q p x x\nend\n"
-    b = "nft b\nalphabet x y\nstate r initial\nstate q|r final\ntrans r q|r x y\nend\n"
+    """The second of two colliding pair names gets a ~k suffix, and every
+    compare answer equals the one for the same files with '|' renamed."""
+    a, b = COLLIDING
     z = comparison_to_deviation(parse_nft(a), parse_nft(b))
     assert sorted(z.states) == ["p|q|r", "p|q|r~2"]
     files = {}
@@ -118,3 +131,20 @@ def test_product_state_names_that_collide_are_answered(tmp_path):
         assert colliding == renamed, query
     exact = [main(["compare", "exact", str(k), files["a"], files["b"]]) for k in (0, 1, 2)]
     assert exact == [1, 0, 1]  # the deviation is 1
+
+
+def test_product_names_dead_pairs_before_dropping_them():
+    """Every reached pair is named in index order and only then are the dead
+    ones dropped, so a live pair whose name collides with a lower-indexed
+    dead pair's keeps its ~2 suffix; dead pairs, initial ones included,
+    leave no state behind."""
+    t1, t2 = (parse_nft(text) for text in COLLIDING_DEAD)
+    z = comparison_to_deviation(t1, t2)
+    assert z.states == ("s|t", "p|q|r~2")
+    assert z.initials == {0} and z.finals == {1}
+    assert z.transitions == (
+        Transition(0, "y", "x", 1),
+        Transition(0, "", "", 0),
+        Transition(1, "", "", 1),
+    )
+    _assert_well_formed(z)

@@ -1,11 +1,14 @@
 import random
 from itertools import product
 
+import pytest
+
 from helpers import (
     all_pairs_product,
     enumerate_relation,
     io_map,
     random_acyclic_nft,
+    random_length_preserving_nft,
     random_trimmed_nft,
 )
 
@@ -99,8 +102,24 @@ def test_round_trip_preserves_deviation(corpus):
         assert direct.deviation == via.deviation, t
 
 
+def _length_preserving_draws_with_lag():
+    """Seeded length-preserving draws over "ab" and "abc" whose lag bound b
+    is positive, so compare walks a configuration graph with lags."""
+    draws = []
+    for alphabet in ("ab", "abc"):
+        rng = random.Random(f"compare-lag:{alphabet}")
+        for _ in range(40):
+            t = random_length_preserving_nft(rng, alphabet)
+            if t is not None and analyze_deviation(t).bounds.b > 0:
+                draws.append(t)
+    return draws
+
+
 def test_compare_agrees_with_direct_verdicts(corpus):
-    for t in corpus[:30]:
+    draws = _length_preserving_draws_with_lag()
+    lagged_bounded = [t for t in draws if analyze_deviation(t).verdict is Verdict.BOUNDED]
+    assert len(lagged_bounded) >= 10, len(lagged_bounded)
+    for t in corpus[:30] + draws:
         direct = analyze_deviation(t)
         t1, t2 = deviation_to_comparison(t)
         assert compare(t1, t2, "bounded") == direct.bounded
@@ -205,3 +224,23 @@ def test_unknown_mode_rejected():
             assert str(exc) == f"{mode} mode needs k"
         else:
             raise AssertionError("expected ValueError")
+
+
+@pytest.mark.parametrize(
+    "mode, k, message",
+    [
+        ("bogus", 1, "unknown comparison mode 'bogus'"),
+        ("threshold", None, "threshold mode needs k"),
+        ("exact", None, "exact mode needs k"),
+        ("threshold", -1, "threshold expects a natural number"),
+        ("exact", -1, "exact expects a natural number"),
+    ],
+)
+def test_compare_checks_arguments_before_the_product(monkeypatch, mode, k, message):
+    def no_product(t1, t2):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr("nftdev.reductions.comparison_to_deviation", no_product)
+    with pytest.raises(ValueError) as exc:
+        compare(_identity(), _identity(), mode, k)
+    assert str(exc.value) == message

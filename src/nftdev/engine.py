@@ -35,9 +35,8 @@ in polynomial time by one breadth-first search over (state, phase) pairs
 inside the strongly connected components of the state graph, a phase
 being idle, a confirmed mismatch, or one letter waiting on the other
 stream for its partner; a scan of the closed cycle's words then finds
-the positions.  analyze_deviation, threshold and exact run it first and
-take UNBOUNDED from its cycle, with shortest state-graph paths as prefix
-and suffix; is_bounded is that search alone, or at smax = 0 the walk.
+the positions.  Every question runs it first and takes UNBOUNDED from
+its cycle, with shortest state-graph paths as prefix and suffix.
 
 The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
 a configuration is expanded when the depth-first walk first enters it,
@@ -47,10 +46,20 @@ The node being scanned lives in locals and each tree edge of the DFS
 path is one saved frame.  Edge rows are kept only for nodes on that path
 and in multi-node components; a popped node keeps ints only: its
 component id, its value and, at the member its component leaves by, the
-leaving edge.  threshold and exact stop at the first component whose
-root's tree path and value together weigh more than k.  When b > 0 and
-the search finds the deviation finite, it is at most B, so threshold at
-k >= B (True) and exact at k > B (False) walk no configuration.
+leaving edge.
+
+The four public questions take one route, _analyze.  analyze_deviation
+asks for the whole result; is_bounded, threshold and exact ask whether
+the deviation lies in [lo, hi], namely [0, INF], [0, k] and [k, k], and
+get the answer as soon as it is known.  A verdict other than BOUNDED
+answers from the value 0 (EMPTY) or False.  When b > 0 and the search
+finds the deviation finite, it lies in [0, B]: that answers True when
+lo = 0 and B <= hi (is_bounded; threshold at k >= B) and False when
+lo > B (exact at k > B), with no configuration walked.  So is_bounded
+walks at most the state graph, at smax = 0, and needs no budget.
+Otherwise the walk stops at the first component whose root's tree path
+and value together weigh more than hi; that run is rebuilt and checked
+to exceed hi, and the answer is False.
 
 For a length-preserving trimmed transducer the lag at q holds |s_q|
 letters, so every lag stays within b = max |s_q|, read from the shift
@@ -75,7 +84,7 @@ from operator import ne
 from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
-from .transform import is_trim, trim, trim_with_maps
+from .transform import is_trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
 
@@ -649,19 +658,23 @@ def _close_cycle(t: Nft, rows, comp, parent, done, shift) -> tuple[int, Run, int
 
 
 def _analyze(
-    t: Nft, max_configs: int, limit: int | None = None, bound_limit: int | None = None
-) -> DeviationResult | Run | Bounds:
-    """analyze_deviation, except that with a limit the walk may stop at
-    the first accepting run it finds heavier than the limit, and that run
-    (in original identifiers) is returned in place of the result; and that
-    when b > 0, the search has found the deviation finite and B is at most
-    bound_limit, the bounds are returned and no configuration is walked:
-    every finite deviation is at most B."""
+    t: Nft, max_configs: ExtendedNat, question: tuple[int, ExtendedNat] | None = None
+) -> DeviationResult | bool:
+    """analyze_deviation, or, asked the question (lo, hi), whether the
+    deviation lies in [lo, hi], by the route the module docstring gives.
+    max_configs = INF sets no budget."""
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
+    lo, hi = question or (0, INF)
+    limit = None if hi is INF else hi
+
+    def reply(**fields) -> DeviationResult | bool:
+        res = DeviationResult(**fields)
+        return res if question is None else res.bounded and lo <= res.value <= hi
+
     trimmed, state_map, trans_map = trim_with_maps(t)
     if trimmed.num_states == 0:
-        return DeviationResult(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
+        return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
 
     st = stats(trimmed)
     # route on smax, never on b: a conflict met early can leave b = 0
@@ -676,15 +689,15 @@ def _analyze(
     bounds = Bounds(b, (b + st.lmax + 2) * trimmed.num_states)
     if sa is not None and not sa.consistent:
         witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
-        return DeviationResult(
+        return reply(
             verdict=Verdict.NOT_LENGTH_PRESERVING,
             bounds=bounds,
             witness=_map_run(witness.transitions, trans_map),
         )
 
-    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult:
+    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
         """UNBOUNDED from a pumpable cycle at p."""
-        return DeviationResult(
+        return reply(
             verdict=Verdict.UNBOUNDED,
             bounds=bounds,
             cycle_witness=_map_run(cycle, trans_map),
@@ -709,8 +722,9 @@ def _analyze(
         found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
-        if bound_limit is not None and bounds.B <= bound_limit:
-            return bounds
+        if question is not None and (lo > bounds.B or lo == 0 and bounds.B <= hi):
+            # the deviation lies in [0, B], which is inside [lo, hi] or outside it
+            return lo == 0
         expand, _, _, starts, accepts = _configurations(trimmed, sa, b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
@@ -721,7 +735,7 @@ def _analyze(
         steps += _chain(walk, v)
         if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
             raise AssertionError("run heavier than the limit does not exceed it")
-        return _map_run(steps, trans_map)
+        return False
     start = max(starts, key=lambda s: (walk.value[s], -s))
     value = walk.value[start]
     steps = _chain(walk, start)
@@ -729,7 +743,7 @@ def _analyze(
         raise AssertionError("witness must realize the computed deviation")
     if value > bounds.B:
         raise AssertionError("bounded deviation exceeds the quadratic bound")
-    return DeviationResult(
+    return reply(
         verdict=Verdict.BOUNDED,
         bounds=bounds,
         value=value,
@@ -761,48 +775,24 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
 
 
 def is_bounded(t: Nft) -> bool:
-    """True iff the deviation is finite (the empty relation counts as 0).
-
-    Decided in polynomial time on the state graph.  After trimming, when
-    smax = 0 the state graph with its mismatch weights is walked once, and
-    the deviation is finite exactly when no positive edge lies inside a
-    strongly connected component.  Otherwise the shift potential is
-    propagated (an inconsistency means not length preserving, hence
-    unbounded), and the (state, phase) product is searched for a cycle
-    that breaks conjugacy by its anchor's shift; the deviation is finite
-    exactly when there is none.  analyze_deviation, threshold and exact
-    take the same two routes to UNBOUNDED.
-    """
-    trimmed = trim(t)
-    if trimmed.num_states == 0:
-        return True
-    if stats(trimmed).smax == 0:
-        rows = _state_rows(trimmed, weighted=True)
-        return _walk(sorted(trimmed.initials), rows.__getitem__, trimmed.finals).pumped is None
-    rows = _state_rows(trimmed)
-    sa = _shift_potential(trimmed, rows)
-    return sa.consistent and _nonconjugate_cycle(trimmed, rows, sa.per_state) is None
+    """True iff the deviation lies in [0, INF], that is, is finite (the
+    empty relation counts as 0).  Decided in polynomial time and with no
+    budget: at smax = 0 by one walk of the state graph, otherwise before
+    any configuration is walked."""
+    return _analyze(t, INF, (0, INF))
 
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
-    """True iff the deviation is at most k; k may be arbitrarily large (it
-    arrives in binary from the CLI).  When b > 0 and the deviation is
-    finite, k >= B answers True without the configuration graph; otherwise
-    its walk stops, with False, at the first path it finds heavier than k."""
+    """True iff the deviation lies in [0, k], that is, is at most k; k may
+    be arbitrarily large (it arrives in binary from the CLI)."""
     if k < 0:
         raise ValueError("threshold expects a natural number")
-    res = _analyze(t, max_configs, k, k)
-    return isinstance(res, Bounds) or (
-        isinstance(res, DeviationResult) and res.bounded and res.value <= k
-    )
+    return _analyze(t, max_configs, (0, k))
 
 
 def exact(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
-    """True iff the deviation is finite and equal to k; like threshold, it
-    answers k > B from the bound when b > 0 and the deviation is finite
-    (False), and otherwise stops with False at the first path heavier than
-    k."""
+    """True iff the deviation lies in [k, k], that is, is finite and equal
+    to k."""
     if k < 0:
         raise ValueError("exact expects a natural number")
-    res = _analyze(t, max_configs, k, k - 1)
-    return isinstance(res, DeviationResult) and res.bounded and res.value == k
+    return _analyze(t, max_configs, (k, k))

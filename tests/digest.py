@@ -22,7 +22,9 @@ second digest of their own, so a change to them alone shows as such.
 A third digest, `product`, hashes serialize_nft of comparison_to_deviation
 on every deviation_to_comparison pair above, on 300 seeded
 union(t1, t3) x t2 pairs of random_trimmed_nft draws and on the
-colliding-name fixtures of test_producers.py.
+colliding-name fixtures of test_producers.py.  A fourth, `bounded`,
+hashes is_bounded of every instance, apart from `main` so that `main`
+stays comparable with trees that did not hash it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from nftdev import (  # noqa: E402
     deviation_to_comparison,
     exact,
     gen_family,
+    is_bounded,
     parse_nft,
     serialize_nft,
     threshold,
@@ -98,7 +101,8 @@ def product_lines(label: str, t1, t2) -> list[str]:
 
 
 def outputs(label: str, t):
-    """The strings hashed for one instance: (main, nlp_bounds, product)."""
+    """The strings hashed for one instance: (main, nlp_bounds, product,
+    bounded)."""
     main, nlp, product = [label], [], []
     res = analyze_deviation(t)
     if res.verdict is Verdict.NOT_LENGTH_PRESERVING:
@@ -125,11 +129,11 @@ def outputs(label: str, t):
             main.append(repr(analyze_deviation(t, max_configs=BUDGET)))
         except StateBudgetExceeded as e:
             main.append(budget_message(e))
-    return main, nlp, product
+    return main, nlp, product, [f"{label} {is_bounded(t)}"]
 
 
 def main() -> None:
-    digests = {name: hashlib.sha256() for name in ("main", "nlp-bounds", "product")}
+    digests = {name: hashlib.sha256() for name in ("main", "nlp-bounds", "product", "bounded")}
     counts = dict.fromkeys(digests, 0)
 
     def add(name, lines):

@@ -538,6 +538,55 @@ def test_threshold_consistent_with_exact_value(corpus):
     assert bounded >= 300
 
 
+def test_questions_on_bounded_instances_with_lags(monkeypatch):
+    # the acceptance corpus has no bounded instance with b > 0, so the
+    # questions' exit from [0, B] is checked on seeded length-preserving
+    # draws kept when bounded with b > 0, on T_2..T_10 and on their
+    # comparison pairs, whose products have bounds of their own
+    real = nftdev.engine._configurations
+    graphs = []
+
+    def counted(*args):
+        graphs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nftdev.engine, "_configurations", counted)
+    rng = random.Random(2121)
+    instances = []
+    for alphabet in ("ab", "abc"):
+        for _ in range(300):
+            t = random_length_preserving_nft(rng, alphabet)
+            if t is not None:
+                res = analyze_deviation(t)
+                if res.verdict is Verdict.BOUNDED and res.bounds.b > 0:
+                    instances.append(t)
+    assert len(instances) >= 100
+    instances += [gen_family(n).nft for n in range(2, 11)]
+    from_bounds = agreed = 0
+    for t in instances:
+        res = analyze_deviation(t)
+        v, B = res.value, res.bounds.B
+        orc = brute_force_deviation(t, node_budget=20_000)
+        if not orc.saturated:
+            assert orc.max_seen == v
+            agreed += 1
+        for k in sorted(k for k in {v - 1, v, v + 1, B - 1, B, B + 1} if k >= 0):
+            for question, answer in ((threshold, v <= k), (exact, v == k)):
+                graphs.clear()
+                assert question(t, k) is answer
+                from_bounds += not graphs
+        t1, t2 = deviation_to_comparison(t)
+        product = analyze_deviation(comparison_to_deviation(t1, t2))
+        assert product.verdict is Verdict.BOUNDED and product.value == v
+        zB = product.bounds.B
+        assert compare(t1, t2, "bounded") is True
+        for k in sorted(k for k in {v - 1, v, v + 1, zB - 1, zB, zB + 1} if k >= 0):
+            assert compare(t1, t2, "threshold", k) is (v <= k)
+            assert compare(t1, t2, "exact", k) is (v == k)
+    # threshold at B and B + 1 and exact at B + 1 answer from the bounds
+    assert agreed == len(instances) and from_bounds == 3 * len(instances)
+
+
 def test_wider_lags_match_oracle():
     # 3 letters and state shifts up to 3, beyond the 2-letter corpus
     rng = random.Random(4711)
@@ -561,26 +610,46 @@ def test_wider_lags_match_oracle():
 
 
 def test_invariant_checks_survive_optimize():
-    # a wrong distance function must trip the witness check even under -O
-    script = (
-        "import nftdev.engine as engine\n"
-        "from nftdev import gen_family\n"
-        "engine.hamming_distance = lambda u, v: -1\n"
-        "try:\n"
-        "    engine.analyze_deviation(gen_family(3).nft)\n"
-        "except AssertionError as exc:\n"
-        "    print('raised:', exc)\n"
-    )
+    # a wrong distance function must trip the witness check even under -O,
+    # in the full analysis and in the questions' check of a heavier run:
+    # T_12 has deviation 78, so at k = 77 both walks stop at a heavier run
+    cases = [
+        (
+            "engine.hamming_distance = lambda u, v: -1\n"
+            "queries = [lambda: engine.analyze_deviation(gen_family(3).nft)]\n",
+            ["raised: witness must realize"],
+        ),
+        (
+            "engine.hamming_distance = lambda u, v: 0\n"
+            "t = gen_family(12).nft\n"
+            "queries = [lambda: engine.threshold(t, 77), lambda: engine.exact(t, 77)]\n",
+            ["raised: run heavier than the limit does not exceed it"] * 2,
+        ),
+    ]
     src = str(Path(nftdev.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: witness must realize"), proc.stdout
+    for patch, expected in cases:
+        script = (
+            "import nftdev.engine as engine\n"
+            "from nftdev import gen_family\n"
+            + patch
+            + "for query in queries:\n"
+            "    try:\n"
+            "        query()\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(expected), proc.stdout
+        for line, prefix in zip(lines, expected):
+            assert line.startswith(prefix), proc.stdout
 
 
 def test_no_bare_asserts_in_package():
@@ -894,6 +963,45 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         calls.clear()
     assert is_bounded(gen_family(4).nft)
     assert calls == {"_shift_potential": 1, "_nonconjugate_cycle": 1}
+
+
+def test_every_question_takes_one_route(monkeypatch):
+    # each question trims once, on the way into the one analysis, and
+    # is_bounded meets no budget: at b > 0 it answers before the walk, at
+    # smax = 0 it walks the state graph
+    real = nftdev.engine.trim_with_maps
+    trimmed = []
+
+    def counted(t):
+        trimmed.append(t)
+        return real(t)
+
+    def refuse(*args):
+        raise AssertionError("a budget was exceeded")
+
+    monkeypatch.setattr(nftdev.engine, "trim_with_maps", counted)
+    chain = tuple((v, v + 1) for v in range(5))
+    instances = [
+        gen_family(4).nft,
+        union(gen_family(3).nft, _mismatch_loop()),
+        gen_reach_bounded(Digraph(6, chain, s=0, t=5)).nft,
+        gen_reach_bounded(Digraph(6, chain[:-1], s=0, t=5)).nft,
+        _nft(["i", "f"], {0}, {1}, [Transition(0, "a", "", 1)]),
+        _nft(["i", "f"], {0}, {1}, []),
+    ]
+    queries = (analyze_deviation, is_bounded, lambda t: threshold(t, 3), lambda t: exact(t, 3))
+    for t in instances:
+        for query in queries:
+            trimmed.clear()
+            query(t)
+            assert trimmed == [t]
+    monkeypatch.setattr(nftdev.engine, "_over_budget", refuse)
+    rng = random.Random(2000)
+    edges = tuple((rng.randrange(2000), rng.randrange(2000)) for _ in range(4000))
+    reach = gen_reach_bounded(Digraph(2000, edges, s=0, t=1999)).nft
+    assert stats(reach).smax == 0
+    assert is_bounded(gen_family(400).nft) is True
+    assert is_bounded(reach) is analyze_deviation(reach).bounded
 
 
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):

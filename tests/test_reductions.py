@@ -234,13 +234,18 @@ def test_unknown_mode_rejected():
         ("exact", None, "exact mode needs k"),
         ("threshold", -1, "threshold expects a natural number"),
         ("exact", -1, "exact expects a natural number"),
+        ("bounded", 5, "bounded mode takes no k"),
+        ("bounded", 0, "bounded mode takes no k"),
+        ("threshold", (3, 0), "max_configs must be at least 1"),
+        ("exact", (3, -1), "max_configs must be at least 1"),
     ],
 )
 def test_compare_checks_arguments_before_the_product(monkeypatch, mode, k, message):
+    # a pair k stands for (k, max_configs)
     def no_product(t1, t2):
         raise AssertionError("the product was built")
 
     monkeypatch.setattr("nftdev.reductions.comparison_to_deviation", no_product)
     with pytest.raises(ValueError) as exc:
-        compare(_identity(), _identity(), mode, k)
+        compare(_identity(), _identity(), mode, *(k if isinstance(k, tuple) else (k,)))
     assert str(exc.value) == message

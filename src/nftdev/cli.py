@@ -118,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_CONFIGS,
             help="budget for the configuration graph, in configurations (default"
-            " 2**20); each costs about 200 to 260 bytes of peak memory, so the"
-            " default allows about 0.2 to 0.3 GB",
+            " 2**20), counted after chains of one-in/one-out states are fused;"
+            " each costs about 200 to 300 bytes of peak memory, so the default"
+            " allows about 0.2 to 0.35 GB",
         )
 
     p = sub.add_parser("analyze", help="full deviation report for NFT files")

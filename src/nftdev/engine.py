@@ -17,7 +17,10 @@ exact supremum when it is finite:
    state, and s_f = 0 empties the lag there.  So a positive-weight edge
    on any cycle can be pumped, and the deviation is INF; otherwise every
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
-   paths from an initial to an accepting configuration.
+   paths from an initial to an accepting configuration.  No configuration
+   is built at a fusable state, one that is neither initial nor final and
+   has one incoming and one outgoing transition, not a self-loop: the
+   graph is that of the transducer with its chains fused (see below).
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the trimmed state graph
@@ -37,6 +40,15 @@ being idle, a confirmed mismatch, or one letter waiting on the other
 stream for its partner; a scan of the closed cycle's words then finds
 the positions.  Every question runs it first and takes UNBOUNDED from
 its cycle, with shortest state-graph paths as prefix and suffix.
+
+Before the graph is built, _fuse_chains makes each maximal chain through
+fusable states one transition that reads and writes the chain's words.
+A trimmed transducer has no cycle of fusable states alone, which could
+not be reached, so the fused runs are the trimmed runs, with the same
+words and so the same distance, and s_q and b are unchanged at the
+states that stay.  On T_n the pad chain q_1..q_{n-1} goes, a third of
+the configurations.  Every run the walk finds is unfolded to the trimmed
+transitions before it is checked and mapped back to the original ids.
 
 The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
 a configuration is expanded when the depth-first walk first enters it,
@@ -83,7 +95,7 @@ from itertools import repeat
 from operator import ne
 from typing import NamedTuple
 
-from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
+from .core import INF, ExtendedNat, Nft, Run, Transition, hamming_distance, run_words, stats
 from .transform import is_trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
@@ -476,7 +488,9 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
 
 def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int):
     """The configuration graph as _walk unfolds it: (expand, state, lags,
-    starts, accepts).
+    starts, accepts).  trimmed is the trimmed transducer or its
+    _fuse_chains version, which keeps the state ids, and the budget counts
+    the configurations of the graph built from it.
 
     Node ids number the configurations (q, lag) in discovery order, the
     starts first; state[u] and lags[u] are u's state and lag, and each
@@ -573,6 +587,52 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
         return row
 
     return expand, state, lags, starts, accepts
+
+
+def _fuse_chains(trimmed: Nft, rows) -> tuple[Nft, list[tuple[int, ...]] | None]:
+    """trimmed with each maximal chain through fusable states made one
+    transition, and per new transition the trimmed transitions it stands
+    for; (trimmed, None) when no state is fusable.  rows is
+    _state_rows(trimmed).
+
+    A state is fusable when it is neither initial nor final and has
+    exactly one incoming and one outgoing transition, not a self-loop; no
+    cycle of fusable states alone can be reached, so every chain starts
+    at a kept state.  A new transition reads and writes the concatenated
+    words of its chain and takes the place of the chain's first
+    transition.  Fusable states keep their ids but lose their
+    transitions, so the shift potential still applies.
+    """
+    ends = trimmed.initials | trimmed.finals
+    # in-degrees are counted only once some state has one outgoing
+    # transition: a compare product has an (eps, eps) loop on every state
+    fusable = [len(row) == 1 and row[0][0] != q and q not in ends for q, row in enumerate(rows)]
+    if any(fusable):
+        indeg = [0] * trimmed.num_states
+        for tr in trimmed.transitions:
+            indeg[tr.dst] += 1
+        fusable = [f and indeg[q] == 1 for q, f in enumerate(fusable)]
+    if not any(fusable):
+        return trimmed, None
+    transitions: list[Transition] = []
+    parts: list[tuple[int, ...]] = []
+    for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
+        if fusable[src]:
+            continue
+        chain = [ti]
+        while fusable[dst]:
+            ((nxt, _, ni),) = rows[dst]
+            _, nx, ny, _ = trimmed.transitions[ni]
+            x, y, dst = x + nx, y + ny, nxt
+            chain.append(ni)
+        transitions.append(Transition(src, x, y, dst))
+        parts.append(tuple(chain))
+    return trimmed._with(transitions=tuple(transitions)), parts
+
+
+def _unfold(steps: list[int], parts) -> list[int]:
+    """The trimmed transitions of a run of _fuse_chains' transducer."""
+    return steps if parts is None else [i for s in steps for i in parts[s]]
 
 
 def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
@@ -711,7 +771,7 @@ def _analyze(
         # lag is empty and the configuration graph is the state graph
         if trimmed.num_states > max_configs:
             raise _over_budget(max_configs, 0, trimmed.num_states, time.perf_counter())
-        starts = sorted(trimmed.initials)
+        starts, parts = sorted(trimmed.initials), None
         walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
         if walk.pumped is not None:
             # every state reaches a final one, so a positive edge inside a
@@ -725,20 +785,21 @@ def _analyze(
         if question is not None and (lo > bounds.B or lo == 0 and bounds.B <= hi):
             # the deviation lies in [0, B], which is inside [lo, hi] or outside it
             return lo == 0
-        expand, _, _, starts, accepts = _configurations(trimmed, sa, b, max_configs)
+        fused, parts = _fuse_chains(trimmed, rows)
+        expand, _, _, starts, accepts = _configurations(fused, sa, b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
             # the search above has ruled out every pumpable cycle
             raise AssertionError("positive edge inside a component of a bounded transducer")
     if walk.heavier is not None:
         steps, v = walk.heavier
-        steps += _chain(walk, v)
+        steps = _unfold(steps + _chain(walk, v), parts)
         if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
             raise AssertionError("run heavier than the limit does not exceed it")
         return False
     start = max(starts, key=lambda s: (walk.value[s], -s))
     value = walk.value[start]
-    steps = _chain(walk, start)
+    steps = _unfold(_chain(walk, start), parts)
     if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
         raise AssertionError("witness must realize the computed deviation")
     if value > bounds.B:

@@ -112,10 +112,13 @@ def compare(
     """Decide a comparison problem through the deviation of the product.
 
     mode is one of "bounded", "threshold", "exact"; the latter two take
-    the threshold k and the budget max_configs, and bounded takes no k.
+    the threshold k and the budget max_configs, and bounded takes no k
+    and needs no budget.  max_configs must be at least 1 in every mode.
     The caller asserts dom(R_t1) = dom(R_t2).
     """
     # the arguments are checked before the product is built
+    if max_configs < 1:
+        raise ValueError("max_configs must be at least 1")
     if mode == "bounded":
         if k is not None:
             raise ValueError("bounded mode takes no k")
@@ -126,7 +129,5 @@ def compare(
         raise ValueError(f"{mode} mode needs k")
     if k < 0:
         raise ValueError(f"{mode} expects a natural number")
-    if max_configs < 1:
-        raise ValueError("max_configs must be at least 1")
     z = comparison_to_deviation(t1, t2)
     return threshold(z, k, max_configs) if mode == "threshold" else exact(z, k, max_configs)

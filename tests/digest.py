@@ -3,8 +3,13 @@ keeps them byte for byte.
 
     PYTHONPATH=src python tests/digest.py
 
-Run it on two trees, each in its own process, and compare the lines.  It
-hashes, per instance:
+Run it on two trees, each in its own process, and compare the lines.
+With --lines it prints every hashed line instead, each after the name of
+its digest, so that two trees' outputs can be diffed line by line:
+
+    PYTHONPATH=src python tests/digest.py --lines > lines.txt
+
+It hashes, per instance:
 
 - the repr of analyze_deviation;
 - threshold and exact at k in {0, 1, 2, 5, v - 1, v}, v the value when
@@ -29,6 +34,7 @@ stays comparable with trees that did not hash it.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import random
@@ -133,12 +139,19 @@ def outputs(label: str, t):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest the engine's observable outputs.")
+    parser.add_argument(
+        "--lines", action="store_true", help="print every hashed line instead of the digests"
+    )
+    show = parser.parse_args().lines
     digests = {name: hashlib.sha256() for name in ("main", "nlp-bounds", "product", "bounded")}
     counts = dict.fromkeys(digests, 0)
 
     def add(name, lines):
         for line in lines:
             digests[name].update(line.encode() + b"\n")
+            if show:
+                print(name, line)
         counts[name] += len(lines)
 
     for label, t in instances():
@@ -146,8 +159,9 @@ def main() -> None:
             add(name, lines)
     for label, t1, t2 in union_pairs():
         add("product", product_lines(label, t1, t2))
-    for name, h in digests.items():
-        print(f"{name} {h.hexdigest()} ({counts[name]} lines)")
+    if not show:
+        for name, h in digests.items():
+            print(f"{name} {h.hexdigest()} ({counts[name]} lines)")
 
 
 if __name__ == "__main__":

@@ -36,9 +36,11 @@ from nftdev import (
     Verdict,
     add_eps_self_loops,
     analyze_deviation,
+    atomize,
     brute_force_deviation,
     compare,
     comparison_to_deviation,
+    concat,
     deviation_to_comparison,
     exact,
     gen_3sat,
@@ -57,7 +59,8 @@ from nftdev import (
     union,
 )
 from nftdev.cli import main
-from nftdev.engine import _configurations, _walk
+from nftdev.engine import _configurations, _fuse_chains, _state_rows, _walk
+from nftdev.transform import trim_with_maps
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -284,10 +287,14 @@ def test_max_configs_below_one_rejected():
 
 
 def test_state_budget_boundary():
+    # the budget counts the configurations of the fused graph, where the
+    # pad chain q_1..q_9 of T_10 has none
     t = gen_family(10).nft
     sa = shift_assignment(t)
     b = max(map(abs, sa.per_state.values()))
-    expand, state, _, starts, accepts = _configurations(t, sa, b, 2**20)
+    fused, parts = _fuse_chains(t, _state_rows(t))
+    assert len(parts) == len(t.transitions) - 9
+    expand, state, _, starts, accepts = _configurations(fused, sa, b, 2**20)
     _walk(starts, expand, accepts)
     n = len(state)
     assert analyze_deviation(t, max_configs=n).value == 55
@@ -585,6 +592,91 @@ def test_questions_on_bounded_instances_with_lags(monkeypatch):
             assert compare(t1, t2, "exact", k) is (v == k)
     # threshold at B and B + 1 and exact at B + 1 answer from the bounds
     assert agreed == len(instances) and from_bounds == 3 * len(instances)
+
+
+def _accepting(t, steps) -> bool:
+    """Whether the transitions `steps` chain from an initial state of t to
+    a final one (run_words checks the chaining)."""
+    run_words(t, Run(tuple(steps)))
+    if not steps:
+        return bool(t.initials & t.finals)
+    return t.transitions[steps[0]].src in t.initials and t.transitions[steps[-1]].dst in t.finals
+
+
+def test_fused_chains_keep_every_answer(monkeypatch):
+    # atomize and concat make chains of one-in/one-out states, and T_n has
+    # its pad chain; the fused graph must give the answers of the unfused
+    # one, and every run it finds must re-verify on the original ids
+    real_run_words = nftdev.engine.run_words
+    checked = []
+
+    def recorded(t, run):
+        checked.append(run.transitions)
+        return real_run_words(t, run)
+
+    monkeypatch.setattr(nftdev.engine, "run_words", recorded)
+    rng = random.Random(2222)
+    instances = []
+    for alphabet in ("ab", "abc"):
+        draws = [random_length_preserving_nft(rng, alphabet) for _ in range(120)]
+        draws = [atomize(t) for t in draws if t is not None]
+        instances += draws + [concat(a, c) for a, c in zip(draws[::3], draws[1::3])]
+    instances += [gen_family(n).nft for n in range(2, 13)]
+    with_chains = walked = from_oracle = 0
+    for t in instances:
+        trimmed, _, trans_map = trim_with_maps(t)
+        rows = _state_rows(trimmed)
+        sa = shift_assignment(trimmed)
+        b = max(map(abs, sa.per_state.values()))
+        st_t = stats(trimmed)
+        fused, parts = _fuse_chains(trimmed, rows)
+        indeg = Counter(tr.dst for tr in trimmed.transitions)
+        gone = {
+            q
+            for q in range(trimmed.num_states)
+            if indeg[q] == 1 and len(rows[q]) == 1 and rows[q][0][0] != q
+        } - trimmed.initials - trimmed.finals
+        ends = {q for tr in fused.transitions for q in (tr.src, tr.dst)}
+        assert ends == {q for tr in trimmed.transitions for q in (tr.src, tr.dst)} - gone
+        assert (parts is None) == (not gone)
+        if parts is not None:
+            with_chains += 1
+            covered = sorted(i for part in parts for i in part)
+            assert covered == list(range(len(trimmed.transitions)))
+            for (src, x, y, dst), part in zip(fused.transitions, parts):
+                u, v = run_words(trimmed, Run(part))
+                assert (x, y) == (u, v)
+                assert trimmed.transitions[part[0]].src == src
+                assert trimmed.transitions[part[-1]].dst == dst
+        orc = brute_force_deviation(t, node_budget=20_000)
+        if orc.saturated:
+            _, succ, _, starts, accepts = tuple_keyed_graph(trimmed, sa.per_state, b)
+            ref = _walk(starts, succ.__getitem__, accepts)
+            expected = INF if ref.pumped else max(ref.value[s] for s in starts)
+        else:
+            expected = orc.max_seen
+            from_oracle += 1
+        res = analyze_deviation(t)
+        assert res.bounds == Bounds(b, (b + st_t.lmax + 2) * trimmed.num_states)
+        if expected is INF:
+            assert res.verdict is Verdict.UNBOUNDED
+            run = res.cycle_prefix.transitions + res.cycle_witness.transitions
+            assert _accepting(t, run + res.cycle_suffix.transitions)
+            continue
+        assert res.verdict is Verdict.BOUNDED and res.value == expected
+        assert _accepting(t, res.witness.transitions)
+        assert hamming_distance(*run_words(t, res.witness)) == expected
+        walked += parts is not None and b > 0
+        for k in range(max(expected - 2, 0), min(expected + 2, res.bounds.B)):
+            for question, answer in ((threshold, expected <= k), (exact, expected == k)):
+                checked.clear()
+                assert question(t, k) is answer
+                if not answer and k < expected:
+                    # the last run the engine checked is the heavier one
+                    heavier = [trans_map[i] for i in checked[-1]]
+                    assert _accepting(t, heavier)
+                    assert hamming_distance(*run_words(t, Run(tuple(heavier)))) > k
+    assert with_chains >= 100 and walked >= 50 and from_oracle >= 100
 
 
 def test_wider_lags_match_oracle():

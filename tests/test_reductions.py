@@ -238,6 +238,8 @@ def test_unknown_mode_rejected():
         ("bounded", 0, "bounded mode takes no k"),
         ("threshold", (3, 0), "max_configs must be at least 1"),
         ("exact", (3, -1), "max_configs must be at least 1"),
+        ("bounded", (None, 0), "max_configs must be at least 1"),
+        ("bounded", (None, -5), "max_configs must be at least 1"),
     ],
 )
 def test_compare_checks_arguments_before_the_product(monkeypatch, mode, k, message):

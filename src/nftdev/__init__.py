@@ -26,8 +26,6 @@ from .engine import (
     DEFAULT_MAX_CONFIGS,
     Bounds,
     DeviationResult,
-    ShiftAssignment,
-    ShiftConflict,
     StateBudgetExceeded,
     Verdict,
     analyze_deviation,
@@ -76,8 +74,6 @@ __all__ = [
     "OracleScaleExceeded",
     "ParseError",
     "Run",
-    "ShiftAssignment",
-    "ShiftConflict",
     "StateBudgetExceeded",
     "Transition",
     "Verdict",

@@ -87,6 +87,10 @@ def _check_letter(letter: str) -> str | None:
     return None
 
 
+def _is_token(name: str) -> bool:
+    return "#" not in name and name.split() == [name]
+
+
 @dataclass(frozen=True)
 class Nft:
     """A nondeterministic finite-state transducer.
@@ -140,9 +144,13 @@ class Nft:
         return t
 
     def _validate(self):
+        # the text format carries a name as one token: not empty, no '#'
+        # and no whitespace
+        if not _is_token(self.name):
+            raise ValueError(f"invalid name {self.name!r}")
         seen = set()
         for s in self.states:
-            if "#" in s or s.split() != [s]:
+            if not _is_token(s):
                 raise ValueError(f"invalid state name {s!r}")
             if s in seen:
                 raise ValueError(f"duplicate state name {s!r}")

@@ -5,8 +5,10 @@ input and output is unbounded over the accepted pairs, and computes the
 exact supremum when it is finite:
 
 1. trim; an empty result means the relation is empty (deviation 0);
-2. propagate state shifts from the initial states; an inconsistency is a
-   witness that the transducer is not length-preserving (deviation INF);
+2. propagate the shift potential s_p from the initial states; where two
+   initial runs disagree on a state's shift, or a final state's is not 0,
+   the propagation returns an accepting run with |u| != |v|, the witness
+   that the transducer is not length-preserving (deviation INF);
 3. otherwise consider the alignment-configuration graph.  A configuration
    is a state q with the buffer of unmatched letters (the lag); the lag
    holds |s_q| letters, of the input when s_q > 0 and of the output when
@@ -126,38 +128,6 @@ class Bounds:
     B: int
 
 
-@dataclass(frozen=True)
-class ShiftConflict:
-    """Evidence that no consistent shift assignment exists.
-
-    Either two initial runs reach `state` with different shifts
-    (run_b is the second run), or run_a is an initial run reaching the
-    final state `state` with nonzero shift (run_b is None).
-    """
-
-    state: int
-    run_a: Run
-    run_b: Run | None = None
-
-
-@dataclass(frozen=True)
-class ShiftAssignment:
-    """The state-shift potential map s_p of a trimmed transducer.
-
-    When consistent, every initial run to p has shift per_state[p], all
-    initial and final states have shift 0, and s_q = s_p + shift(d) holds
-    for every transition d from p to q; this is equivalent to the
-    transducer being length-preserving.
-    """
-
-    per_state: dict[int, int]
-    conflict_witness: ShiftConflict | None = None
-
-    @property
-    def consistent(self) -> bool:
-        return self.conflict_witness is None
-
-
 class Verdict(str, Enum):
     BOUNDED = "bounded"
     UNBOUNDED = "unbounded"
@@ -171,7 +141,8 @@ class DeviationResult:
 
     value is the exact deviation for BOUNDED, 0 for EMPTY, None otherwise.
     witness is a maximum-mismatch accepting run (BOUNDED) or an accepting
-    run with unequal word lengths (NOT_LENGTH_PRESERVING).  For UNBOUNDED,
+    run with unequal word lengths (NOT_LENGTH_PRESERVING), the run that
+    shift_assignment(trim(t)) returns in the trimmed ids.  For UNBOUNDED,
     cycle_witness is a mismatching run from anchor_state to itself, and
     cycle_prefix/cycle_suffix complete it to a pumpable accepting run.
     All runs and states use the identifiers of the analyzed (original)
@@ -239,20 +210,25 @@ def _bfs_path(rows, sources, targets, comp=None) -> tuple[int, ...]:
     raise AssertionError("no path from the source to a target")
 
 
-def shift_assignment(t: Nft) -> ShiftAssignment:
-    """Propagate the shift potential s_p from the initial states.
+def shift_assignment(t: Nft) -> tuple[dict[int, int], Run | None]:
+    """The shift potential s_p of a trimmed transducer, propagated from the
+    initial states, and an accepting run with |u| != |v|, or None.
 
-    Requires a trimmed transducer.  Returns an inconsistency witness when
+    The run is None exactly when the potential is consistent: every
+    initial run to p has shift s_p, initial and final states have shift
+    0, and s_q = s_p + shift(d) for every transition d from p to q; this
+    is equivalent to the transducer being length-preserving.  Otherwise
     two initial runs disagree on some state's shift or a final state ends
-    with nonzero shift; consistency is equivalent to length preservation.
-    For any Nft, shift_assignment(trim(t)) gives it in the trimmed ids.
+    with nonzero shift, the run shows it and the potential covers only
+    the states assigned before.  For any Nft, shift_assignment(trim(t))
+    gives both in the trimmed ids.
     """
     if not is_trim(t):
         raise ValueError("engine requires trimmed Nft")
     return _shift_potential(t, _state_rows(t))
 
 
-def _shift_potential(t: Nft, rows) -> ShiftAssignment:
+def _shift_potential(t: Nft, rows) -> tuple[dict[int, int], Run | None]:
     """shift_assignment without its trimness check, for callers that have
     just trimmed; rows is _state_rows(t)."""
     s: dict[int, int] = {}
@@ -262,8 +238,7 @@ def _shift_potential(t: Nft, rows) -> ShiftAssignment:
         s[q] = 0
         parent[q] = None
         queue.append(q)
-    conflict = None
-    while queue and conflict is None:
+    while queue:
         p = queue.popleft()
         for q, _, idx in rows[p]:
             _, x, y, _ = t.transitions[idx]
@@ -273,31 +248,20 @@ def _shift_potential(t: Nft, rows) -> ShiftAssignment:
                 parent[q] = (p, idx)
                 queue.append(q)
             elif s[q] != val:
-                conflict = ShiftConflict(
-                    state=q,
-                    run_a=Run(_parent_chain(parent, p) + (idx,)),
-                    run_b=Run(_parent_chain(parent, q)),
+                # two initial runs reach q with different shifts, so at
+                # most one of them extends to a balanced accepting run
+                ext = _bfs_path(rows, (q,), t.finals)
+                for base in (_parent_chain(parent, p) + (idx,), _parent_chain(parent, q)):
+                    steps = base + ext
+                    if sum(t.transitions[i].shift for i in steps) != 0:
+                        return s, Run(steps)
+                raise AssertionError(
+                    "conflicting runs cannot both extend to balanced accepting runs"
                 )
-                break
-    if conflict is None:
-        for f in sorted(t.finals):
-            if s[f] != 0:
-                conflict = ShiftConflict(state=f, run_a=Run(_parent_chain(parent, f)))
-                break
-    return ShiftAssignment(per_state=s, conflict_witness=conflict)
-
-
-def _unbalanced_accepting_run(t: Nft, rows, conflict: ShiftConflict) -> Run:
-    """Turn a shift conflict into an accepting run with |u| != |v|; rows
-    is _state_rows(t)."""
-    if conflict.run_b is None:
-        return conflict.run_a
-    ext = _bfs_path(rows, (conflict.state,), t.finals)
-    for base in (conflict.run_a, conflict.run_b):
-        steps = base.transitions + ext
-        if sum(t.transitions[i].shift for i in steps) != 0:
-            return Run(steps)
-    raise AssertionError("conflicting runs cannot both extend to balanced accepting runs")
+    for f in sorted(t.finals):
+        if s[f] != 0:
+            return s, Run(_parent_chain(parent, f))
+    return s, None
 
 
 def _map_run(steps, trans_map) -> Run:
@@ -466,10 +430,9 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
     return _Walk(comp, value, nxt, via, held, None, None)
 
 
-def _over_budget(reached: int, b: int, num_states: int, began: float) -> StateBudgetExceeded:
+def _over_budget(spent: str, b: int, num_states: int, began: float) -> StateBudgetExceeded:
     return StateBudgetExceeded(
-        f"state budget exceeded: {reached} configurations reached,"
-        f" b={b}, |Q|={num_states},"
+        f"state budget exceeded: {spent}, b={b}, |Q|={num_states},"
         f" {time.perf_counter() - began:.2f} s elapsed"
     )
 
@@ -486,7 +449,7 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
     return rows
 
 
-def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int):
+def _configurations(trimmed: Nft, shift: dict[int, int], b: int, max_configs: int):
     """The configuration graph as _walk unfolds it: (expand, state, lags,
     starts, accepts).  trimmed is the trimmed transducer or its
     _fuse_chains version, which keeps the state ids, and the budget counts
@@ -527,7 +490,7 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
     plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
     overlap = 0
     for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
-        s = sa.per_state[src]
+        s = shift[src]
         joined, fixed = (x, y) if s >= 0 else (y, x)
         lj, lf = abs(s) + len(joined), len(fixed)
         overlap = max(overlap, min(lj, lf))
@@ -545,7 +508,13 @@ def _configurations(trimmed: Nft, sa: ShiftAssignment, b: int, max_configs: int)
     accepts: set[int] = set()
 
     def over_budget():
-        return _over_budget(len(state), b, trimmed.num_states, began)
+        held = sum(map(bool, node_id))
+        return _over_budget(
+            f"budget of {max_configs} configurations spent at {held} states",
+            b,
+            trimmed.num_states,
+            began,
+        )
 
     starts = []
     for q in sorted(trimmed.initials):
@@ -723,6 +692,7 @@ def _analyze(
     """analyze_deviation, or, asked the question (lo, hi), whether the
     deviation lies in [lo, hi], by the route the module docstring gives.
     max_configs = INF sets no budget."""
+    began = time.perf_counter()
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
@@ -739,20 +709,17 @@ def _analyze(
     st = stats(trimmed)
     # route on smax, never on b: a conflict met early can leave b = 0
     rows = _state_rows(trimmed, st.smax == 0)
-    sa = None if st.smax == 0 else _shift_potential(trimmed, rows)
-    if sa is None:
-        b = 0
-    elif sa.consistent:
-        b = max(map(abs, sa.per_state.values()))
+    shift, unbalanced = ({}, None) if st.smax == 0 else _shift_potential(trimmed, rows)
+    if unbalanced is None:
+        b = max(map(abs, shift.values()), default=0)
     else:
         b = st.smax * (trimmed.num_states - 1)
     bounds = Bounds(b, (b + st.lmax + 2) * trimmed.num_states)
-    if sa is not None and not sa.consistent:
-        witness = _unbalanced_accepting_run(trimmed, rows, sa.conflict_witness)
+    if unbalanced is not None:
         return reply(
             verdict=Verdict.NOT_LENGTH_PRESERVING,
             bounds=bounds,
-            witness=_map_run(witness.transitions, trans_map),
+            witness=_map_run(unbalanced.transitions, trans_map),
         )
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
@@ -766,11 +733,17 @@ def _analyze(
             cycle_suffix=_map_run(_bfs_path(rows, (p,), trimmed.finals), trans_map),
         )
 
-    if sa is None:
-        # smax = 0: every shift is 0, so the potential is consistent, every
-        # lag is empty and the configuration graph is the state graph
+    if st.smax == 0:
+        # every shift is 0, so the potential is consistent, every lag is
+        # empty and the configuration graph is the state graph
         if trimmed.num_states > max_configs:
-            raise _over_budget(max_configs, 0, trimmed.num_states, time.perf_counter())
+            raise _over_budget(
+                f"the {trimmed.num_states} trimmed states exceed the budget of"
+                f" {max_configs} configurations",
+                0,
+                trimmed.num_states,
+                began,
+            )
         starts, parts = sorted(trimmed.initials), None
         walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
         if walk.pumped is not None:
@@ -779,14 +752,14 @@ def _analyze(
             u, v, ti = walk.pumped
             return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
     else:
-        found = _nonconjugate_cycle(trimmed, rows, sa.per_state)
+        found = _nonconjugate_cycle(trimmed, rows, shift)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
         if question is not None and (lo > bounds.B or lo == 0 and bounds.B <= hi):
             # the deviation lies in [0, B], which is inside [lo, hi] or outside it
             return lo == 0
         fused, parts = _fuse_chains(trimmed, rows)
-        expand, _, _, starts, accepts = _configurations(fused, sa, b, max_configs)
+        expand, _, _, starts, accepts = _configurations(fused, shift, b, max_configs)
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
             # the search above has ruled out every pumpable cycle

@@ -669,8 +669,8 @@ def find_threshold_witness(t: Nft, k: int) -> Run | None:
     """
     if k < 0:
         raise ValueError("threshold witness expects a natural number")
-    sa = shift_assignment(t)  # also enforces trimming
-    if not sa.consistent:
+    shift, unbalanced = shift_assignment(t)  # also enforces trimming
+    if unbalanced is not None:
         raise ValueError("find_threshold_witness requires a length-preserving Nft")
     if t.num_states == 0:
         return None
@@ -680,7 +680,7 @@ def find_threshold_witness(t: Nft, k: int) -> Run | None:
     # positions only depend on the source state's shift.
     table: list[list[tuple]] = [[] for _ in range(t.num_states)]
     for idx, tr in enumerate(t.transitions):
-        d0 = sa.per_state[tr.src]
+        d0 = shift[tr.src]
         x, y = tr.input, tr.output
         gain = 0
         in_marks = []

@@ -262,21 +262,21 @@ def test_criterion_10_witness_agreement(corpus500):
     with criterion(10, "witness procedures agree with the engine on 500 NFTs", 120):
         for t in corpus500:
             res = _record(analyze_deviation(t))
-            sa = shift_assignment(t)
+            shift, unbalanced = shift_assignment(t)
             none_unbalanced = (
                 find_short_unbalanced_accepting_run(t) is None
                 and find_short_unbalanced_cycle(t) is None
             )
-            assert none_unbalanced == sa.consistent
-            if not sa.consistent:
+            assert none_unbalanced == (unbalanced is None)
+            if unbalanced is not None:
                 continue
-            found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
+            found = _nonconjugate_cycle(t, _state_rows(t), shift)
             assert (found is not None) == (res.verdict is Verdict.UNBOUNDED)
             if found is not None:
                 p, run, i, j = found
                 u, v = run_words(t, run)
                 assert u[i - 1] != v[j - 1]
-                assert (j - i - sa.per_state[p]) % len(u) == 0
+                assert (j - i - shift[p]) % len(u) == 0
             for k in range(0, min(res.bounds.B, 6) + 1):
                 witness = find_threshold_witness(t, k)
                 exceeds = res.deviation > k  # INF exceeds every k

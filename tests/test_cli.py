@@ -247,15 +247,17 @@ def test_budget_exit_code(tmp_path, capsys):
     fam = _write_family4(tmp_path)
     assert main(["analyze", fam, "--max-configs", "2"]) == 3
     err = capsys.readouterr().err
-    assert "state budget exceeded" in err
-    assert "2 configurations reached" in err
-    assert "b=3" in err and "|Q|=8" in err
-    assert re.search(r"\|Q\|=8, \d+\.\d\d s elapsed", err)
+    # the start and one successor, at two states
+    assert re.fullmatch(
+        r"nftdev: state budget exceeded: budget of 2 configurations spent at 2 states,"
+        r" b=3, \|Q\|=8, \d+\.\d\d s elapsed\n",
+        err,
+    )
 
 
 def test_budget_at_zero_shift_counts_trimmed_states(tmp_path, capsys):
     # b = 0: the configurations are the trimmed states, so a budget below
-    # their number stops the analysis with the usual message
+    # their number stops the analysis before any walk, and says so
     chain = tuple((v, v + 1) for v in range(5))
     for edges in (chain, chain[:-1]):
         t = gen_reach_bounded(Digraph(6, edges, s=0, t=5)).nft
@@ -264,8 +266,8 @@ def test_budget_at_zero_shift_counts_trimmed_states(tmp_path, capsys):
         assert main(["analyze", path, "--max-configs", str(n - 1)]) == 3
         err = capsys.readouterr().err
         assert re.match(
-            rf"nftdev: state budget exceeded: {n - 1} configurations reached,"
-            rf" b=0, \|Q\|={n}, \d+\.\d\d s elapsed$",
+            rf"nftdev: state budget exceeded: the {n} trimmed states exceed the budget"
+            rf" of {n - 1} configurations, b=0, \|Q\|={n}, \d+\.\d\d s elapsed$",
             err,
         )
         assert main(["analyze", path, "--max-configs", str(n)]) == 0

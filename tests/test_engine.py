@@ -28,6 +28,7 @@ import nftdev
 from nftdev import (
     INF,
     Bounds,
+    CnfFormula,
     Digraph,
     Nft,
     Run,
@@ -81,29 +82,36 @@ def _identity(letters="ab"):
 
 def test_shift_assignment_family4():
     t4 = gen_family(4).nft
-    sa = shift_assignment(t4)
-    assert sa.consistent
+    shift, unbalanced = shift_assignment(t4)
+    assert unbalanced is None
     # p1..p4 then q1..q4
-    assert [sa.per_state[q] for q in range(8)] == [0, 1, 2, 3, 3, 2, 1, 0]
+    assert [shift[q] for q in range(8)] == [0, 1, 2, 3, 3, 2, 1, 0]
 
 
 def test_shift_assignment_transition_relation(corpus):
     for t in corpus[:60]:
-        sa = shift_assignment(t)
-        if not sa.consistent:
+        shift, unbalanced = shift_assignment(t)
+        if unbalanced is not None:
             continue
         for tr in t.transitions:
-            assert sa.per_state[tr.dst] == sa.per_state[tr.src] + tr.shift
+            assert shift[tr.dst] == shift[tr.src] + tr.shift
         for q in t.initials | t.finals:
-            assert sa.per_state[q] == 0
+            assert shift[q] == 0
+
+
+def _unbalanced_accepting(t: Nft, run: Run) -> bool:
+    """Whether run is an accepting run of t with |u| != |v|."""
+    u, v = run_words(t, run)
+    return len(u) != len(v) and _accepting(t, run.transitions)
 
 
 def test_shift_assignment_final_conflict():
+    # the final state 1 ends with shift 1: the run to it is unbalanced
     t = _nft(["i", "f"], {0}, {1}, [Transition(0, "a", "", 1)])
-    sa = shift_assignment(t)
-    assert not sa.consistent
-    assert sa.conflict_witness.run_b is None
-    assert sa.conflict_witness.state == 1
+    shift, unbalanced = shift_assignment(t)
+    assert shift == {0: 0, 1: 1}
+    assert unbalanced == Run((0,))
+    assert _unbalanced_accepting(t, unbalanced)
 
 
 def test_shift_assignment_pair_conflict():
@@ -117,15 +125,17 @@ def test_shift_assignment_pair_conflict():
             Transition(1, "a", "a", 2),
         ],
     )
-    sa = shift_assignment(t)
-    assert not sa.consistent
-    assert sa.conflict_witness.state == 1
-    assert sa.conflict_witness.run_b is not None
+    # two runs reach state 1 with shifts 1 and -1; both extend to
+    # unbalanced accepting runs, and the one through the transition that
+    # meets the conflict is tried first
+    shift, unbalanced = shift_assignment(t)
+    assert shift == {0: 0, 1: 1}
+    assert _unbalanced_accepting(t, unbalanced)
+    assert unbalanced == Run((1, 2))
 
 
 def test_shift_assignment_identity():
-    sa = shift_assignment(_identity())
-    assert sa.consistent and sa.per_state == {0: 0}
+    assert shift_assignment(_identity()) == ({0: 0}, None)
 
 
 def test_shift_assignment_requires_trim():
@@ -134,9 +144,29 @@ def test_shift_assignment_requires_trim():
         shift_assignment(t)
 
 
+def test_every_unbalanced_witness_reverifies():
+    # the acceptance corpus and the seed 1-3 corpora hold 966 conflicts,
+    # 55 of them at a final state; at a pair conflict at most one of the
+    # two runs, extended to a final state, is balanced: 74 times the run
+    # through the transition that meets the conflict, 745 times the other
+    found = 0
+    for seed in (CORPUS_SEED, 1, 2, 3):
+        for t in make_corpus(500, seed=seed):
+            res = analyze_deviation(t)
+            trimmed = trim(t)
+            _, unbalanced = shift_assignment(trimmed)
+            assert (unbalanced is None) == res.length_preserving
+            if unbalanced is None:
+                continue
+            found += 1
+            assert _unbalanced_accepting(t, res.witness)
+            assert _unbalanced_accepting(trimmed, unbalanced)
+    assert found == 966
+
+
 def test_consistency_implies_balanced_simple_cycles(corpus):
     for t in corpus[:60]:
-        if shift_assignment(t).consistent:
+        if shift_assignment(t)[1] is None:
             assert all(s == 0 for s in simple_cycles_shifts(t))
 
 
@@ -264,9 +294,13 @@ def test_unbounded_cycle_pumps(corpus):
 def test_state_budget():
     with pytest.raises(StateBudgetExceeded, match="state budget exceeded"):
         analyze_deviation(gen_family(4).nft, max_configs=3)
-    # two initial configurations: the budget stops the seeding
+    # two initial configurations: the budget stops the seeding, when one
+    # state holds a configuration
     two_starts = union(gen_family(2).nft, gen_family(3).nft)
-    expected = r"^state budget exceeded: 1 configurations reached, b=2, \|Q\|=10, "
+    expected = (
+        r"^state budget exceeded: budget of 1 configurations spent at 1 states,"
+        r" b=2, \|Q\|=10, \d+\.\d\d s elapsed$"
+    )
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(two_starts, max_configs=1)
 
@@ -290,17 +324,21 @@ def test_state_budget_boundary():
     # the budget counts the configurations of the fused graph, where the
     # pad chain q_1..q_9 of T_10 has none
     t = gen_family(10).nft
-    sa = shift_assignment(t)
-    b = max(map(abs, sa.per_state.values()))
+    shift, _ = shift_assignment(t)
+    b = max(map(abs, shift.values()))
     fused, parts = _fuse_chains(t, _state_rows(t))
     assert len(parts) == len(t.transitions) - 9
-    expand, state, _, starts, accepts = _configurations(fused, sa, b, 2**20)
+    expand, state, _, starts, accepts = _configurations(fused, shift, b, 2**20)
     _walk(starts, expand, accepts)
     n = len(state)
     assert analyze_deviation(t, max_configs=n).value == 55
+    # the walk discovers the configurations in the same order under any
+    # budget, so the first n - 1 of them are spread over these states
+    held = len(set(state[: n - 1]))
+    assert held == len(t.states) - 9
     expected = (
-        rf"^state budget exceeded: {n - 1} configurations reached,"
-        rf" b={b}, \|Q\|={t.num_states}, "
+        rf"^state budget exceeded: budget of {n - 1} configurations spent at {held} states,"
+        rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed$"
     )
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(t, max_configs=n - 1)
@@ -320,7 +358,7 @@ def test_lag_bound_is_checked_by_the_walk():
     # whose lag outgrows it must trip the invariant, an explicit raise that
     # python -O keeps
     t = gen_family(6).nft
-    expand, _, _, starts, accepts = _configurations(t, shift_assignment(t), 1, 2**20)
+    expand, _, _, starts, accepts = _configurations(t, shift_assignment(t)[0], 1, 2**20)
     with pytest.raises(AssertionError, match="^lag exceeded the state-shift bound"):
         _walk(starts, expand, accepts)
 
@@ -411,11 +449,11 @@ def test_flat_graph_matches_tuple_keyed_reference():
     instances += [gen_family(n).nft for n in range(2, 13)]
     built = walked = 0
     for t in instances:
-        sa = shift_assignment(t)
-        if not sa.consistent:
+        shift, unbalanced = shift_assignment(t)
+        if unbalanced is not None:
             continue
-        b = max(map(abs, sa.per_state.values()))
-        expand, state, lags, starts, accepts = _configurations(t, sa, b, 2**20)
+        b = max(map(abs, shift.values()))
+        expand, state, lags, starts, accepts = _configurations(t, shift, b, 2**20)
         rows = {}
 
         def record(u):
@@ -432,10 +470,8 @@ def test_flat_graph_matches_tuple_keyed_reference():
             if u not in rows:
                 rows[u] = expand(u)
             u += 1
-        nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, sa.per_state, b)
-        configs = [
-            (q, _unpack_lag(lag, abs(sa.per_state[q]), t.alphabet)) for q, lag in zip(state, lags)
-        ]
+        nodes, succ, _, ref_starts, ref_accepts = tuple_keyed_graph(t, shift, b)
+        configs = [(q, _unpack_lag(lag, abs(shift[q]), t.alphabet)) for q, lag in zip(state, lags)]
         assert len(set(configs)) == len(configs)
         assert set(configs) == set(nodes)
         got = {configs[u]: [(configs[v], w, ti) for v, w, ti in rows[u]] for u in rows}
@@ -495,7 +531,7 @@ def test_bounds_formulas():
     bounds = analyze_deviation(t4).bounds
     st = stats(t4)
     assert st.smax == 1 and st.lmax == 2 and st.num_states == 8
-    assert bounds.b == max(map(abs, shift_assignment(t4).per_state.values())) == 3
+    assert bounds.b == max(map(abs, shift_assignment(t4)[0].values())) == 3
     assert bounds.B == (bounds.b + st.lmax + 2) * 8 == 56
 
 
@@ -548,8 +584,9 @@ def test_threshold_consistent_with_exact_value(corpus):
 def test_questions_on_bounded_instances_with_lags(monkeypatch):
     # the acceptance corpus has no bounded instance with b > 0, so the
     # questions' exit from [0, B] is checked on seeded length-preserving
-    # draws kept when bounded with b > 0, on T_2..T_10 and on their
-    # comparison pairs, whose products have bounds of their own
+    # draws kept when bounded with b > 0, on T_2..T_10, on 3-SAT gadgets
+    # and on their comparison pairs, whose products have bounds of their
+    # own
     real = nftdev.engine._configurations
     graphs = []
 
@@ -569,6 +606,14 @@ def test_questions_on_bounded_instances_with_lags(monkeypatch):
                     instances.append(t)
     assert len(instances) >= 100
     instances += [gen_family(n).nft for n in range(2, 11)]
+    # seeded satisfiable formulas and the unsatisfiable one of all 8 sign
+    # patterns over variables 1-3
+    rng = random.Random(2323)
+    formulas = [random_cnf(rng, 5, 3) for _ in range(7)]
+    formulas.append(CnfFormula(3, [(x, y, z) for x in (1, -1) for y in (2, -2) for z in (3, -3)]))
+    gadgets = [gen_3sat(f) for f in formulas]
+    assert [g.expected.deviation is None for g in gadgets] == [False] * 7 + [True]
+    instances += [g.nft for g in gadgets]
     from_bounds = agreed = 0
     for t in instances:
         res = analyze_deviation(t)
@@ -592,6 +637,12 @@ def test_questions_on_bounded_instances_with_lags(monkeypatch):
             assert compare(t1, t2, "exact", k) is (v == k)
     # threshold at B and B + 1 and exact at B + 1 answer from the bounds
     assert agreed == len(instances) and from_bounds == 3 * len(instances)
+    for g in gadgets:
+        truth = g.expected
+        assert threshold(g.nft, truth.threshold_k) is truth.threshold_answer
+        if truth.deviation is not None:
+            assert analyze_deviation(g.nft).value == truth.deviation
+    assert {analyze_deviation(g.nft).bounds.b for g in gadgets} == {1, 2, 3, 4, 5}
 
 
 def _accepting(t, steps) -> bool:
@@ -626,8 +677,8 @@ def test_fused_chains_keep_every_answer(monkeypatch):
     for t in instances:
         trimmed, _, trans_map = trim_with_maps(t)
         rows = _state_rows(trimmed)
-        sa = shift_assignment(trimmed)
-        b = max(map(abs, sa.per_state.values()))
+        shift, _ = shift_assignment(trimmed)
+        b = max(map(abs, shift.values()))
         st_t = stats(trimmed)
         fused, parts = _fuse_chains(trimmed, rows)
         indeg = Counter(tr.dst for tr in trimmed.transitions)
@@ -650,7 +701,7 @@ def test_fused_chains_keep_every_answer(monkeypatch):
                 assert trimmed.transitions[part[-1]].dst == dst
         orc = brute_force_deviation(t, node_budget=20_000)
         if orc.saturated:
-            _, succ, _, starts, accepts = tuple_keyed_graph(trimmed, sa.per_state, b)
+            _, succ, _, starts, accepts = tuple_keyed_graph(trimmed, shift, b)
             ref = _walk(starts, succ.__getitem__, accepts)
             expected = INF if ref.pumped else max(ref.value[s] for s in starts)
         else:
@@ -694,7 +745,7 @@ def test_wider_lags_match_oracle():
         else:
             assert res.deviation == orc.max_seen
             agreed += 1
-            shift = shift_assignment(trim(t)).per_state
+            shift, _ = shift_assignment(trim(t))
             lagged += max(map(abs, shift.values()), default=0) == 3
         if res.verdict is Verdict.BOUNDED:
             assert hamming_distance(*run_words(t, res.witness)) == res.value
@@ -900,14 +951,14 @@ def test_bounds_b_is_its_formula():
     conflicts = 0
     for t in instances:
         st = stats(t)
-        sa = shift_assignment(t)
+        shift, unbalanced = shift_assignment(t)
         if st.smax == 0:
             b = 0
-        elif sa.consistent:
-            b = max(map(abs, sa.per_state.values()))
+        elif unbalanced is None:
+            b = max(map(abs, shift.values()))
         else:
             b = st.smax * (st.num_states - 1)
-            assert all(abs(s) <= b for s in sa.per_state.values())
+            assert all(abs(s) <= b for s in shift.values())
             conflicts += 1
         assert analyze_deviation(t).bounds == Bounds(b, (b + st.lmax + 2) * st.num_states)
     assert conflicts >= 100
@@ -1003,7 +1054,8 @@ def test_state_graph_walk_matches_the_configuration_graph():
         if trimmed.num_states == 0:
             continue
         assert stats(trimmed).smax == 0
-        expand, _, _, starts, accepts = _configurations(trimmed, shift_assignment(trimmed), 0, 2**20)
+        shift, _ = shift_assignment(trimmed)
+        expand, _, _, starts, accepts = _configurations(trimmed, shift, 0, 2**20)
         walk = _walk(starts, expand, accepts)
         res = analyze_deviation(t)
         assert is_bounded(t) == (walk.pumped is None)

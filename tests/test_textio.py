@@ -195,6 +195,16 @@ def test_zero_state_round_trip():
     assert parse_nft(serialize_nft(empty)) == empty
 
 
+def test_nft_rejects_a_name_the_text_format_cannot_carry():
+    # "my nft" and "" would serialize to a header parse_nft rejects, and
+    # "a#b" would parse back as "a"
+    for bad in ("my nft", "", "a#b"):
+        with pytest.raises(ValueError, match="invalid name"):
+            Nft(("p",), "a", {0}, {0}, [(0, "a", "a", 0)], name=bad)
+    t = Nft(("p",), "a", {0}, {0}, [(0, "a", "a", 0)], name="ñandú-ß")
+    assert parse_nft(serialize_nft(t)) == t
+
+
 def test_parser_never_crashes_on_garbage():
     rng = random.Random(555)
     tokens = [

@@ -85,7 +85,7 @@ def test_no_cycles_means_no_cycle_witness():
 
 def test_unbalanced_agreement(corpus):
     for t in corpus[:80]:
-        consistent = shift_assignment(t).consistent
+        consistent = shift_assignment(t)[1] is None
         none_found = (
             find_short_unbalanced_accepting_run(t) is None
             and find_short_unbalanced_cycle(t) is None
@@ -104,35 +104,35 @@ def _assert_first_mismatch_at_shift(u, v, s, i, j):
 
 def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
-    sa = shift_assignment(t)
-    found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
+    shift, _ = shift_assignment(t)
+    found = _nonconjugate_cycle(t, _state_rows(t), shift)
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
     assert len(u) == len(v)
-    _assert_first_mismatch_at_shift(u, v, sa.per_state[p], i, j)
-    assert not conjugate_by(u, v, sa.per_state[p])
+    _assert_first_mismatch_at_shift(u, v, shift[p], i, j)
+    assert not conjugate_by(u, v, shift[p])
 
 
 def test_nonconjugate_cycle_none_on_bounded():
     t4 = gen_family(4).nft
-    assert _nonconjugate_cycle(t4, _state_rows(t4), shift_assignment(t4).per_state) is None
+    assert _nonconjugate_cycle(t4, _state_rows(t4), shift_assignment(t4)[0]) is None
     ident = _identity()
-    assert _nonconjugate_cycle(ident, _state_rows(ident), shift_assignment(ident).per_state) is None
+    assert _nonconjugate_cycle(ident, _state_rows(ident), shift_assignment(ident)[0]) is None
 
 
 def test_nonconjugate_agreement(corpus):
     for t in corpus[:80]:
-        sa = shift_assignment(t)
-        if not sa.consistent:
+        shift, unbalanced = shift_assignment(t)
+        if unbalanced is not None:
             continue
         res = analyze_deviation(t)
-        found = _nonconjugate_cycle(t, _state_rows(t), sa.per_state)
+        found = _nonconjugate_cycle(t, _state_rows(t), shift)
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found
             u, v = run_words(t, run)
-            _assert_first_mismatch_at_shift(u, v, sa.per_state[p], i, j)
+            _assert_first_mismatch_at_shift(u, v, shift[p], i, j)
         else:
             assert found is None
 

@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_CONFIGS,
             help="budget for the configuration graph, in configurations (default"
-            " 2**20), counted after chains of one-in/one-out states are fused;"
+            " 2**20), counted after chains of states with one way out are fused;"
             " each costs about 200 to 300 bytes of peak memory, so the default"
             " allows about 0.2 to 0.35 GB",
         )

@@ -78,7 +78,7 @@ class Transition(NamedTuple):
 
 
 def _check_letter(letter: str) -> str | None:
-    if len(letter) != 1:
+    if not isinstance(letter, str) or len(letter) != 1:
         return "letters must be single characters"
     if letter == "-":
         return "'-' is reserved for the empty word"
@@ -88,7 +88,7 @@ def _check_letter(letter: str) -> str | None:
 
 
 def _is_token(name: str) -> bool:
-    return "#" not in name and name.split() == [name]
+    return isinstance(name, str) and "#" not in name and name.split() == [name]
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,13 @@ class Nft:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "initials", frozenset(self.initials))
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self,
-            "transitions",
-            tuple(t if isinstance(t, Transition) else Transition(*t) for t in self.transitions),
-        )
+        try:
+            transitions = tuple(
+                t if isinstance(t, Transition) else Transition(*t) for t in self.transitions
+            )
+        except TypeError:
+            raise ValueError("a transition needs the fields (src, input, output, dst)") from None
+        object.__setattr__(self, "transitions", transitions)
         self._validate()
 
     @classmethod
@@ -160,15 +162,21 @@ class Nft:
             if problem:
                 raise ValueError(f"invalid alphabet letter {a!r}: {problem}")
         n = len(self.states)
-        for q in self.initials | self.finals:
-            if not 0 <= q < n:
-                raise ValueError(f"state id {q} out of range")
+
+        def is_id(q) -> bool:
+            return isinstance(q, int) and 0 <= q < n
+
+        for q in (*self.initials, *self.finals):
+            if not is_id(q):
+                raise ValueError(f"state id {q!r} out of range")
         alphabet = self.alphabet
-        for i, t in enumerate(self.transitions):
-            if not (0 <= t.src < n and 0 <= t.dst < n):
+        for i, (src, x, y, dst) in enumerate(self.transitions):
+            if not (is_id(src) and is_id(dst)):
                 raise ValueError(f"transition {i} has an endpoint outside the state set")
-            if not alphabet.issuperset(t.input + t.output):
-                letter = next(c for c in t.input + t.output if c not in alphabet)
+            if not (isinstance(x, str) and isinstance(y, str)):
+                raise ValueError(f"transition {i} has a word that is not a string")
+            if not alphabet.issuperset(x + y):
+                letter = next(c for c in x + y if c not in alphabet)
                 raise ValueError(f"transition {i} uses letter {letter!r} outside the alphabet")
 
     @property

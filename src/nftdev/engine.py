@@ -19,10 +19,8 @@ exact supremum when it is finite:
    state, and s_f = 0 empties the lag there.  So a positive-weight edge
    on any cycle can be pumped, and the deviation is INF; otherwise every
    cycle weighs 0 and the deviation is the maximum edge-weight sum over
-   paths from an initial to an accepting configuration.  No configuration
-   is built at a fusable state, one that is neither initial nor final and
-   has one incoming and one outgoing transition, not a self-loop: the
-   graph is that of the transducer with its chains fused (see below).
+   paths from an initial to an accepting configuration.  Configurations
+   sit at kept states only (see below).
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the trimmed state graph
@@ -43,12 +41,11 @@ stream for its partner; a scan of the closed cycle's words then finds
 the positions.  Every question runs it first and takes UNBOUNDED from
 its cycle, with shortest state-graph paths as prefix and suffix.
 
-Before the graph is built, _fuse_chains makes each maximal chain through
-fusable states one transition that reads and writes the chain's words.
-A trimmed transducer has no cycle of fusable states alone, which could
-not be reached, so the fused runs are the trimmed runs, with the same
-words and so the same distance, and s_q and b are unchanged at the
-states that stay.  On T_n the pad chain q_1..q_{n-1} goes, a third of
+A fusable state is neither initial nor final and has one outgoing
+transition; the others are kept.  An edge of the graph is a chain, a
+transition from a kept state followed through fusable states to the next
+kept state, and the chains are exactly the runs between kept states
+(_configurations).  On T_n the pad chain q_1..q_{n-1} goes, a third of
 the configurations.  Every run the walk finds is unfolded to the trimmed
 transitions before it is checked and mapped back to the original ids.
 
@@ -97,7 +94,7 @@ from itertools import repeat
 from operator import ne
 from typing import NamedTuple
 
-from .core import INF, ExtendedNat, Nft, Run, Transition, hamming_distance, run_words, stats
+from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
 from .transform import is_trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
@@ -449,11 +446,19 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
     return rows
 
 
-def _configurations(trimmed: Nft, shift: dict[int, int], b: int, max_configs: int):
+def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, max_configs: int):
     """The configuration graph as _walk unfolds it: (expand, state, lags,
-    starts, accepts).  trimmed is the trimmed transducer or its
-    _fuse_chains version, which keeps the state ids, and the budget counts
-    the configurations of the graph built from it.
+    starts, accepts), with no configuration at a fusable state; rows is
+    _state_rows(trimmed) and fusable[q] says whether q is fusable.  An edge
+    is a chain, named by its first transition, which leaves a kept state:
+    that transition, then the one way out of each fusable state reached,
+    up to a kept state, reading and writing the chain's words.  In a
+    trimmed transducer the way out of a fusable state is no self-loop and
+    no cycle has fusable states alone, or they could not reach a final
+    state, so every chain ends within |Q| steps.  A run entering a fusable
+    state must leave it by its one transition, whatever its in-degree, so
+    the runs between kept states are exactly the chains, with the same
+    words; s_q at the kept states, b and B are unchanged.
 
     Node ids number the configurations (q, lag) in discovery order, the
     starts first; state[u] and lags[u] are u's state and lag, and each
@@ -490,6 +495,11 @@ def _configurations(trimmed: Nft, shift: dict[int, int], b: int, max_configs: in
     plans: list[list[tuple]] = [[] for _ in range(trimmed.num_states)]
     overlap = 0
     for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
+        if fusable[src]:
+            continue
+        for ni in _unfold(trimmed, rows, fusable, [ti])[1:]:
+            _, nx, ny, dst = trimmed.transitions[ni]
+            x, y = x + nx, y + ny
         s = shift[src]
         joined, fixed = (x, y) if s >= 0 else (y, x)
         lj, lf = abs(s) + len(joined), len(fixed)
@@ -558,50 +568,19 @@ def _configurations(trimmed: Nft, shift: dict[int, int], b: int, max_configs: in
     return expand, state, lags, starts, accepts
 
 
-def _fuse_chains(trimmed: Nft, rows) -> tuple[Nft, list[tuple[int, ...]] | None]:
-    """trimmed with each maximal chain through fusable states made one
-    transition, and per new transition the trimmed transitions it stands
-    for; (trimmed, None) when no state is fusable.  rows is
-    _state_rows(trimmed).
-
-    A state is fusable when it is neither initial nor final and has
-    exactly one incoming and one outgoing transition, not a self-loop; no
-    cycle of fusable states alone can be reached, so every chain starts
-    at a kept state.  A new transition reads and writes the concatenated
-    words of its chain and takes the place of the chain's first
-    transition.  Fusable states keep their ids but lose their
-    transitions, so the shift potential still applies.
-    """
-    ends = trimmed.initials | trimmed.finals
-    # in-degrees are counted only once some state has one outgoing
-    # transition: a compare product has an (eps, eps) loop on every state
-    fusable = [len(row) == 1 and row[0][0] != q and q not in ends for q, row in enumerate(rows)]
-    if any(fusable):
-        indeg = [0] * trimmed.num_states
-        for tr in trimmed.transitions:
-            indeg[tr.dst] += 1
-        fusable = [f and indeg[q] == 1 for q, f in enumerate(fusable)]
-    if not any(fusable):
-        return trimmed, None
-    transitions: list[Transition] = []
-    parts: list[tuple[int, ...]] = []
-    for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
-        if fusable[src]:
-            continue
-        chain = [ti]
-        while fusable[dst]:
-            ((nxt, _, ni),) = rows[dst]
-            _, nx, ny, _ = trimmed.transitions[ni]
-            x, y, dst = x + nx, y + ny, nxt
-            chain.append(ni)
-        transitions.append(Transition(src, x, y, dst))
-        parts.append(tuple(chain))
-    return trimmed._with(transitions=tuple(transitions)), parts
-
-
-def _unfold(steps: list[int], parts) -> list[int]:
-    """The trimmed transitions of a run of _fuse_chains' transducer."""
-    return steps if parts is None else [i for s in steps for i in parts[s]]
+def _unfold(trimmed: Nft, rows, fusable, steps: list[int]) -> list[int]:
+    """The trimmed transitions of a walk's run of chains, each named by its
+    first transition; steps itself when fusable is None."""
+    if fusable is None:
+        return steps
+    run = []
+    for ti in steps:
+        run.append(ti)
+        q = trimmed.transitions[ti].dst
+        while fusable[q]:
+            ((q, _, ti),) = rows[q]
+            run.append(ti)
+    return run
 
 
 def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
@@ -744,7 +723,7 @@ def _analyze(
                 trimmed.num_states,
                 began,
             )
-        starts, parts = sorted(trimmed.initials), None
+        starts, fusable = sorted(trimmed.initials), None
         walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
         if walk.pumped is not None:
             # every state reaches a final one, so a positive edge inside a
@@ -758,21 +737,24 @@ def _analyze(
         if question is not None and (lo > bounds.B or lo == 0 and bounds.B <= hi):
             # the deviation lies in [0, B], which is inside [lo, hi] or outside it
             return lo == 0
-        fused, parts = _fuse_chains(trimmed, rows)
-        expand, _, _, starts, accepts = _configurations(fused, shift, b, max_configs)
+        ends = trimmed.initials | trimmed.finals
+        fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
+        expand, _, _, starts, accepts = _configurations(
+            trimmed, rows, fusable, shift, b, max_configs
+        )
         walk = _walk(starts, expand, accepts, limit)
         if walk.pumped is not None:
             # the search above has ruled out every pumpable cycle
             raise AssertionError("positive edge inside a component of a bounded transducer")
     if walk.heavier is not None:
         steps, v = walk.heavier
-        steps = _unfold(steps + _chain(walk, v), parts)
+        steps = _unfold(trimmed, rows, fusable, steps + _chain(walk, v))
         if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
             raise AssertionError("run heavier than the limit does not exceed it")
         return False
     start = max(starts, key=lambda s: (walk.value[s], -s))
     value = walk.value[start]
-    steps = _unfold(_chain(walk, start), parts)
+    steps = _unfold(trimmed, rows, fusable, _chain(walk, start))
     if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
         raise AssertionError("witness must realize the computed deviation")
     if value > bounds.B:

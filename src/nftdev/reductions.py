@@ -27,7 +27,8 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
     (x,v) in R_t2}; dev(R_Z) = d(R_t1, R_t2) when the domains coincide.
 
     Both operands are made input-atomic and given (eps, eps) self-loops,
-    then transitions are paired on equal input x in the alphabet or eps.
+    then transitions are paired on equal input x in the alphabet or eps,
+    skipping the idle pairs, the (eps, eps) self-loops of Z.
     One breadth-first pass builds the pairs reachable from the initial
     pairs and records each one's predecessors; the pairs among them that
     reach a final pair are kept.  Z is the trim of the full pair product:
@@ -57,6 +58,8 @@ def comparison_to_deviation(t1: Nft, t2: Nft) -> Nft:
         for ia, ta in a_out[qa]:
             for ib, tb in b_out.get((qb, ta.input), ()):
                 dst = ta.dst * nb + tb.dst
+                if dst == pair and not ta.output and not tb.output:
+                    continue  # idle: reads nothing, writes nothing, goes nowhere
                 paired.append((ia, ib, ta.output, tb.output, dst, pair))
                 if dst in pred:
                     pred[dst].append(pair)

@@ -328,7 +328,8 @@ def all_pairs_product(t1: Nft, t2: Nft) -> Nft:
     """Reference for comparison_to_deviation: every state pair of the two
     atomized, eps-looped operands is built, pair (qa, qb) as state
     qa * |Q_b| + qb, every transition pair on equal input in operand
-    order, and only then trimmed."""
+    order except those that make an (eps, eps) self-loop, and only then
+    trimmed."""
     a = add_eps_self_loops(atomize(t1))
     b = add_eps_self_loops(atomize(t2))
     nb = b.num_states
@@ -339,11 +340,12 @@ def all_pairs_product(t1: Nft, t2: Nft) -> Nft:
     by_input: dict[str, list[Transition]] = {}
     for tb in b.transitions:
         by_input.setdefault(tb.input, []).append(tb)
-    transitions = [
+    paired = (
         Transition(pid(ta.src, tb.src), ta.output, tb.output, pid(ta.dst, tb.dst))
         for ta in a.transitions
         for tb in by_input.get(ta.input, ())
-    ]
+    )
+    transitions = [tr for tr in paired if tr != (tr.src, "", "", tr.src)]
     z = Nft(
         states=tuple(f"{sa}|{sb}" for sa in a.states for sb in b.states),
         alphabet=a.alphabet | b.alphabet,

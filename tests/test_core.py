@@ -179,6 +179,26 @@ def test_nft_validation():
             Nft((bad,), frozenset("a"), frozenset(), frozenset(), ())
 
 
+def test_nft_rejects_fields_of_the_wrong_type():
+    # each raises the ValueError of its field, not a bare TypeError
+    base = dict(states=("p",), alphabet="a", initials={0}, finals={0}, transitions=())
+    cases = [
+        (dict(name=5), "invalid name 5"),
+        (dict(states=(5,)), "invalid state name 5"),
+        (dict(initials={"0"}), "state id '0' out of range"),
+        (dict(finals={0.0}), "state id 0.0 out of range"),
+        (dict(transitions=[(0, "a", "a", 0.0)]), "transition 0 has an endpoint outside"),
+        (dict(transitions=[(0, "a", "a")]), "needs the fields"),
+        (dict(transitions=[(0, 5, "a", 0)]), "transition 0 has a word that is not a string"),
+        (dict(alphabet={5}), "letters must be single characters"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Nft(**{**base, **fields})
+    t = Nft(**{**base, "transitions": [(0, "a", "a", 0)]}, name="ok")
+    assert t.transitions == (Transition(0, "a", "a", 0),)
+
+
 def test_transition_record():
     tr = Transition(0, "ab", "c", 1)
     with pytest.raises(AttributeError):

@@ -60,7 +60,7 @@ from nftdev import (
     union,
 )
 from nftdev.cli import main
-from nftdev.engine import _configurations, _fuse_chains, _state_rows, _walk
+from nftdev.engine import _configurations, _state_rows, _unfold, _walk
 from nftdev.transform import trim_with_maps
 
 
@@ -321,14 +321,15 @@ def test_max_configs_below_one_rejected():
 
 
 def test_state_budget_boundary():
-    # the budget counts the configurations of the fused graph, where the
-    # pad chain q_1..q_9 of T_10 has none
+    # the budget counts the configurations at kept states, and the pad
+    # chain q_1..q_9 of T_10 is fusable, so it has none
     t = gen_family(10).nft
     shift, _ = shift_assignment(t)
     b = max(map(abs, shift.values()))
-    fused, parts = _fuse_chains(t, _state_rows(t))
-    assert len(parts) == len(t.transitions) - 9
-    expand, state, _, starts, accepts = _configurations(fused, shift, b, 2**20)
+    rows = _state_rows(t)
+    fusable = [len(row) == 1 and q not in t.initials | t.finals for q, row in enumerate(rows)]
+    assert sum(fusable) == 9
+    expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**20)
     _walk(starts, expand, accepts)
     n = len(state)
     assert analyze_deviation(t, max_configs=n).value == 55
@@ -358,7 +359,10 @@ def test_lag_bound_is_checked_by_the_walk():
     # whose lag outgrows it must trip the invariant, an explicit raise that
     # python -O keeps
     t = gen_family(6).nft
-    expand, _, _, starts, accepts = _configurations(t, shift_assignment(t)[0], 1, 2**20)
+    unfused = [False] * t.num_states
+    expand, _, _, starts, accepts = _configurations(
+        t, _state_rows(t), unfused, shift_assignment(t)[0], 1, 2**20
+    )
     with pytest.raises(AssertionError, match="^lag exceeded the state-shift bound"):
         _walk(starts, expand, accepts)
 
@@ -453,7 +457,10 @@ def test_flat_graph_matches_tuple_keyed_reference():
         if unbalanced is not None:
             continue
         b = max(map(abs, shift.values()))
-        expand, state, lags, starts, accepts = _configurations(t, shift, b, 2**20)
+        unfused = [False] * t.num_states
+        expand, state, lags, starts, accepts = _configurations(
+            t, _state_rows(t), unfused, shift, b, 2**20
+        )
         rows = {}
 
         def record(u):
@@ -655,9 +662,9 @@ def _accepting(t, steps) -> bool:
 
 
 def test_fused_chains_keep_every_answer(monkeypatch):
-    # atomize and concat make chains of one-in/one-out states, and T_n has
-    # its pad chain; the fused graph must give the answers of the unfused
-    # one, and every run it finds must re-verify on the original ids
+    # atomize and concat make chains of states with one way out, and T_n
+    # has its pad chain; the fused graph must give the answers of the
+    # unfused one, and every run it finds must re-verify on the original ids
     real_run_words = nftdev.engine.run_words
     checked = []
 
@@ -680,25 +687,23 @@ def test_fused_chains_keep_every_answer(monkeypatch):
         shift, _ = shift_assignment(trimmed)
         b = max(map(abs, shift.values()))
         st_t = stats(trimmed)
-        fused, parts = _fuse_chains(trimmed, rows)
-        indeg = Counter(tr.dst for tr in trimmed.transitions)
-        gone = {
-            q
-            for q in range(trimmed.num_states)
-            if indeg[q] == 1 and len(rows[q]) == 1 and rows[q][0][0] != q
-        } - trimmed.initials - trimmed.finals
-        ends = {q for tr in fused.transitions for q in (tr.src, tr.dst)}
-        assert ends == {q for tr in trimmed.transitions for q in (tr.src, tr.dst)} - gone
-        assert (parts is None) == (not gone)
-        if parts is not None:
-            with_chains += 1
-            covered = sorted(i for part in parts for i in part)
-            assert covered == list(range(len(trimmed.transitions)))
-            for (src, x, y, dst), part in zip(fused.transitions, parts):
-                u, v = run_words(trimmed, Run(part))
-                assert (x, y) == (u, v)
-                assert trimmed.transitions[part[0]].src == src
-                assert trimmed.transitions[part[-1]].dst == dst
+        ends = trimmed.initials | trimmed.finals
+        fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
+        # every trimmed transition lies in some chain, and each chain runs
+        # from a kept state through fusable ones to a kept state
+        chains = [
+            _unfold(trimmed, rows, fusable, [ti])
+            for ti, tr in enumerate(trimmed.transitions)
+            if not fusable[tr.src]
+        ]
+        assert {i for chain in chains for i in chain} == set(range(len(trimmed.transitions)))
+        for chain in chains:
+            run_words(trimmed, Run(tuple(chain)))  # the transitions chain up
+            srcs = [trimmed.transitions[i].src for i in chain]
+            assert not fusable[srcs[0]] and all(fusable[q] for q in srcs[1:])
+            assert not fusable[trimmed.transitions[chain[-1]].dst]
+            assert len(chain) <= trimmed.num_states
+        with_chains += any(fusable)
         orc = brute_force_deviation(t, node_budget=20_000)
         if orc.saturated:
             _, succ, _, starts, accepts = tuple_keyed_graph(trimmed, shift, b)
@@ -717,7 +722,7 @@ def test_fused_chains_keep_every_answer(monkeypatch):
         assert res.verdict is Verdict.BOUNDED and res.value == expected
         assert _accepting(t, res.witness.transitions)
         assert hamming_distance(*run_words(t, res.witness)) == expected
-        walked += parts is not None and b > 0
+        walked += any(fusable) and b > 0
         for k in range(max(expected - 2, 0), min(expected + 2, res.bounds.B)):
             for question, answer in ((threshold, expected <= k), (exact, expected == k)):
                 checked.clear()
@@ -728,6 +733,25 @@ def test_fused_chains_keep_every_answer(monkeypatch):
                     assert _accepting(t, heavier)
                     assert hamming_distance(*run_words(t, Run(tuple(heavier)))) > k
     assert with_chains >= 100 and walked >= 50 and from_oracle >= 100
+
+
+def test_a_merge_state_is_fused():
+    # m has two ways in and one way out, so it is fusable and holds no
+    # configuration: only i and f do, each with the empty lag
+    t = Nft(
+        ("i", "x", "y", "m", "f"),
+        frozenset("ab"),
+        {0},
+        {4},
+        [(0, "a", "", 1), (0, "b", "", 2), (1, "a", "b", 3), (2, "b", "a", 3), (3, "a", "ab", 4)],
+    )
+    res = analyze_deviation(t, max_configs=2)
+    assert res.bounds.b == 1
+    assert res.value == 3 == brute_force_deviation(t).max_seen
+    assert _accepting(t, res.witness.transitions)
+    assert hamming_distance(*run_words(t, res.witness)) == 3
+    with pytest.raises(StateBudgetExceeded):
+        analyze_deviation(t, max_configs=1)
 
 
 def test_wider_lags_match_oracle():
@@ -1055,7 +1079,10 @@ def test_state_graph_walk_matches_the_configuration_graph():
             continue
         assert stats(trimmed).smax == 0
         shift, _ = shift_assignment(trimmed)
-        expand, _, _, starts, accepts = _configurations(trimmed, shift, 0, 2**20)
+        unfused = [False] * trimmed.num_states
+        expand, _, _, starts, accepts = _configurations(
+            trimmed, _state_rows(trimmed), unfused, shift, 0, 2**20
+        )
         walk = _walk(starts, expand, accepts)
         res = analyze_deviation(t)
         assert is_bounded(t) == (walk.pumped is None)

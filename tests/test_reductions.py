@@ -17,6 +17,7 @@ from nftdev import (
     Nft,
     Transition,
     Verdict,
+    add_eps_self_loops,
     analyze_deviation,
     compare,
     comparison_to_deviation,
@@ -133,7 +134,7 @@ def test_compare_agrees_with_direct_verdicts(corpus):
             assert not compare(t1, t2, "exact", 3)
 
 
-def test_product_matches_all_pairs_reference():
+def _seeded_pairs() -> list[tuple[Nft, Nft]]:
     rng = random.Random(4242)
     pairs = []
     while len(pairs) < 80:
@@ -142,10 +143,25 @@ def test_product_matches_all_pairs_reference():
             continue
         # a union gives several initial states, hence several initial pairs
         pairs.append((t1, t2) if len(pairs) % 4 else (union(t1, t3), t2))
+    return pairs
+
+
+def test_product_matches_all_pairs_reference():
+    pairs = _seeded_pairs()
     f = CnfFormula(3, ((1, -2, 3), (-1, -1, 2)))
     pairs.append(deviation_to_comparison(gen_3sat(f).nft))
     for t1, t2 in pairs:
         assert comparison_to_deviation(t1, t2) == all_pairs_product(t1, t2)
+
+
+def test_product_has_no_idle_step_and_keeps_its_deviation():
+    # an (eps, eps) self-loop reads and writes nothing and stays put, so
+    # putting such loops back changes no answer
+    for t1, t2 in _seeded_pairs():
+        z = comparison_to_deviation(t1, t2)
+        assert all(tr != (tr.src, "", "", tr.src) for tr in z.transitions)
+        res, looped = analyze_deviation(z), analyze_deviation(add_eps_self_loops(z))
+        assert (looped.verdict, looped.deviation) == (res.verdict, res.deviation)
 
 
 def test_product_membership_matches_oracle():

@@ -64,13 +64,16 @@ asks for the whole result; is_bounded, threshold and exact ask whether
 the deviation lies in [lo, hi], namely [0, INF], [0, k] and [k, k], and
 get the answer as soon as it is known.  A verdict other than BOUNDED
 answers from the value 0 (EMPTY) or False.  When b > 0 and the search
-finds the deviation finite, it lies in [0, B]: that answers True when
-lo = 0 and B <= hi (is_bounded; threshold at k >= B) and False when
-lo > B (exact at k > B), with no configuration walked.  So is_bounded
-walks at most the state graph, at smax = 0, and needs no budget.
-Otherwise the walk stops at the first component whose root's tree path
-and value together weigh more than hi; that run is rebuilt and checked
-to exceed hi, and the answer is False.
+finds the deviation finite, is_bounded answers True, and otherwise the
+deviation lies in [0, U] (_upper_bound, U = v on T_n): that answers True
+when lo = 0 and U <= hi (threshold at k >= U) and False when lo > U
+(exact at k > U), with no configuration walked.  So is_bounded walks at
+most the state graph, at smax = 0, and needs no budget.  Otherwise the
+walk stops at the first component whose root's tree path and value
+together weigh more than the limit, hi, or U - 1 where hi >= U
+(analyze_deviation; exact at k = U).  That run is rebuilt and checked:
+past hi it answers False; past U - 1 it must weigh exactly U, the
+deviation, and is the witness.
 
 For a length-preserving trimmed transducer the lag at q holds |s_q|
 letters, so every lag stays within b = max |s_q|, read from the shift
@@ -119,10 +122,58 @@ class Bounds:
     smax * (|Q| - 1): every s_q the propagation assigns before it meets a
     conflict is the shift of the simple breadth-first path that reached
     q, so b bounds each of them whatever the order of the transitions.
+    Once the search finds the deviation finite, _upper_bound gives a
+    tighter bound U <= B, which the engine uses and does not report.
     """
 
     b: int
     B: int
+
+
+def _upper_bound(t: Nft, comp, shift: dict[int, int]) -> int:
+    """U >= the deviation of a trimmed t that the search found bounded,
+    comp[q] naming q's strongly connected component (_components): the
+    longest path over the condensation, U = max enter(q) over the initial
+    states.  enter(q) = [q's component is cyclic] * |s_q| + leave(q's
+    component); leave(C) is the max of 0 and of overlap(d) + enter(dst d)
+    over the transitions d leaving C; overlap(d) = min(|s_p| + |joined|,
+    |fixed|) counts the positions d compares from its source p (the words
+    of _configurations).
+
+    A run enters each component once and leaves it for good.  Two letters
+    written within one visit never mismatch, or the search would have
+    found the pair as a (state, phase) path inside the component.  So a
+    mismatch is compared on a transition between components, or inside a
+    cyclic one against the |s_q| letters of lag the run entered it with
+    at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
+    * |Q| < B.  leave(C) is final once each transition leaving C is
+    counted, as its target's component becomes final.
+    """
+    leave = dict.fromkeys(comp[: t.num_states], 0)
+    waits = dict.fromkeys(leave, 0)
+    cyclic, into = set(), {}
+    for d in t.transitions:
+        src, _, _, dst = d
+        c = comp[src]
+        if c == comp[dst]:
+            cyclic.add(c)
+        else:
+            waits[c] += 1
+            into.setdefault(comp[dst], []).append(d)
+
+    def enter(q: int) -> int:
+        return leave[comp[q]] + abs(shift[q]) * (comp[q] in cyclic)
+
+    ready = [c for c, n in waits.items() if n == 0]
+    while ready:
+        for p, x, y, q in into.get(ready.pop(), ()):
+            s, c = shift[p], comp[p]
+            joined, fixed = (x, y) if s >= 0 else (y, x)
+            leave[c] = max(leave[c], min(abs(s) + len(joined), len(fixed)) + enter(q))
+            waits[c] -= 1
+            if waits[c] == 0:
+                ready.append(c)
+    return max(map(enter, t.initials))
 
 
 class Verdict(str, Enum):
@@ -583,13 +634,20 @@ def _unfold(trimmed: Nft, rows, fusable, steps: list[int]) -> list[int]:
     return run
 
 
-def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, int, int] | None:
+def _components(t: Nft, rows) -> list[int]:
+    """A strongly connected component id per state of t (rows is
+    _state_rows(t)): equal ids share a component."""
+    return _walk(range(t.num_states), rows.__getitem__, t.finals).comp
+
+
+def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] | None:
     """A cycle whose words are not conjugate by its anchor's shift, or None.
 
-    t is trimmed, rows is _state_rows(t) with zero weights and shift its
-    consistent potential.  Returns (p, run, i, j) where the run goes from
-    p to itself over some (u, v), j - i equals s_p exactly, and (i, j) is
-    the first such pair with u_i != v_j; 1-based positions.
+    t is trimmed, rows is _state_rows(t) with zero weights, shift its
+    consistent potential and comp _components(t, rows).  Returns (p, run,
+    i, j) where the run goes from p to itself over some (u, v), j - i
+    equals s_p exactly, and (i, j) is the first such pair with u_i != v_j;
+    1-based positions.
     None means no cycle of any length violates conjugacy, which for a
     length-preserving transducer is exactly boundedness.
 
@@ -607,7 +665,6 @@ def _nonconjugate_cycle(t: Nft, rows, shift: dict[int, int]) -> tuple[int, Run, 
     a pair at exact offset s_p, so the search is complete.  Its links keep
     only transitions; _close_cycle finds the positions by a scan.
     """
-    comp = _walk(range(t.num_states), rows.__getitem__, t.finals).comp
     parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
@@ -676,6 +733,7 @@ def _analyze(
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
     limit = None if hi is INF else hi
+    meets = None  # the weight of a heavier run when it is a witness
 
     def reply(**fields) -> DeviationResult | bool:
         res = DeviationResult(**fields)
@@ -731,12 +789,20 @@ def _analyze(
             u, v, ti = walk.pumped
             return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
     else:
-        found = _nonconjugate_cycle(trimmed, rows, shift)
+        comp = _components(trimmed, rows)
+        found = _nonconjugate_cycle(trimmed, rows, shift, comp)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
-        if question is not None and (lo > bounds.B or lo == 0 and bounds.B <= hi):
-            # the deviation lies in [0, B], which is inside [lo, hi] or outside it
+        if question == (0, INF):
+            return True  # is_bounded needs no upper bound
+        upper = _upper_bound(trimmed, comp, shift)
+        if question is not None and (lo > upper or lo == 0 and upper <= hi):
+            # the deviation lies in [0, U], which is inside [lo, hi] or outside it
             return lo == 0
+        if hi >= upper:
+            # analyze, and exact at k = U: no run outweighs U, so the first
+            # run heavier than U - 1 weighs U and is the witness
+            limit, meets = upper - 1, upper
         ends = trimmed.initials | trimmed.finals
         fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
         expand, _, _, starts, accepts = _configurations(
@@ -749,14 +815,19 @@ def _analyze(
     if walk.heavier is not None:
         steps, v = walk.heavier
         steps = _unfold(trimmed, rows, fusable, steps + _chain(walk, v))
-        if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) <= limit:
-            raise AssertionError("run heavier than the limit does not exceed it")
-        return False
-    start = max(starts, key=lambda s: (walk.value[s], -s))
-    value = walk.value[start]
-    steps = _unfold(trimmed, rows, fusable, _chain(walk, start))
-    if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
-        raise AssertionError("witness must realize the computed deviation")
+        value = hamming_distance(*run_words(trimmed, Run(tuple(steps))))
+        if meets is None:
+            if value <= limit:
+                raise AssertionError("run heavier than the limit does not exceed it")
+            return False
+        if value != meets:
+            raise AssertionError("run heavier than U - 1 does not weigh the upper bound U")
+    else:
+        start = max(starts, key=lambda s: (walk.value[s], -s))
+        value = walk.value[start]
+        steps = _unfold(trimmed, rows, fusable, _chain(walk, start))
+        if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
+            raise AssertionError("witness must realize the computed deviation")
     if value > bounds.B:
         raise AssertionError("bounded deviation exceeds the quadratic bound")
     return reply(

@@ -46,7 +46,7 @@ from nftdev import (
     stats,
     threshold,
 )
-from nftdev.engine import _nonconjugate_cycle, _state_rows
+from nftdev.engine import _components, _nonconjugate_cycle, _state_rows
 
 CORPUS_SEED = 20250811
 
@@ -270,7 +270,8 @@ def test_criterion_10_witness_agreement(corpus500):
             assert none_unbalanced == (unbalanced is None)
             if unbalanced is not None:
                 continue
-            found = _nonconjugate_cycle(t, _state_rows(t), shift)
+            rows = _state_rows(t)
+            found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
             assert (found is not None) == (res.verdict is Verdict.UNBOUNDED)
             if found is not None:
                 p, run, i, j = found

@@ -108,17 +108,20 @@ def test_threshold_false_within_a_small_budget(tmp_path, capsys):
 
 
 def test_threshold_at_the_bound_walks_no_configuration(tmp_path, capsys):
-    # T_400 has B = 322,400 and a walk far beyond any budget; k >= B (and
-    # k > B for exact) is answered from the bound, so one configuration of
-    # budget is enough, while exact at k = B still needs the walk
+    # T_400 has deviation U = 80,200, B = 322,400 and a walk far beyond
+    # any budget; k >= U (and k > U for exact) is answered from the bound,
+    # so one configuration of budget is enough, while threshold below U
+    # and exact at k = U still need the walk
     fam = str(tmp_path / "fam400.nft")
     assert main(["gen", "family", "400", "-o", fam]) == 0
     capsys.readouterr()
-    assert main(["threshold", fam, "322400", "--max-configs", "1"]) == 0
-    assert main(["exact", fam, "322401", "--max-configs", "1"]) == 1
-    assert capsys.readouterr().out.split() == ["TRUE", "FALSE"]
-    assert main(["threshold", fam, "322399", "--max-configs", "1"]) == 3
-    assert main(["exact", fam, "322400", "--max-configs", "1"]) == 3
+    for k in ("80200", "322400"):
+        assert main(["threshold", fam, k, "--max-configs", "1"]) == 0
+    for k in ("80201", "322401"):
+        assert main(["exact", fam, k, "--max-configs", "1"]) == 1
+    assert capsys.readouterr().out.split() == ["TRUE", "TRUE", "FALSE", "FALSE"]
+    assert main(["threshold", fam, "80199", "--max-configs", "1"]) == 3
+    assert main(["exact", fam, "80200", "--max-configs", "1"]) == 3
 
 
 def test_analyze_human(tmp_path, capsys):
@@ -130,6 +133,13 @@ def test_analyze_human(tmp_path, capsys):
     looping = _write(tmp_path, "u.nft", text)
     assert main(["analyze", looping]) == 0
     assert "  deviation: INF\n" in capsys.readouterr().out
+    # the whole graph of T_22 outgrows the default budget, but the walk
+    # stops at the first run weighing U = v = 253
+    fam = str(tmp_path / "fam22.nft")
+    assert main(["gen", "family", "22", "-o", fam]) == 0
+    capsys.readouterr()
+    assert main(["analyze", fam]) == 0
+    assert "  deviation: 253\n" in capsys.readouterr().out
 
 
 def test_gen_family_writes_truth_sidecar(tmp_path, capsys):

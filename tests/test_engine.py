@@ -17,6 +17,7 @@ from helpers import (
     random_digraph,
     random_equal_length_nft,
     random_length_preserving_nft,
+    random_unsat_cnf,
     reference_walk,
     simple_cycles_shifts,
     tuple_keyed_graph,
@@ -60,8 +61,14 @@ from nftdev import (
     union,
 )
 from nftdev.cli import main
-from nftdev.engine import _configurations, _state_rows, _unfold, _walk
+from nftdev.engine import _components, _configurations, _state_rows, _unfold, _upper_bound, _walk
 from nftdev.transform import trim_with_maps
+
+# all 8 sign patterns over variables 1-3: unsatisfiable, so the gadget's
+# deviation 26 lies below the engine's upper bound U = n(m + 1) = 27, and
+# analyze and exact at U walk its whole configuration graph (222
+# configurations)
+UNSAT = CnfFormula(3, [(x, y, z) for x in (1, -1) for y in (2, -2) for z in (3, -3)])
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -72,6 +79,15 @@ def _nft(states, initials, finals, transitions, alphabet="ab"):
         finals=frozenset(finals),
         transitions=tuple(transitions),
     )
+
+
+def _upper(t: Nft) -> int:
+    """The engine's upper bound U for t, length-preserving with finite
+    deviation."""
+    trimmed = trim(t)
+    rows = _state_rows(trimmed)
+    shift, _ = shift_assignment(trimmed)
+    return _upper_bound(trimmed, _components(trimmed, rows), shift)
 
 
 def _identity(letters="ab"):
@@ -171,8 +187,11 @@ def test_consistency_implies_balanced_simple_cycles(corpus):
 
 
 def test_family_deviation_exact():
-    for n in range(2, 9):
-        res = analyze_deviation(gen_family(n).nft)
+    # U = v on T_n, so the walk stops at the first run weighing v: T_22
+    # answers within 1,000 configurations, where its whole graph has over
+    # 4 million
+    for n in [*range(2, 9), 22]:
+        res = analyze_deviation(gen_family(n).nft, max_configs=1000)
         assert res.verdict is Verdict.BOUNDED
         assert res.value == n * (n + 1) // 2
 
@@ -322,27 +341,33 @@ def test_max_configs_below_one_rejected():
 
 def test_state_budget_boundary():
     # the budget counts the configurations at kept states, and the pad
-    # chain q_1..q_9 of T_10 is fusable, so it has none
-    t = gen_family(10).nft
-    shift, _ = shift_assignment(t)
-    b = max(map(abs, shift.values()))
-    rows = _state_rows(t)
-    fusable = [len(row) == 1 and q not in t.initials | t.finals for q, row in enumerate(rows)]
-    assert sum(fusable) == 9
-    expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**20)
-    _walk(starts, expand, accepts)
-    n = len(state)
-    assert analyze_deviation(t, max_configs=n).value == 55
-    # the walk discovers the configurations in the same order under any
-    # budget, so the first n - 1 of them are spread over these states
-    held = len(set(state[: n - 1]))
-    assert held == len(t.states) - 9
-    expected = (
-        rf"^state budget exceeded: budget of {n - 1} configurations spent at {held} states,"
-        rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed$"
-    )
-    with pytest.raises(StateBudgetExceeded, match=expected):
-        analyze_deviation(t, max_configs=n - 1)
+    # chain q_1..q_9 of T_10 is fusable, so it has none.  The analysis
+    # walks with limit U - 1: T_10 has U = v = 55, so its walk stops at
+    # the first run weighing 55; the unsatisfiable gadget has v = 26 < U,
+    # so its walk runs to the end
+    cases = ((gen_family(10).nft, 55, 9, False), (gen_3sat(UNSAT).nft, 26, 8, True))
+    for t, value, pad, full in cases:
+        t = trim(t)
+        shift, _ = shift_assignment(t)
+        b = max(map(abs, shift.values()))
+        rows = _state_rows(t)
+        fusable = [len(row) == 1 and q not in t.initials | t.finals for q, row in enumerate(rows)]
+        assert sum(fusable) == pad
+        expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**20)
+        walk = _walk(starts, expand, accepts, _upper(t) - 1)
+        assert (walk.heavier is None) == full
+        n = len(state)
+        assert analyze_deviation(t, max_configs=n).value == value
+        # the walk discovers the configurations in the same order under any
+        # budget, so the first n - 1 of them are spread over these states
+        held = len(set(state[: n - 1]))
+        assert held == t.num_states - pad
+        expected = (
+            rf"^state budget exceeded: budget of {n - 1} configurations spent at {held} states,"
+            rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed$"
+        )
+        with pytest.raises(StateBudgetExceeded, match=expected):
+            analyze_deviation(t, max_configs=n - 1)
 
 
 def _unpack_lag(lag: int, n: int, alphabet) -> str:
@@ -402,9 +427,9 @@ def test_bounded_value_stays_within_B_where_lags_are_nonempty():
 
 def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
     # at b > 0, once the search finds the deviation finite, it is at most
-    # B: threshold(k >= B) is True and exact(k > B) False with no
-    # configuration graph.  Every answer must equal the one the walk's
-    # value gives.
+    # U <= B: threshold(k >= U) is True and exact(k > U) False with no
+    # configuration graph, so also at k >= B.  Every answer must equal the
+    # one the walk's value gives.
     real = nftdev.engine._configurations
     graphs = []
 
@@ -424,7 +449,9 @@ def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
     for t in instances:
         res = analyze_deviation(t)
         b, B = res.bounds.b, res.bounds.B
-        for k in (B - 1, B, B + 1):
+        upper = _upper(t) if res.verdict is Verdict.BOUNDED and b > 0 else None
+        ks = {B - 1, B, B + 1} if upper is None else {upper - 1, upper, upper + 1, B - 1, B, B + 1}
+        for k in sorted(ks):
             if k < 0:
                 continue
             graphs.clear()
@@ -433,8 +460,10 @@ def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
             graphs.clear()
             assert exact(t, k) == (res.bounded and res.value == k)
             walked_exact = bool(graphs)
-            if res.verdict is Verdict.BOUNDED and b > 0:
-                assert walked_threshold == (k < B) and walked_exact == (k <= B)
+            if upper is not None:
+                # exact at k = U walks, unless U = 0 = k puts [0, U] inside [k, k]
+                assert walked_threshold == (k < upper)
+                assert walked_exact == (k <= upper and upper > 0)
                 skipped += (k >= B) + (k > B)
     assert skipped >= 300
 
@@ -590,7 +619,7 @@ def test_threshold_consistent_with_exact_value(corpus):
 
 def test_questions_on_bounded_instances_with_lags(monkeypatch):
     # the acceptance corpus has no bounded instance with b > 0, so the
-    # questions' exit from [0, B] is checked on seeded length-preserving
+    # questions' exit from [0, U] is checked on seeded length-preserving
     # draws kept when bounded with b > 0, on T_2..T_10, on 3-SAT gadgets
     # and on their comparison pairs, whose products have bounds of their
     # own
@@ -617,33 +646,40 @@ def test_questions_on_bounded_instances_with_lags(monkeypatch):
     # patterns over variables 1-3
     rng = random.Random(2323)
     formulas = [random_cnf(rng, 5, 3) for _ in range(7)]
-    formulas.append(CnfFormula(3, [(x, y, z) for x in (1, -1) for y in (2, -2) for z in (3, -3)]))
+    formulas.append(UNSAT)
     gadgets = [gen_3sat(f) for f in formulas]
     assert [g.expected.deviation is None for g in gadgets] == [False] * 7 + [True]
     instances += [g.nft for g in gadgets]
     from_bounds = agreed = 0
     for t in instances:
         res = analyze_deviation(t)
-        v, B = res.value, res.bounds.B
+        v, U, B = res.value, _upper(t), res.bounds.B
         orc = brute_force_deviation(t, node_budget=20_000)
         if not orc.saturated:
             assert orc.max_seen == v
             agreed += 1
-        for k in sorted(k for k in {v - 1, v, v + 1, B - 1, B, B + 1} if k >= 0):
-            for question, answer in ((threshold, v <= k), (exact, v == k)):
+        for k in sorted(k for k in {v - 1, v, v + 1, U - 1, U, U + 1, B - 1, B, B + 1} if k >= 0):
+            # exact at k = U walks, unless U = 0 = k puts [0, U] inside [k, k]
+            for question, answer, skips in (
+                (threshold, v <= k, k >= U),
+                (exact, v == k, k > U or k == U == 0),
+            ):
                 graphs.clear()
                 assert question(t, k) is answer
-                from_bounds += not graphs
+                assert (not graphs) is skips
+                from_bounds += skips
         t1, t2 = deviation_to_comparison(t)
-        product = analyze_deviation(comparison_to_deviation(t1, t2))
+        z = comparison_to_deviation(t1, t2)
+        product = analyze_deviation(z)
         assert product.verdict is Verdict.BOUNDED and product.value == v
-        zB = product.bounds.B
+        zU, zB = _upper(z), product.bounds.B
         assert compare(t1, t2, "bounded") is True
-        for k in sorted(k for k in {v - 1, v, v + 1, zB - 1, zB, zB + 1} if k >= 0):
+        for k in sorted(k for k in {v - 1, v, v + 1, zU - 1, zU, zU + 1, zB - 1, zB, zB + 1} if k >= 0):
             assert compare(t1, t2, "threshold", k) is (v <= k)
             assert compare(t1, t2, "exact", k) is (v == k)
-    # threshold at B and B + 1 and exact at B + 1 answer from the bounds
-    assert agreed == len(instances) and from_bounds == 3 * len(instances)
+    # threshold at U, U + 1, B - 1, B and B + 1 and exact at the last four
+    # answer from the bounds, and also at v or v + 1 where those pass U
+    assert agreed == len(instances) and from_bounds >= 9 * len(instances)
     for g in gadgets:
         truth = g.expected
         assert threshold(g.nft, truth.threshold_k) is truth.threshold_answer
@@ -778,12 +814,17 @@ def test_wider_lags_match_oracle():
 
 def test_invariant_checks_survive_optimize():
     # a wrong distance function must trip the witness check even under -O,
-    # in the full analysis and in the questions' check of a heavier run:
-    # T_12 has deviation 78, so at k = 77 both walks stop at a heavier run
+    # in the full analysis and in the questions' check of a heavier run.
+    # The unsatisfiable gadget has deviation 26 < U = 27, so its analysis
+    # walks to the end and checks the heaviest run; T_12 has deviation
+    # 78 = U, so at k = 77 both walks stop at a heavier run, and T_3 has
+    # deviation 6 = U, so its analysis and exact at 6 stop at a run that
+    # must weigh U
     cases = [
         (
             "engine.hamming_distance = lambda u, v: -1\n"
-            "queries = [lambda: engine.analyze_deviation(gen_family(3).nft)]\n",
+            "f = CnfFormula(3, [(x, y, z) for x in (1, -1) for y in (2, -2) for z in (3, -3)])\n"
+            "queries = [lambda: engine.analyze_deviation(gen_3sat(f).nft)]\n",
             ["raised: witness must realize"],
         ),
         (
@@ -792,12 +833,18 @@ def test_invariant_checks_survive_optimize():
             "queries = [lambda: engine.threshold(t, 77), lambda: engine.exact(t, 77)]\n",
             ["raised: run heavier than the limit does not exceed it"] * 2,
         ),
+        (
+            "engine.hamming_distance = lambda u, v: 0\n"
+            "t = gen_family(3).nft\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.exact(t, 6)]\n",
+            ["raised: run heavier than U - 1 does not weigh the upper bound U"] * 2,
+        ),
     ]
     src = str(Path(nftdev.__file__).resolve().parent.parent)
     for patch, expected in cases:
         script = (
             "import nftdev.engine as engine\n"
-            "from nftdev import gen_family\n"
+            "from nftdev import CnfFormula, gen_3sat, gen_family\n"
             + patch
             + "for query in queries:\n"
             "    try:\n"
@@ -1110,8 +1157,9 @@ def test_state_graph_walk_matches_the_configuration_graph():
 
 
 def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
+    names = ("_shift_potential", "_components", "_nonconjugate_cycle", "_upper_bound")
     calls = Counter()
-    for name in ("_shift_potential", "_configurations", "_nonconjugate_cycle"):
+    for name in names + ("_configurations",):
 
         def counted(*args, _real=getattr(nftdev.engine, name), _name=name):
             calls[_name] += 1
@@ -1127,13 +1175,18 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         exact(t, 2)
         is_bounded(t)
     assert not calls
-    every = {"_shift_potential": 1, "_configurations": 1, "_nonconjugate_cycle": 1}
-    for query in (analyze_deviation, lambda t: threshold(t, 10), lambda t: exact(t, 10)):
+    # T_4 has deviation 10 = U: threshold at 9 and exact at 10 walk,
+    # threshold at 10 answers from U, and is_bounded from the search alone
+    every = dict.fromkeys(names + ("_configurations",), 1)
+    for query in (analyze_deviation, lambda t: threshold(t, 9), lambda t: exact(t, 10)):
         query(gen_family(4).nft)
         assert calls == every
         calls.clear()
+    assert threshold(gen_family(4).nft, 10)
+    assert calls == dict.fromkeys(names, 1)
+    calls.clear()
     assert is_bounded(gen_family(4).nft)
-    assert calls == {"_shift_potential": 1, "_nonconjugate_cycle": 1}
+    assert calls == dict.fromkeys(names[:3], 1)
 
 
 def test_every_question_takes_one_route(monkeypatch):
@@ -1177,21 +1230,33 @@ def test_every_question_takes_one_route(monkeypatch):
 
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
     # with b > 0 the search has ruled out every pumpable cycle before the
-    # walk; an inner positive edge after it means the two disagree
-    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda t, rows, shift: None)
-    t = union(gen_family(3).nft, _mismatch_loop())
-    with pytest.raises(AssertionError, match="positive edge inside a component"):
-        analyze_deviation(t)
+    # walk; an inner positive edge after it means the two disagree.  The
+    # loop's initial state comes first, so the walk meets the loop before
+    # T_3's run weighing U = 6 can end it
+    monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda *args: None)
+    t = union(_mismatch_loop(), gen_family(3).nft)
+    for query in (analyze_deviation, lambda t: exact(t, 6), lambda t: threshold(t, 5)):
+        with pytest.raises(AssertionError, match="positive edge inside a component"):
+            query(t)
 
 
 def test_threshold_and_exact_stop_at_the_first_heavier_path():
-    # T_12 has deviation 78 and 6,143 configurations
+    # T_12 has deviation 78 = U and 6,143 configurations
     t = gen_family(12).nft
     assert not threshold(t, 77, max_configs=500)
     assert not exact(t, 77, max_configs=500)
     assert not threshold(gen_family(16).nft, 135, max_configs=1000)
-    with pytest.raises(StateBudgetExceeded):
-        threshold(t, 78, max_configs=500)
+    # exact at k = U stops at the first run weighing U, and threshold at
+    # k >= U walks nothing
+    assert exact(t, 78, max_configs=500)
+    assert analyze_deviation(t, max_configs=500).value == 78
+    assert threshold(t, 78, max_configs=1)
+    # the unsatisfiable gadget's deviation 26 lies below U = 27, so at k =
+    # 26 no run stops the walk of its 222 configurations
+    g = gen_3sat(UNSAT).nft
+    for question in (threshold, exact):
+        with pytest.raises(StateBudgetExceeded):
+            question(g, 26, max_configs=200)
 
 
 def test_decisions_write_nothing(capsys):
@@ -1215,10 +1280,13 @@ def test_decisions_write_nothing(capsys):
         t1, t2 = deviation_to_comparison(t)
         for mode, k in (("bounded", None), ("threshold", 3), ("exact", 3)):
             compare(t1, t2, mode, k)
+    # the unsatisfiable gadget's deviation 26 lies below U = 27, so these
+    # walk until the budget stops them
+    g = gen_3sat(UNSAT).nft
     with pytest.raises(StateBudgetExceeded):
-        analyze_deviation(gen_family(10).nft, max_configs=100)
+        analyze_deviation(g, max_configs=100)
     with pytest.raises(StateBudgetExceeded):
-        threshold(gen_family(10).nft, 55, max_configs=100)
+        threshold(g, 26, max_configs=100)
     assert capsys.readouterr() == ("", "")
 
 
@@ -1230,7 +1298,53 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
         return real(starts, expand, accepts)._replace(heavier=([], starts[0]))
 
     monkeypatch.setattr(nftdev.engine, "_walk", light)
-    with pytest.raises(AssertionError, match="does not exceed"):
-        threshold(gen_family(4).nft, 10)
-    with pytest.raises(AssertionError, match="does not exceed"):
-        exact(gen_family(4).nft, 10)
+    # the unsatisfiable gadget has deviation 26 < U = 27: at k = 26 the
+    # questions walk with limit 26, which its heaviest run does not exceed;
+    # analyze and exact at k = U walk with limit U - 1 and take a heavier
+    # run as the witness of value U, so one that weighs 26 trips that
+    # check.  Both are explicit raises, which python -O keeps.
+    g = gen_3sat(UNSAT).nft
+    assert _upper(g) == 27
+    for query in (lambda t: threshold(t, 26), lambda t: exact(t, 26)):
+        with pytest.raises(AssertionError, match="^run heavier than the limit does not exceed"):
+            query(g)
+    for query in (analyze_deviation, lambda t: exact(t, 27)):
+        with pytest.raises(AssertionError, match="^run heavier than U - 1 does not weigh"):
+            query(g)
+
+
+def test_upper_bound_lies_between_the_deviation_and_B():
+    # U >= v is what lets analyze and exact stop at the first run weighing
+    # U; U <= B keeps the paper's bound; U = v on T_n, and U = n(m + 1) on
+    # the 3-SAT gadgets, which is v exactly when the formula is
+    # satisfiable.  The corpora hold no bounded instance with b > 0, so
+    # seeded length-preserving draws join them.
+    rng = random.Random(67)
+    sources = {"corpus": [t for seed in (CORPUS_SEED, 1, 2, 3) for t in make_corpus(500, seed)]}
+    sources["draws"] = [random_length_preserving_nft(rng, a) for a in ("a", "ab", "abc") * 300]
+    sources["family"] = [gen_family(n).nft for n in range(2, 19)]
+    formulas = [random_cnf(rng) for _ in range(15)] + [random_unsat_cnf(rng) for _ in range(15)]
+    sources["3-SAT"] = [gen_3sat(f).nft for f in formulas + [UNSAT]]
+    pairs = sources["family"][:11] + sources["3-SAT"][::3] + sources["draws"][:60]
+    sources["product"] = [
+        comparison_to_deviation(*deviation_to_comparison(t)) for t in pairs if t is not None
+    ]
+    checked, tight = Counter(), Counter()
+    for source, instances in sources.items():
+        for t in instances:
+            if t is None:
+                continue
+            res = analyze_deviation(t)
+            if res.verdict is not Verdict.BOUNDED or res.bounds.b == 0:
+                continue
+            upper = _upper(t)
+            assert res.value <= upper <= res.bounds.B
+            checked[source] += 1
+            tight[source] += res.value == upper
+    assert [_upper(t) for t in sources["family"]] == [n * (n + 1) // 2 for n in range(2, 19)]
+    sat = [f.num_vars * (f.num_clauses + 1) for f in formulas + [UNSAT]]
+    assert [_upper(t) for t in sources["3-SAT"]] == sat
+    assert checked["corpus"] == 0 and tight["family"] == 17
+    assert checked["draws"] >= 200 and checked["3-SAT"] == 31 and checked["product"] >= 40
+    assert tight["3-SAT"] == sum(sat_brute_force(f) is not None for f in formulas) < 31
+    assert 0 < tight["draws"] < checked["draws"]

@@ -23,7 +23,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
-from nftdev.engine import _nonconjugate_cycle, _state_rows
+from nftdev.engine import _components, _nonconjugate_cycle, _state_rows
 
 
 def _nft(states, initials, finals, transitions, alphabet="ab"):
@@ -105,7 +105,8 @@ def _assert_first_mismatch_at_shift(u, v, s, i, j):
 def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
     shift, _ = shift_assignment(t)
-    found = _nonconjugate_cycle(t, _state_rows(t), shift)
+    rows = _state_rows(t)
+    found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
@@ -115,10 +116,9 @@ def test_nonconjugate_cycle_on_reach_gadget():
 
 
 def test_nonconjugate_cycle_none_on_bounded():
-    t4 = gen_family(4).nft
-    assert _nonconjugate_cycle(t4, _state_rows(t4), shift_assignment(t4)[0]) is None
-    ident = _identity()
-    assert _nonconjugate_cycle(ident, _state_rows(ident), shift_assignment(ident)[0]) is None
+    for t in (gen_family(4).nft, _identity()):
+        rows = _state_rows(t)
+        assert _nonconjugate_cycle(t, rows, shift_assignment(t)[0], _components(t, rows)) is None
 
 
 def test_nonconjugate_agreement(corpus):
@@ -127,7 +127,8 @@ def test_nonconjugate_agreement(corpus):
         if unbalanced is not None:
             continue
         res = analyze_deviation(t)
-        found = _nonconjugate_cycle(t, _state_rows(t), shift)
+        rows = _state_rows(t)
+        found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found

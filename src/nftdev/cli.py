@@ -117,10 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-configs",
             type=int,
             default=DEFAULT_MAX_CONFIGS,
-            help="budget for the configuration graph, in configurations (default"
-            " 2**20), counted after chains of states with one way out are fused;"
-            " each costs about 200 to 300 bytes of peak memory, so the default"
-            " allows about 0.2 to 0.35 GB",
+            help="budget for the configuration graph, built only when some transition"
+            " shifts, in configurations (default 2**20), counted after chains of"
+            " states with one way out are fused; each costs about 200 to 300 bytes"
+            " of peak memory, so the default allows about 0.2 to 0.35 GB",
         )
 
     p = sub.add_parser("analyze", help="full deviation report for NFT files")
@@ -181,7 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force deviation at bounded depth")
     p.add_argument("file", metavar="FILE")
     p.add_argument("--max-run-len", type=int, default=None)
-    p.add_argument("--max-pair-len", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     for name, help_text in (
@@ -242,7 +241,7 @@ def _run(args) -> int:
         return EXIT_TRUE
 
     if args.command == "oracle":
-        res = brute_force_deviation(_load_nft(args.file), args.max_run_len, args.max_pair_len)
+        res = brute_force_deviation(_load_nft(args.file), args.max_run_len)
         witness = list(res.witness.transitions) if res.witness is not None else None
         if args.json:
             max_seen = "INF" if res.max_seen == INF else res.max_seen

@@ -25,11 +25,12 @@ exact supremum when it is finite:
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the trimmed state graph
 itself, walked directly; a positive edge inside a component of that walk
-closes into a pumpable cycle, and the budget is the number of trimmed
-states.  The state graph's rows (_state_rows, built in one pass over the
-transitions) are the engine's one adjacency: the shift potential, the
-shortest paths and the search below read them too.  Their edges carry
-mismatch weights only at smax = 0, the one place the weights are read.
+closes into a pumpable cycle.  That walk is linear in the trimmed
+transducer, so no budget applies to it.  The state graph's rows
+(_state_rows, built in one pass over the transitions) are the engine's
+one adjacency: the shift potential, the shortest paths and the search
+below read them too.  Their edges carry mismatch weights only at
+smax = 0, the one place the weights are read.
 
 When b > 0 the INF verdict needs no configuration graph: a
 length-preserving transducer has finite deviation exactly when no cycle
@@ -80,10 +81,11 @@ letters, so every lag stays within b = max |s_q|, read from the shift
 potential (Bounds gives the argument that B built on it is still the
 paper's quadratic bound), and the graph is finite; its size is still
 exponential in b in the worst case, hence the max_configs budget (at
-least 1).  A lag is kept as one int, its letters packed in a fixed number
-of bits each: since the lag at q always holds |s_q| letters, every
-transition moves fixed bit fields, and an edge costs a few integer
-operations and a dict lookup on an int key.
+least 1), which counts these configurations only.  A lag is kept as one
+int, its letters packed in a fixed number of bits each: since the lag at
+q always holds |s_q| letters, every transition moves fixed bit fields,
+and an edge costs a few integer operations and a dict lookup on an int
+key.
 """
 
 from __future__ import annotations
@@ -478,13 +480,6 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
     return _Walk(comp, value, nxt, via, held, None, None)
 
 
-def _over_budget(spent: str, b: int, num_states: int, began: float) -> StateBudgetExceeded:
-    return StateBudgetExceeded(
-        f"state budget exceeded: {spent}, b={b}, |Q|={num_states},"
-        f" {time.perf_counter() - began:.2f} s elapsed"
-    )
-
-
 def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int]]]:
     """The state graph of t as _walk rows: per state its (dst, weight,
     transition) edges in transition order.  The weight is the mismatch
@@ -522,15 +517,16 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
     s_src < 0 (the joined stream; the other word is the fixed one); the
     overlap of the two streams is compared and the rest of the longer one
     is the new lag.  A transition's plan is (transition, dst, dst's dict,
-    dst is final, shift, joined, cut, other, tail, rest, n): the joined
+    dst is final, shift, joined, cut, other, tail, rest): the joined
     stream is (lag << shift) | joined, its top letters (>> cut) are
     compared with `other`, the overlap of the fixed word, and the new lag
-    of n letters is (joined stream & tail) | rest, rest being the tail of
-    the fixed word when that one is longer.  The mismatches are the
-    nonzero w-bit digits of the xor: with w > 1 each digit's bits are
-    or-folded into its lowest bit, kept by a digit mask as wide as the
-    longest overlap.  s_f = 0, so a configuration at a final state has the
-    empty lag and accepts.
+    is (joined stream & tail) | rest, rest being the tail of the fixed
+    word when that one is longer; building the plan checks once that the
+    new lag holds |s_dst| letters.  The mismatches are the nonzero w-bit
+    digits of the xor: with w > 1 each digit's bits are or-folded into its
+    lowest bit, kept by a digit mask as wide as the longest overlap.
+    s_f = 0, so a configuration at a final state has the empty lag and
+    accepts.
     """
     began = time.perf_counter()
     code = {a: i for i, a in enumerate(sorted(trimmed.alphabet))}
@@ -554,13 +550,15 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
         s = shift[src]
         joined, fixed = (x, y) if s >= 0 else (y, x)
         lj, lf = abs(s) + len(joined), len(fixed)
+        if abs(lj - lf) != abs(shift[dst]):
+            raise AssertionError("lag length disagrees with the shift potential")
         overlap = max(overlap, min(lj, lf))
         # bits past the overlap in the joined stream and in the fixed word
         cut, spare = w * max(lj - lf, 0), w * max(lf - lj, 0)
         word = pack(fixed)
         plans[src].append(
             (ti, dst, node_id[dst], dst in trimmed.finals, w * len(joined), pack(joined),
-             cut, word >> spare, (1 << cut) - 1, word & (1 << spare) - 1, abs(lj - lf))
+             cut, word >> spare, (1 << cut) - 1, word & (1 << spare) - 1)
         )
     wide, folds = w > 1, range(1, w)
     digits = sum(1 << w * i for i in range(overlap))
@@ -569,12 +567,10 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
     accepts: set[int] = set()
 
     def over_budget():
-        held = sum(map(bool, node_id))
-        return _over_budget(
-            f"budget of {max_configs} configurations spent at {held} states",
-            b,
-            trimmed.num_states,
-            began,
+        return StateBudgetExceeded(
+            f"state budget exceeded: budget of {max_configs} configurations spent at"
+            f" {sum(map(bool, node_id))} states, b={b}, |Q|={trimmed.num_states},"
+            f" {time.perf_counter() - began:.2f} s elapsed"
         )
 
     starts = []
@@ -591,16 +587,12 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
     def expand(u: int) -> list[tuple[int, int, int]]:
         lag = lags[u]
         row = []
-        for ti, r, ids, final, shift, joined, cut, other, tail, rest, n in plans[state[u]]:
+        for ti, r, ids, final, shift, joined, cut, other, tail, rest in plans[state[u]]:
             stream = lag << shift | joined
             d = stream >> cut ^ other
             nlag = stream & tail | rest
             v = ids.get(nlag)
             if v is None:
-                if n > b:
-                    raise AssertionError(
-                        "lag exceeded the state-shift bound on a length-preserving transducer"
-                    )
                 if len(state) >= max_configs:
                     raise over_budget()
                 v = ids[nlag] = len(state)
@@ -728,7 +720,6 @@ def _analyze(
     """analyze_deviation, or, asked the question (lo, hi), whether the
     deviation lies in [lo, hi], by the route the module docstring gives.
     max_configs = INF sets no budget."""
-    began = time.perf_counter()
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
@@ -773,21 +764,8 @@ def _analyze(
     if st.smax == 0:
         # every shift is 0, so the potential is consistent, every lag is
         # empty and the configuration graph is the state graph
-        if trimmed.num_states > max_configs:
-            raise _over_budget(
-                f"the {trimmed.num_states} trimmed states exceed the budget of"
-                f" {max_configs} configurations",
-                0,
-                trimmed.num_states,
-                began,
-            )
-        starts, fusable = sorted(trimmed.initials), None
-        walk = _walk(starts, rows.__getitem__, trimmed.finals, limit)
-        if walk.pumped is not None:
-            # every state reaches a final one, so a positive edge inside a
-            # component pumps
-            u, v, ti = walk.pumped
-            return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
+        starts, expand, accepts = sorted(trimmed.initials), rows.__getitem__, trimmed.finals
+        fusable = None
     else:
         comp = _components(trimmed, rows)
         found = _nonconjugate_cycle(trimmed, rows, shift, comp)
@@ -808,26 +786,27 @@ def _analyze(
         expand, _, _, starts, accepts = _configurations(
             trimmed, rows, fusable, shift, b, max_configs
         )
-        walk = _walk(starts, expand, accepts, limit)
-        if walk.pumped is not None:
+    walk = _walk(starts, expand, accepts, limit)
+    if walk.pumped is not None:
+        if st.smax > 0:
             # the search above has ruled out every pumpable cycle
             raise AssertionError("positive edge inside a component of a bounded transducer")
-    if walk.heavier is not None:
-        steps, v = walk.heavier
-        steps = _unfold(trimmed, rows, fusable, steps + _chain(walk, v))
-        value = hamming_distance(*run_words(trimmed, Run(tuple(steps))))
-        if meets is None:
-            if value <= limit:
-                raise AssertionError("run heavier than the limit does not exceed it")
-            return False
-        if value != meets:
-            raise AssertionError("run heavier than U - 1 does not weigh the upper bound U")
-    else:
-        start = max(starts, key=lambda s: (walk.value[s], -s))
-        value = walk.value[start]
-        steps = _unfold(trimmed, rows, fusable, _chain(walk, start))
-        if hamming_distance(*run_words(trimmed, Run(tuple(steps)))) != value:
+        # at smax = 0 every state reaches a final one, so a positive edge
+        # inside a component pumps
+        u, v, ti = walk.pumped
+        return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
+    steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s)))
+    steps = _unfold(trimmed, rows, fusable, steps + _chain(walk, v))
+    value = hamming_distance(*run_words(trimmed, Run(tuple(steps))))
+    if walk.heavier is None:
+        if value != walk.value[v]:
             raise AssertionError("witness must realize the computed deviation")
+    elif meets is None:
+        if value <= limit:
+            raise AssertionError("run heavier than the limit does not exceed it")
+        return False
+    elif value != meets:
+        raise AssertionError("run heavier than U - 1 does not weigh the upper bound U")
     if value > bounds.B:
         raise AssertionError("bounded deviation exceeds the quadratic bound")
     return reply(
@@ -856,7 +835,9 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     """Full deviation analysis of an arbitrary Nft (trims internally).
 
     Raises StateBudgetExceeded when the configuration graph would exceed
-    max_configs nodes, and ValueError when max_configs is below 1.
+    max_configs nodes, which can happen only when some transition shifts
+    (at smax = 0 the walk is over the trimmed state graph and takes no
+    budget), and ValueError when max_configs is below 1.
     """
     return _analyze(t, max_configs)
 

@@ -34,19 +34,16 @@ class BruteForceResult:
     witness: Run | None
 
 
-def _default_caps(t: Nft) -> tuple[int, int]:
-    """Default limits (max_run_len, max_pair_len) = (4B, 2 * 4B * lmax)."""
+def _default_caps(t: Nft) -> int:
+    """The default run limit, max_run_len = 4B."""
     st = stats(t)
     b = min(st.smax * st.num_states, repr_size(t))
-    big_b = (b + st.lmax + 2) * st.num_states
-    max_run_len = 4 * big_b
-    return max_run_len, 2 * max_run_len * st.lmax
+    return 4 * (b + st.lmax + 2) * st.num_states
 
 
 def brute_force_deviation(
     t: Nft,
     max_run_len: int | None = None,
-    max_pair_len: int | None = None,
     node_budget: int = 500_000,
 ) -> BruteForceResult:
     """Maximum distance over accepting runs within the given limits.
@@ -54,17 +51,14 @@ def brute_force_deviation(
     max_seen is INF as soon as some accepting pair has |u| != |v| (then
     the supremum is exactly INF and saturated is False).  Otherwise
     max_seen is the maximum Hamming distance observed, 0 for an empty
-    relation, and saturated tells whether a run limit, pair-length limit
-    or internal cap cut the exploration.  A negative limit raises
-    ValueError.
+    relation, and saturated tells whether the run limit or an internal cap
+    cut the exploration.  A negative limit raises ValueError.
     """
     st = stats(t)
     if max_run_len is None:
-        max_run_len = _default_caps(t)[0]
-    if max_pair_len is None:
-        max_pair_len = 2 * max_run_len * st.lmax
-    if max_run_len < 0 or max_pair_len < 0:
-        raise ValueError("max_run_len and max_pair_len must be natural numbers")
+        max_run_len = _default_caps(t)
+    if max_run_len < 0:
+        raise ValueError("max_run_len must be a natural number")
     n = st.num_states
     # Length-preserving transducers keep every lag within smax * |Q|.  When
     # some accepted pair is unbalanced, one is reachable through an acyclic
@@ -77,7 +71,7 @@ def brute_force_deviation(
     for i, tr in enumerate(t.transitions):
         adj[tr.src].append((i, tr))
 
-    # node: (state, side, lag, mismatches) -> (parent_key, trans_idx, run_len, ulen, vlen)
+    # node: (state, side, lag, mismatches) -> (parent_key, trans_idx, run_len)
     info: dict[tuple, tuple] = {}
     queue: deque[tuple] = deque()
     saturated = False
@@ -96,7 +90,7 @@ def brute_force_deviation(
     for q in sorted(t.initials):
         key = (q, 0, "", 0)
         if key not in info:
-            info[key] = (None, None, 0, 0, 0)
+            info[key] = (None, None, 0)
             queue.append(key)
             if q in t.finals and best < 0:
                 best = 0
@@ -105,16 +99,11 @@ def brute_force_deviation(
     while queue:
         key = queue.popleft()
         state, side, lag, mism = key
-        _, _, length, ulen, vlen = info[key]
+        length = info[key][2]
         for ti, tr in adj[state]:
             if length + 1 > max_run_len:
                 saturated = True
                 break
-            nulen = ulen + len(tr.input)
-            nvlen = vlen + len(tr.output)
-            if nulen + nvlen > max_pair_len:
-                saturated = True
-                continue
             pin = lag + tr.input if side > 0 else tr.input
             pout = lag + tr.output if side < 0 else tr.output
             k = min(len(pin), len(pout))
@@ -134,7 +123,7 @@ def brute_force_deviation(
             if len(info) >= node_budget:
                 saturated = True
                 continue
-            info[nk] = (key, ti, length + 1, nulen, nvlen)
+            info[nk] = (key, ti, length + 1)
             if tr.dst in t.finals:
                 if nside != 0:
                     # an accepted pair with unequal lengths: the sup is INF

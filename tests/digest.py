@@ -29,7 +29,10 @@ on every deviation_to_comparison pair above, on 300 seeded
 union(t1, t3) x t2 pairs of random_trimmed_nft draws and on the
 colliding-name fixtures of test_producers.py.  A fourth, `bounded`,
 hashes is_bounded of every instance, apart from `main` so that `main`
-stays comparable with trees that did not hash it.
+stays comparable with trees that did not hash it.  A fifth, `oracle`,
+hashes brute_force_deviation at its default caps and a node budget of
+20,000 on the corpora and T_2..T_8, so that a change to the reference
+engine can be shown to keep its answers too.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from nftdev import (  # noqa: E402
     StateBudgetExceeded,
     Verdict,
     analyze_deviation,
+    brute_force_deviation,
     compare,
     comparison_to_deviation,
     deviation_to_comparison,
@@ -66,6 +70,8 @@ from nftdev import (  # noqa: E402
 BUDGET = 1000
 COMPARE_MAX_STATES = 64  # compares T_n up to n = 12 (4n states)
 UNION_PAIRS = 300
+ORACLE_NODE_BUDGET = 20_000
+ORACLE_MAX_FAMILY = 8  # the oracle runs on T_n up to n = 8
 
 
 def instances():
@@ -108,7 +114,7 @@ def product_lines(label: str, t1, t2) -> list[str]:
 
 def outputs(label: str, t):
     """The strings hashed for one instance: (main, nlp_bounds, product,
-    bounded)."""
+    bounded, oracle)."""
     main, nlp, product = [label], [], []
     res = analyze_deviation(t)
     if res.verdict is Verdict.NOT_LENGTH_PRESERVING:
@@ -135,7 +141,10 @@ def outputs(label: str, t):
             main.append(repr(analyze_deviation(t, max_configs=BUDGET)))
         except StateBudgetExceeded as e:
             main.append(budget_message(e))
-    return main, nlp, product, [f"{label} {is_bounded(t)}"]
+    oracle = []
+    if label.startswith("corpus") or label.startswith("T") and int(label[1:]) <= ORACLE_MAX_FAMILY:
+        oracle.append(f"{label} {brute_force_deviation(t, node_budget=ORACLE_NODE_BUDGET)!r}")
+    return main, nlp, product, [f"{label} {is_bounded(t)}"], oracle
 
 
 def main() -> None:
@@ -144,7 +153,8 @@ def main() -> None:
         "--lines", action="store_true", help="print every hashed line instead of the digests"
     )
     show = parser.parse_args().lines
-    digests = {name: hashlib.sha256() for name in ("main", "nlp-bounds", "product", "bounded")}
+    names = ("main", "nlp-bounds", "product", "bounded", "oracle")
+    digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
 
     def add(name, lines):

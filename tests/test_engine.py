@@ -327,7 +327,9 @@ def test_state_budget():
 def test_max_configs_below_one_rejected():
     # a usage error, not a spent budget, also where no graph would be built
     empty = Nft(("p",), frozenset("a"), frozenset({0}), frozenset(), ())
-    for t in (gen_family(4).nft, empty):
+    chain = tuple((v, v + 1) for v in range(5))
+    reach = gen_reach_bounded(Digraph(6, chain, s=0, t=5)).nft
+    for t in (gen_family(4).nft, empty, reach):
         for budget in (0, -1):
             with pytest.raises(ValueError, match="max_configs must be at least 1"):
                 analyze_deviation(t, budget)
@@ -380,16 +382,19 @@ def _unpack_lag(lag: int, n: int, alphabet) -> str:
 
 
 def test_lag_bound_is_checked_by_the_walk():
-    # T_6 needs lags of up to 5 letters; with b = 1 the first configuration
-    # whose lag outgrows it must trip the invariant, an explicit raise that
-    # python -O keeps
+    # every chain's new lag must hold |s_dst| letters; a potential that
+    # is off by one at a single state trips the check when the chain's
+    # plan is built, an explicit raise that python -O keeps
     t = gen_family(6).nft
+    shift = shift_assignment(t)[0]
+    b = max(map(abs, shift.values()))
     unfused = [False] * t.num_states
-    expand, _, _, starts, accepts = _configurations(
-        t, _state_rows(t), unfused, shift_assignment(t)[0], 1, 2**20
-    )
-    with pytest.raises(AssertionError, match="^lag exceeded the state-shift bound"):
-        _walk(starts, expand, accepts)
+    _configurations(t, _state_rows(t), unfused, shift, b, 2**20)
+    for q in range(t.num_states):
+        wrong = dict(shift)
+        wrong[q] += 1
+        with pytest.raises(AssertionError, match="^lag length disagrees with the shift potential"):
+            _configurations(t, _state_rows(t), unfused, wrong, b, 2**20)
 
 
 def test_bounded_value_stays_within_B_where_lags_are_nonempty():
@@ -1190,18 +1195,15 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
 
 
 def test_every_question_takes_one_route(monkeypatch):
-    # each question trims once, on the way into the one analysis, and
-    # is_bounded meets no budget: at b > 0 it answers before the walk, at
-    # smax = 0 it walks the state graph
+    # each question trims once, on the way into the one analysis, and no
+    # question meets a budget at smax = 0, where the walk is over the state
+    # graph; is_bounded meets none at b > 0 either, answering before the walk
     real = nftdev.engine.trim_with_maps
     trimmed = []
 
     def counted(t):
         trimmed.append(t)
         return real(t)
-
-    def refuse(*args):
-        raise AssertionError("a budget was exceeded")
 
     monkeypatch.setattr(nftdev.engine, "trim_with_maps", counted)
     chain = tuple((v, v + 1) for v in range(5))
@@ -1219,13 +1221,22 @@ def test_every_question_takes_one_route(monkeypatch):
             trimmed.clear()
             query(t)
             assert trimmed == [t]
-    monkeypatch.setattr(nftdev.engine, "_over_budget", refuse)
     rng = random.Random(2000)
     edges = tuple((rng.randrange(2000), rng.randrange(2000)) for _ in range(4000))
     reach = gen_reach_bounded(Digraph(2000, edges, s=0, t=1999)).nft
     assert stats(reach).smax == 0
     assert is_bounded(gen_family(400).nft) is True
     assert is_bounded(reach) is analyze_deviation(reach).bounded
+    # with t cut off the deviation is 1; either way a budget of one
+    # configuration changes no answer
+    cut = gen_reach_bounded(Digraph(2000, [e for e in edges if e[1] != 1999], s=0, t=1999)).nft
+    for t in (reach, cut):
+        res = analyze_deviation(t)
+        assert analyze_deviation(t, max_configs=1) == res
+        for k in (0, 1, 2):
+            assert threshold(t, k, max_configs=1) == threshold(t, k)
+            assert exact(t, k, max_configs=1) == exact(t, k)
+    assert (res.verdict, res.value) == (Verdict.BOUNDED, 1)
 
 
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):

@@ -55,9 +55,7 @@ def test_empty_relation_convention():
 
 def test_default_caps_formula():
     t4 = gen_family(4).nft
-    run_cap, pair_cap = _default_caps(t4)
-    assert run_cap == 4 * 96
-    assert pair_cap == 2 * run_cap * 2
+    assert _default_caps(t4) == 4 * 96
 
 
 def test_agrees_with_literal_run_dfs():
@@ -67,7 +65,7 @@ def test_agrees_with_literal_run_dfs():
         if not small:
             continue
         reference = literal_max_distance(t, 7)
-        got = brute_force_deviation(t, 7, max_pair_len=10**6)
+        got = brute_force_deviation(t, 7)
         expected = reference if reference >= 0 else 0
         assert got.max_seen == expected, t
 
@@ -180,19 +178,13 @@ def test_saturation_flag_on_tight_caps():
 # the frontier without flagging it would leave saturated False.
 
 
-def test_pair_length_cap_saturates():
-    res = brute_force_deviation(gen_family(4).nft, max_run_len=50, max_pair_len=3)
-    assert res.saturated is True
-    assert res.max_seen < 10
-
-
 def test_lag_cap_saturates():
     # q1 is a dead end whose (a, eps) loop grows the lag without bound; the
     # lag cap is 3 * smax * |Q| + lmax = 7 and the run cap 4B = 40
     dead_end = _nft(
         ["q0", "q1"], {0}, {0}, [Transition(0, "a", "", 1), Transition(1, "a", "", 1)], "a"
     )
-    assert _default_caps(dead_end) == (40, 80)
+    assert _default_caps(dead_end) == 40
     res = brute_force_deviation(dead_end)
     assert res.saturated is True
     assert res.max_seen == 0

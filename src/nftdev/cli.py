@@ -130,9 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bounded",
-        help="is the deviation finite? (polynomial, no budget: a walk of the trimmed"
-        " state graph when no transition shifts, else a (state, phase) search for a"
-        " nonconjugate cycle)",
+        help="is the deviation finite? (polynomial, no budget: a walk of the state"
+        " graph, which also trims it, when no transition shifts, else a (state,"
+        " phase) search for a nonconjugate cycle)",
     )
     p.add_argument("file", metavar="FILE")
 

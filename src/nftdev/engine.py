@@ -4,7 +4,8 @@ The engine decides, for an NFT, whether the Hamming distance between
 input and output is unbounded over the accepted pairs, and computes the
 exact supremum when it is finite:
 
-1. trim; an empty result means the relation is empty (deviation 0);
+1. trim (at smax = 0 the walk does it; see below); an empty result means
+   the relation is empty (deviation 0);
 2. propagate the shift potential s_p from the initial states; where two
    initial runs disagree on a state's shift, or a final state's is not 0,
    the propagation returns an accepting run with |u| != |v|, the witness
@@ -23,10 +24,17 @@ exact supremum when it is finite:
    sit at kept states only (see below).
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
-every lag is empty and the configuration graph is the trimmed state graph
-itself, walked directly; a positive edge inside a component of that walk
-closes into a pumpable cycle.  That walk is linear in the trimmed
-transducer, so no budget applies to it.  The state graph's rows
+every lag is empty and the configuration graph is the state graph itself,
+walked directly and untrimmed, from the initial states with the final
+ones as accepts: the walk does the trim.  A component that reaches no
+final state is dead and the walk skips the edges into it; a dead state
+reaches no live one, so the live part of the walk (its order, values and
+tie-breaks, and the shortest paths of the witnesses) is the walk of
+trim(t), whose ids keep t's order, and every answer is trim(t)'s in t's
+ids.  A positive edge inside a live component closes into a pumpable
+cycle.  Trim is then needed only at smax > 0, where the shift potential
+needs it (trim(t) has smax = 0 whenever t does).  That walk is linear in
+the transducer, so no budget applies to it.  The state graph's rows
 (_state_rows, built in one pass over the transitions) are the engine's
 one adjacency: the shift potential, the shortest paths and the search
 below read them too.  Their edges carry mismatch weights only at
@@ -40,7 +48,8 @@ inside the strongly connected components of the state graph, a phase
 being idle, a confirmed mismatch, or one letter waiting on the other
 stream for its partner; a scan of the closed cycle's words then finds
 the positions.  Every question runs it first and takes UNBOUNDED from
-its cycle, with shortest state-graph paths as prefix and suffix.
+its cycle; analyze_deviation adds shortest state-graph paths as prefix
+and suffix, and the other questions, which answer False, build none.
 
 A fusable state is neither initial nor final and has one outgoing
 transition; the others are kept.  An edge of the graph is a chain, a
@@ -100,7 +109,7 @@ from operator import ne
 from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
-from .transform import is_trim, trim_with_maps
+from .transform import _live_states, is_trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
 
@@ -196,7 +205,7 @@ class DeviationResult:
     cycle_witness is a mismatching run from anchor_state to itself, and
     cycle_prefix/cycle_suffix complete it to a pumpable accepting run.
     All runs and states use the identifiers of the analyzed (original)
-    Nft, even though the analysis trims first.
+    Nft, even where the analysis trims first.
     """
 
     verdict: Verdict
@@ -326,13 +335,14 @@ class _Walk(NamedTuple):
     member the component's heaviest path to acceptance leaves by (-2 - r,
     r its root, while a multi-node component is being valued), so it
     tells the components apart.  value[u] is then the weight of that path
-    (-1 before), and nxt[m], via[m] the node and transition it leaves by,
+    (-1 before, and -1 for good in a dead component, one with no path to
+    acceptance), and nxt[m], via[m] the node and transition it leaves by,
     or nxt[m] = -1 when it ends at the accepting member m; exit reads
     them.  inner holds the rows of the members of multi-node components.
     The walk ends early at pumped, a positive (u, v, transition) edge
-    inside a component, or at heavier, (steps, v) when the tree path
-    `steps` to the root v of a popped component outweighs the limit
-    together with v's value.
+    inside a component that reaches acceptance, or at heavier, (steps, v)
+    when the tree path `steps` to the root v of a popped component
+    outweighs the limit together with v's value.
     """
 
     comp: list[int]
@@ -352,7 +362,7 @@ class _Walk(NamedTuple):
         return (m, None, None) if v < 0 else (m, v, self.via[m])
 
 
-def _walk(starts, expand, accepts, limit=None) -> _Walk:
+def _walk(starts, expand, accepts, limit=None, live=True) -> _Walk:
     """Tarjan's strongly connected components, run on the fly, deciding
     and valuing each component as it pops.
 
@@ -365,10 +375,17 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
     as one frame and returning pops it.  Components pop in reverse
     topological order, so every edge leaving a component reaches one
     whose value is already final, while value[w] < 0 marks w as inside
-    the popping component.  Members are scanned in node order, an
+    the popping component or dead.  Members are scanned in node order, an
     accepting member first and then strictly heavier edges, so ties go to
     the smallest node id.  With a limit the walk stops at the first popped
     component whose root has g + value > limit.
+
+    A component with no path to acceptance is dead: when live is set every
+    node must reach acceptance and a dead component raises, otherwise it
+    pops with value -1.  Edges into dead nodes are skipped, a positive
+    edge inside a dead component does not pump (the walk reports the
+    first one only once the component's value is known to be >= 0), and a
+    dead root never outweighs the limit.
     """
     # comp[u] (see _Walk) doubles as Tarjan's index: a popped id is
     # negative, so it never undercuts a low link.  The per-node lists at
@@ -423,17 +440,20 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
                 else:
                     b = nx = lb = -1
                     m0 = v
+                    pumped = None
                     if stack[-1] == v:
                         # one node, the common case (every component of an
                         # acyclic graph): no member list, and its row is at hand
                         stack.pop()
+                        members = ()
                         if v in accepts:
                             b = 0
                         for w, wt, ti in row:
                             x = value[w]
                             if x < 0:
-                                if wt > 0:
-                                    return _Walk(comp, value, nxt, via, held, (v, w, ti), None)
+                                # w is v itself or dead
+                                if wt > 0 and w == v and pumped is None:
+                                    pumped = (v, w, ti)
                             elif wt + x > b:
                                 b, nx, lb = wt + x, w, ti
                     else:
@@ -443,8 +463,9 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
                         members = sorted(stack[height:])
                         del stack[height:]
                         held[v] = row
+                        inside = -2 - v
                         for m in members:
-                            comp[m] = -2 - v
+                            comp[m] = inside
                         for m in members:
                             if m in accepts:
                                 b, m0 = 0, m
@@ -453,20 +474,24 @@ def _walk(starts, expand, accepts, limit=None) -> _Walk:
                             for w, wt, ti in held[u]:
                                 x = value[w]
                                 if x < 0:
-                                    if wt > 0:
-                                        return _Walk(comp, value, nxt, via, held, (u, w, ti), None)
+                                    # w is a member or dead
+                                    if wt > 0 and comp[w] == inside and pumped is None:
+                                        pumped = (u, w, ti)
                                 elif wt + x > b:
                                     b, m0, nx, lb = wt + x, u, w, ti
-                        for m in members:
-                            comp[m] = -2 - m0
-                            value[m] = b
                     if b < 0:
-                        raise AssertionError("configuration cannot reach acceptance")
+                        if live:
+                            raise AssertionError("configuration cannot reach acceptance")
+                    elif pumped is not None:
+                        return _Walk(comp, value, nxt, via, held, pumped, None)
+                    for m in members:
+                        comp[m] = -2 - m0
+                        value[m] = b
                     comp[v] = -2 - m0
                     value[v] = b
                     nxt[m0] = nx
                     via[m0] = lb
-                    if limit is not None and g + b > limit:
+                    if b >= 0 and limit is not None and g + b > limit:
                         steps = [f[5] for f in frames[1:]]
                         if frames:
                             steps.append(tl)
@@ -730,50 +755,60 @@ def _analyze(
         res = DeviationResult(**fields)
         return res if question is None else res.bounded and lo <= res.value <= hi
 
-    trimmed, state_map, trans_map = trim_with_maps(t)
-    if trimmed.num_states == 0:
-        return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
-
-    st = stats(trimmed)
-    # route on smax, never on b: a conflict met early can leave b = 0
-    rows = _state_rows(trimmed, st.smax == 0)
-    shift, unbalanced = ({}, None) if st.smax == 0 else _shift_potential(trimmed, rows)
-    if unbalanced is None:
-        b = max(map(abs, shift.values()), default=0)
-    else:
-        b = st.smax * (trimmed.num_states - 1)
-    bounds = Bounds(b, (b + st.lmax + 2) * trimmed.num_states)
-    if unbalanced is not None:
-        return reply(
-            verdict=Verdict.NOT_LENGTH_PRESERVING,
-            bounds=bounds,
-            witness=_map_run(unbalanced.transitions, trans_map),
-        )
+    st = stats(t)
+    # route on smax, never on b: a conflict met early can leave b = 0.  At
+    # smax = 0 the walk does the trim, so its runs are in t's ids already
+    state_map, trans_map = range(t.num_states), range(len(t.transitions))
+    if st.smax > 0:
+        trimmed, state_map, trans_map = trim_with_maps(t)
+        if trimmed.num_states == 0:
+            return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
+        if trimmed is not t:
+            t, st = trimmed, stats(trimmed)
+    rows = _state_rows(t, st.smax == 0)
+    bounds = None  # at smax = 0, known once the walk has found the live states
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
-        """UNBOUNDED from a pumpable cycle at p."""
-        return reply(
+        """UNBOUNDED from a pumpable cycle at p, closed by a shortest path
+        back to p where it ends elsewhere.  Every question answers False,
+        so only analyze_deviation builds the witness."""
+        if question is not None:
+            return False
+        cycle += _bfs_path(rows, (t.transitions[cycle[-1]].dst,), {p})
+        return DeviationResult(
             verdict=Verdict.UNBOUNDED,
-            bounds=bounds,
+            bounds=bounds or _zero_shift_bounds(t, st.lmax, _live_states(t)),
             cycle_witness=_map_run(cycle, trans_map),
             anchor_state=state_map[p],
-            cycle_prefix=_map_run(_bfs_path(rows, sorted(trimmed.initials), {p}), trans_map),
-            cycle_suffix=_map_run(_bfs_path(rows, (p,), trimmed.finals), trans_map),
+            cycle_prefix=_map_run(_bfs_path(rows, sorted(t.initials), {p}), trans_map),
+            cycle_suffix=_map_run(_bfs_path(rows, (p,), t.finals), trans_map),
         )
 
     if st.smax == 0:
         # every shift is 0, so the potential is consistent, every lag is
         # empty and the configuration graph is the state graph
-        starts, expand, accepts = sorted(trimmed.initials), rows.__getitem__, trimmed.finals
+        starts, expand, accepts = sorted(t.initials), rows.__getitem__, t.finals
         fusable = None
     else:
-        comp = _components(trimmed, rows)
-        found = _nonconjugate_cycle(trimmed, rows, shift, comp)
+        shift, unbalanced = _shift_potential(t, rows)
+        if unbalanced is None:
+            b = max(map(abs, shift.values()))
+        else:
+            b = st.smax * (t.num_states - 1)
+        bounds = Bounds(b, (b + st.lmax + 2) * t.num_states)
+        if unbalanced is not None:
+            return reply(
+                verdict=Verdict.NOT_LENGTH_PRESERVING,
+                bounds=bounds,
+                witness=_map_run(unbalanced.transitions, trans_map),
+            )
+        comp = _components(t, rows)
+        found = _nonconjugate_cycle(t, rows, shift, comp)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
         if question == (0, INF):
             return True  # is_bounded needs no upper bound
-        upper = _upper_bound(trimmed, comp, shift)
+        upper = _upper_bound(t, comp, shift)
         if question is not None and (lo > upper or lo == 0 and upper <= hi):
             # the deviation lies in [0, U], which is inside [lo, hi] or outside it
             return lo == 0
@@ -781,23 +816,24 @@ def _analyze(
             # analyze, and exact at k = U: no run outweighs U, so the first
             # run heavier than U - 1 weighs U and is the witness
             limit, meets = upper - 1, upper
-        ends = trimmed.initials | trimmed.finals
+        ends = t.initials | t.finals
         fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
-        expand, _, _, starts, accepts = _configurations(
-            trimmed, rows, fusable, shift, b, max_configs
-        )
-    walk = _walk(starts, expand, accepts, limit)
+        expand, _, _, starts, accepts = _configurations(t, rows, fusable, shift, b, max_configs)
+    walk = _walk(starts, expand, accepts, limit, live=st.smax > 0)
     if walk.pumped is not None:
         if st.smax > 0:
             # the search above has ruled out every pumpable cycle
             raise AssertionError("positive edge inside a component of a bounded transducer")
-        # at smax = 0 every state reaches a final one, so a positive edge
-        # inside a component pumps
-        u, v, ti = walk.pumped
-        return unbounded(u, (ti,) + _bfs_path(rows, (v,), {u}))
-    steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s)))
-    steps = _unfold(trimmed, rows, fusable, steps + _chain(walk, v))
-    value = hamming_distance(*run_words(trimmed, Run(tuple(steps))))
+        # at smax = 0 the walk reports a positive edge only inside a
+        # component that reaches a final state, so it pumps
+        u, _, ti = walk.pumped
+        return unbounded(u, (ti,))
+    steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s), default=-1))
+    if v < 0 or walk.value[v] < 0:
+        # at smax = 0: no initial state reaches a final one
+        return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
+    steps = _unfold(t, rows, fusable, steps + _chain(walk, v))
+    value = hamming_distance(*run_words(t, Run(tuple(steps))))
     if walk.heavier is None:
         if value != walk.value[v]:
             raise AssertionError("witness must realize the computed deviation")
@@ -807,6 +843,11 @@ def _analyze(
         return False
     elif value != meets:
         raise AssertionError("run heavier than U - 1 does not weigh the upper bound U")
+    if bounds is None:
+        # the walk ran to the end, so the states it valued are trim(t)'s
+        n = len(walk.value) - walk.value.count(-1)
+        kept = range(n) if n == t.num_states else {q for q, x in enumerate(walk.value) if x >= 0}
+        bounds = _zero_shift_bounds(t, st.lmax, kept)
     if value > bounds.B:
         raise AssertionError("bounded deviation exceeds the quadratic bound")
     return reply(
@@ -815,6 +856,19 @@ def _analyze(
         value=value,
         witness=_map_run(steps, trans_map),
     )
+
+
+def _zero_shift_bounds(t: Nft, lmax: int, kept) -> Bounds:
+    """The Bounds of trim(t) for t with smax = 0 and longest transition
+    lmax, kept holding the states trim(t) keeps.  trim(t) has smax = 0
+    too, so b = 0 and B = (lmax' + 2) * |kept|, lmax' being read from the
+    transitions between kept states when some state is dead."""
+    if len(kept) < t.num_states:
+        lmax = max(
+            (len(x) + len(y) for p, x, y, q in t.transitions if p in kept and q in kept),
+            default=0,
+        )
+    return Bounds(0, (lmax + 2) * len(kept))
 
 
 def _chain(walk: _Walk, cur: int) -> list[int]:
@@ -832,12 +886,14 @@ def _chain(walk: _Walk, cur: int) -> list[int]:
 
 
 def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> DeviationResult:
-    """Full deviation analysis of an arbitrary Nft (trims internally).
+    """Full deviation analysis of an arbitrary Nft; its bounds are those
+    of trim(t).  At smax > 0 it trims internally; at smax = 0 the walk of
+    the untrimmed state graph does the trim.
 
     Raises StateBudgetExceeded when the configuration graph would exceed
     max_configs nodes, which can happen only when some transition shifts
-    (at smax = 0 the walk is over the trimmed state graph and takes no
-    budget), and ValueError when max_configs is below 1.
+    (at smax = 0 the walk is over the state graph and takes no budget),
+    and ValueError when max_configs is below 1.
     """
     return _analyze(t, max_configs)
 

@@ -32,7 +32,11 @@ hashes is_bounded of every instance, apart from `main` so that `main`
 stays comparable with trees that did not hash it.  A fifth, `oracle`,
 hashes brute_force_deviation at its default caps and a node budget of
 20,000 on the corpora and T_2..T_8, so that a change to the reference
-engine can be shown to keep its answers too.
+engine can be shown to keep its answers too.  A sixth, `zero-shift`,
+hashes the repr of analyze_deviation, is_bounded, and threshold and exact
+at the same k on the untrimmed draws of helpers.zero_shift_instances
+(smax = 0 with dead states, which none of the instances above has), so
+that the walk's own trim is covered.
 """
 
 from __future__ import annotations
@@ -46,7 +50,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from helpers import make_corpus, random_length_preserving_nft, random_trimmed_nft  # noqa: E402
+from helpers import (  # noqa: E402
+    make_corpus,
+    random_length_preserving_nft,
+    random_trimmed_nft,
+    zero_shift_instances,
+)
 from test_acceptance import CORPUS_SEED  # noqa: E402
 from test_producers import COLLIDING, COLLIDING_DEAD  # noqa: E402
 
@@ -64,6 +73,7 @@ from nftdev import (  # noqa: E402
     parse_nft,
     serialize_nft,
     threshold,
+    trim,
     union,
 )
 
@@ -112,6 +122,22 @@ def product_lines(label: str, t1, t2) -> list[str]:
     return [label, serialize_nft(comparison_to_deviation(t1, t2))]
 
 
+def question_ks(res) -> list[int]:
+    """The k at which threshold and exact are hashed: 0, 1, 2, 5, and v - 1
+    and v when the value v is finite."""
+    ks = {0, 1, 2, 5}
+    if res.verdict is Verdict.BOUNDED:
+        ks |= {res.value - 1, res.value}
+    return sorted(k for k in ks if k >= 0)
+
+
+def zero_shift_lines(label: str, t) -> list[str]:
+    res = analyze_deviation(t)
+    lines = [label, repr(res), f"bounded {is_bounded(t)}"]
+    lines += [f"threshold {k} {threshold(t, k)} exact {exact(t, k)}" for k in question_ks(res)]
+    return lines
+
+
 def outputs(label: str, t):
     """The strings hashed for one instance: (main, nlp_bounds, product,
     bounded, oracle)."""
@@ -122,10 +148,7 @@ def outputs(label: str, t):
         main.append(repr(dataclasses.replace(res, bounds=None)))
     else:
         main.append(repr(res))
-    ks = {0, 1, 2, 5}
-    if res.verdict is Verdict.BOUNDED:
-        ks |= {res.value - 1, res.value}
-    ks = sorted(k for k in ks if k >= 0)
+    ks = question_ks(res)
     for k in ks:
         main.append(f"threshold {k} {threshold(t, k)} exact {exact(t, k)}")
     if not label.startswith("T") or t.num_states <= COMPARE_MAX_STATES:
@@ -153,7 +176,7 @@ def main() -> None:
         "--lines", action="store_true", help="print every hashed line instead of the digests"
     )
     show = parser.parse_args().lines
-    names = ("main", "nlp-bounds", "product", "bounded", "oracle")
+    names = ("main", "nlp-bounds", "product", "bounded", "oracle", "zero-shift")
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
 
@@ -169,6 +192,9 @@ def main() -> None:
             add(name, lines)
     for label, t1, t2 in union_pairs():
         add("product", product_lines(label, t1, t2))
+    for i, t in enumerate(zero_shift_instances()):
+        if trim(t) != t:
+            add("zero-shift", zero_shift_lines(f"zero#{i}", t))
     if not show:
         for name, h in digests.items():
             print(f"{name} {h.hexdigest()} ({counts[name]} lines)")

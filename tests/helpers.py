@@ -17,6 +17,8 @@ from nftdev import (
     Transition,
     add_eps_self_loops,
     atomize,
+    gen_reach_bounded,
+    gen_reach_threshold,
     hamming_distance,
     shift_assignment,
     trim,
@@ -128,6 +130,17 @@ def random_equal_length_nft(rng: random.Random, max_states: int = 7):
         transitions=tuple(transitions),
         name="rand-eq",
     )
+
+
+def zero_shift_instances() -> list[Nft]:
+    """3,000 seeded equal-length NFTs and reach and reach-k gadgets on 40
+    seeded digraphs, untrimmed: every one has smax = 0."""
+    rng = random.Random(2026)
+    instances = [random_equal_length_nft(rng) for _ in range(3000)]
+    for i in range(40):
+        g = random_digraph(rng) if i < 30 else random_digraph(rng, 300, (0.003, 0.01))
+        instances += [gen_reach_bounded(g).nft, gen_reach_threshold(g, 1 + i % 3).nft]
+    return instances
 
 
 def make_corpus(count: int, seed: int) -> list[Nft]:
@@ -520,18 +533,19 @@ def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
     return nodes, succ, parent, starts, accepts
 
 
-def reference_walk(succ, starts, accepts):
+def reference_walk(succ, starts, accepts, live=True):
     """Reference for engine._walk on a small graph given as per-node rows
     of (v, weight, transition) edges, from reachability closures instead
     of a depth-first walk.  Returns (reached, comp, value, exit): the set
     of nodes reachable from starts; comp[u], the frozenset of reached
     nodes that u reaches and that reach u; value[u], the heaviest path
-    weight from u to an accepting node, INF when a path from u meets a
-    positive edge inside a component (the node must reach acceptance);
-    and, where the value is finite, exit[u], the (member, next,
-    transition) edge of the documented tie-breaks: the smallest accepting
-    member, then strictly heavier edges over the members in node order
-    and each row in order, or (member, None, None)."""
+    weight from u to an accepting node, INF when a path from u to one
+    meets a positive edge inside a component, and -1 when u reaches no
+    accepting node (with live, such a node raises); and, where the value
+    is finite, exit[u], the (member, next, transition) edge of the
+    documented tie-breaks: the smallest accepting member, then strictly
+    heavier edges over the members in node order and each row in order,
+    or (member, None, None)."""
     closure = {}
     for u in range(len(succ)):
         seen, todo = {u}, [u]
@@ -549,7 +563,7 @@ def reference_walk(succ, starts, accepts):
         members = sorted(c)
         if members[0] in value:
             return value[members[0]]
-        b, out = -1, None
+        b, out, pumps = -1, None, False
         for m in members:
             if m in accepts:
                 b, out = 0, (m, None, None)
@@ -557,16 +571,18 @@ def reference_walk(succ, starts, accepts):
         for u in members:
             for v, wt, ti in succ[u]:
                 if v in c:
-                    if wt > 0:
-                        b = INF
+                    pumps = pumps or wt > 0
                 elif b != INF:
                     x = valued(comp[v])
                     if x == INF:
                         b = INF
-                    elif wt + x > b:
+                    elif x >= 0 and wt + x > b:
                         b, out = wt + x, (u, v, ti)
         if b == -1:
-            raise AssertionError("node cannot reach acceptance")
+            if live:
+                raise AssertionError("node cannot reach acceptance")
+        elif pumps:
+            b = INF
         for m in members:
             value[m] = b
             if b != INF:

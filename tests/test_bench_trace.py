@@ -15,7 +15,7 @@ def _reject(constant):
     raise ValueError(f"non-finite number {constant} in the result line")
 
 
-@pytest.mark.parametrize("workload", ["family", "compare"])
+@pytest.mark.parametrize("workload", ["family", "reach", "compare"])
 def test_traced_run_ends_in_a_result(workload):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--trace", "1", "--seconds", "1"],

@@ -269,8 +269,8 @@ def test_budget_exit_code(tmp_path, capsys):
 
 
 def test_budget_does_not_apply_at_zero_shift(tmp_path, capsys):
-    # smax = 0: the walk is over the trimmed state graph, linear in its
-    # size, so a budget below the number of states changes nothing
+    # smax = 0: the walk is over the state graph, linear in its size, so
+    # a budget below the number of states changes nothing
     chain = tuple((v, v + 1) for v in range(5))
     for edges in (chain, chain[:-1]):
         t = gen_reach_bounded(Digraph(6, edges, s=0, t=5)).nft

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import random
 import subprocess
@@ -15,12 +16,12 @@ from helpers import (
     make_corpus,
     random_cnf,
     random_digraph,
-    random_equal_length_nft,
     random_length_preserving_nft,
     random_unsat_cnf,
     reference_walk,
     simple_cycles_shifts,
     tuple_keyed_graph,
+    zero_shift_instances,
 )
 from test_acceptance import CORPUS_SEED
 
@@ -928,17 +929,22 @@ def test_value_components_reports_inner_positive_edge():
 
 
 def test_value_components_requires_acceptance():
-    succ = [[(1, 0, 0)], [(0, 0, 1)]]
+    # the configuration graph at b > 0 must reach acceptance everywhere;
+    # only the smax = 0 walk, which does the trim, lets a component die
+    succ = [[(1, 0, 0)], [(0, 1, 1)]]
     with pytest.raises(AssertionError, match="cannot reach acceptance"):
         _walk_hand(succ, set())
+    walk = _walk(range(2), succ.__getitem__, set(), live=False)
+    assert walk.pumped is None and walk.value[:2] == [-1, -1] and walk.comp[0] == walk.comp[1] < -1
 
 
 @st.composite
 def _walk_graphs(draw):
-    """(succ, starts, accepts, limit) for _walk: up to 12 nodes, parallel
-    edges and self-loops, every node reaching an accepting one.  In about
-    half the draws every edge inside a component weighs 0, so the walk
-    values all it reaches."""
+    """(succ, starts, accepts, limit, live) for _walk: up to 12 nodes,
+    parallel edges and self-loops.  With live every node reaches an
+    accepting one; otherwise some components may be dead.  In about half
+    the draws every edge inside a component weighs 0, so the walk values
+    all it reaches."""
     n = draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
     weight = st.sampled_from((0, 0, 0, 1, 2))
@@ -952,37 +958,44 @@ def _walk_graphs(draw):
     for ti, (u, v, wt) in enumerate(edges):
         succ[u].append((v, wt, ti))
     accepts = set(draw(st.sets(node, max_size=n)))
+    live = draw(st.booleans())
     for c in set(comp.values()):
         # a component no edge leaves keeps an accepting member
-        if not accepts & c and all(v in c for u in c for v, _, _ in succ[u]):
+        if live and not accepts & c and all(v in c for u in c for v, _, _ in succ[u]):
             accepts.add(min(c))
     starts = draw(st.lists(node, min_size=1, max_size=4))
     limit = draw(st.none() | st.integers(0, 4))
-    return succ, starts, accepts, limit
+    return succ, starts, accepts, limit, live
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(_walk_graphs())
 def test_walk_matches_the_closure_reference(graph):
-    succ, starts, accepts, limit = graph
-    walk = _walk(starts, succ.__getitem__, accepts, limit)
-    reached, comp, value, exit = reference_walk(succ, starts, accepts)
+    succ, starts, accepts, limit, live = graph
+    walk = _walk(starts, succ.__getitem__, accepts, limit, live)
+    reached, comp, value, exit = reference_walk(succ, starts, accepts, live)
     n = len(succ)
     edges = {ti: (u, v, wt) for u, row in enumerate(succ) for v, wt, ti in row}
     ids = walk.comp + [-1] * (n - len(walk.comp))
     popped = {u for u in range(n) if u < len(walk.value) and walk.value[u] >= 0}
+    dead = {u for u in reached if value[u] == -1}
     for u in popped:
         # a popped node's whole component popped with it, under an id of its own
         assert {v for v in range(n) if ids[v] == ids[u]} == comp[u]
         assert walk.value[u] == value[u]
         assert walk.exit(u) == exit[u]
     if walk.pumped is not None:
+        # only a component that reaches acceptance pumps
         u, v, ti = walk.pumped
         assert edges[ti][:2] == (u, v) and edges[ti][2] > 0 and v in comp[u]
+        assert value[u] == INF
     elif walk.heavier is None:
-        # the walk ran to the end, so no positive edge lies inside a
-        # component (every value is finite) and no start outweighs the limit
-        assert popped == reached
+        # the walk ran to the end, so no positive edge lies inside a live
+        # component (every value is finite), every dead component popped
+        # under an id of its own, and no start outweighs the limit
+        assert popped == reached - dead
+        for u in dead:
+            assert ids[u] <= -2 and {v for v in range(n) if ids[v] == ids[u]} == comp[u]
         assert limit is None or max(value[s] for s in starts) <= limit
     if walk.heavier is not None:
         steps, v = walk.heavier
@@ -1110,22 +1123,11 @@ def test_unbounded_at_zero_shift_comes_from_the_walk(monkeypatch):
     assert unbounded >= 2
 
 
-def _zero_shift_instances():
-    """3,000 seeded equal-length NFTs and reach and reach-k gadgets on
-    seeded digraphs: every one has smax = 0."""
-    rng = random.Random(2026)
-    instances = [random_equal_length_nft(rng) for _ in range(3000)]
-    for i in range(40):
-        g = random_digraph(rng) if i < 30 else random_digraph(rng, 300, (0.003, 0.01))
-        instances += [gen_reach_bounded(g).nft, gen_reach_threshold(g, 1 + i % 3).nft]
-    return instances
-
-
 def test_state_graph_walk_matches_the_configuration_graph():
-    # at smax = 0 the engine walks the trimmed state graph; the
+    # at smax = 0 the engine walks the state graph; the
     # configuration graph, built and walked directly, must agree with it
     bounded = unbounded = 0
-    for t in _zero_shift_instances():
+    for t in zero_shift_instances():
         trimmed = trim(t)
         if trimmed.num_states == 0:
             continue
@@ -1159,6 +1161,103 @@ def test_state_graph_walk_matches_the_configuration_graph():
             assert not threshold(t, value - 1) and not exact(t, value - 1)
         bounded += 1
     assert bounded >= 500 and unbounded >= 500
+
+
+def _map_result(res, state_map, trans_map):
+    """res with its runs and anchor state mapped to the original ids."""
+
+    def run(r):
+        return None if r is None else Run(tuple(trans_map[i] for i in r.transitions))
+
+    return dataclasses.replace(
+        res,
+        witness=run(res.witness),
+        cycle_witness=run(res.cycle_witness),
+        cycle_prefix=run(res.cycle_prefix),
+        cycle_suffix=run(res.cycle_suffix),
+        anchor_state=None if res.anchor_state is None else state_map[res.anchor_state],
+    )
+
+
+def _dead_state_fixtures():
+    """Untrimmed smax = 0 transducers whose dead states would change an
+    answer if the walk counted them: i (0) and f (1) live, d, e dead."""
+    a, b = Transition, "ab"
+    return [
+        # a positive self-loop on a reachable dead state, and a positive
+        # edge into it from a live cycle: neither pumps
+        _nft("ifd", {0}, {1}, [a(0, "a", "a", 1), a(1, "a", "a", 0), a(1, "a", "b", 2),
+                               a(2, "b", "a", 2)], b),
+        # a positive cycle of two dead states
+        _nft("ifde", {0}, {1}, [a(0, "a", "a", 1), a(0, "a", "b", 2), a(2, "a", "b", 3),
+                                a(3, "b", "b", 2)], b),
+        # a dead branch heavier than every live run (weight 3 against 1)
+        _nft("ifd", {0}, {1}, [a(0, "a", "b", 1), a(0, "aaa", "bbb", 2), a(2, "a", "a", 2)], b),
+        # a dead initial state first in id order, with a heavy loop
+        _nft("dif", {0, 1}, {2}, [a(0, "aa", "bb", 0), a(1, "a", "a", 2)], b),
+        # a dead transition longer than any live one: B comes from trim(t)
+        _nft("ifd", {0}, {1}, [a(0, "a", "b", 1), a(0, "aaaa", "bbbb", 2)], b),
+        # no initial state reaches a final one: EMPTY
+        _nft("idf", {0}, {2}, [a(0, "a", "b", 1), a(1, "a", "b", 1), a(2, "a", "a", 2)], b),
+    ]
+
+
+def test_untrimmed_walk_answers_as_trim_first():
+    # at smax = 0 the walk runs on the untrimmed state graph; every answer,
+    # its bounds included, must be the trimmed transducer's, mapped back
+    fixtures = _dead_state_fixtures()
+    instances = fixtures + [t for t in zero_shift_instances() if trim(t) != t]
+    seen = Counter()
+    for t in instances:
+        trimmed, state_map, trans_map = trim_with_maps(t)
+        assert trimmed.num_states < t.num_states and stats(t).smax == 0
+        want = analyze_deviation(trimmed)
+        assert analyze_deviation(t) == _map_result(want, state_map, trans_map)
+        assert is_bounded(t) == is_bounded(trimmed)
+        ks = {0, 1, 2}
+        if want.verdict is Verdict.BOUNDED:
+            ks |= {want.value - 1, want.value}
+        for k in sorted(k for k in ks if k >= 0):
+            assert threshold(t, k) == threshold(trimmed, k)
+            assert exact(t, k) == exact(trimmed, k)
+        seen[want.verdict] += 1
+    assert seen[Verdict.BOUNDED] >= 500 and seen[Verdict.UNBOUNDED] >= 500
+    assert seen[Verdict.EMPTY] >= 300
+    got = [analyze_deviation(t) for t in fixtures]
+    assert [(r.verdict, r.value) for r in got] == [
+        (Verdict.BOUNDED, 0), (Verdict.BOUNDED, 0), (Verdict.BOUNDED, 1),
+        (Verdict.BOUNDED, 0), (Verdict.BOUNDED, 1), (Verdict.EMPTY, 0),
+    ]
+    assert [r.bounds for r in got] == [
+        Bounds(0, 8), Bounds(0, 8), Bounds(0, 8), Bounds(0, 8), Bounds(0, 8), Bounds(0, 0)
+    ]
+
+
+def test_questions_build_no_unbounded_witness(monkeypatch):
+    # every question answers an unbounded deviation with False, so none
+    # builds the prefix, the suffix or the closing path of the cycle: the
+    # shortest paths with no component to stay in
+    instances = [
+        gen_reach_bounded(Digraph(3, ((0, 1), (1, 2)), s=0, t=2)).nft,
+        union(gen_family(3).nft, _mismatch_loop()),
+    ]
+    real = nftdev.engine._bfs_path
+
+    def inside_only(rows, sources, targets, comp=None):
+        if comp is None:
+            raise AssertionError("a question built an unbounded witness")
+        return real(rows, sources, targets, comp)
+
+    monkeypatch.setattr(nftdev.engine, "_bfs_path", inside_only)
+    for t in instances:
+        assert is_bounded(t) is False
+        for k in (0, 1, 6, 10**6):
+            assert threshold(t, k) is False and exact(t, k) is False
+    monkeypatch.setattr(nftdev.engine, "_bfs_path", real)
+    for t in instances:
+        res = analyze_deviation(t)
+        assert res.verdict is Verdict.UNBOUNDED
+        _assert_pumps(t, res)
 
 
 def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
@@ -1195,9 +1294,10 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
 
 
 def test_every_question_takes_one_route(monkeypatch):
-    # each question trims once, on the way into the one analysis, and no
-    # question meets a budget at smax = 0, where the walk is over the state
-    # graph; is_bounded meets none at b > 0 either, answering before the walk
+    # each question trims once at smax > 0, on the way into the one
+    # analysis, and never at smax = 0, where the walk over the untrimmed
+    # state graph does the trim; no question meets a budget at smax = 0,
+    # and is_bounded meets none at b > 0 either, answering before the walk
     real = nftdev.engine.trim_with_maps
     trimmed = []
 
@@ -1220,7 +1320,7 @@ def test_every_question_takes_one_route(monkeypatch):
         for query in queries:
             trimmed.clear()
             query(t)
-            assert trimmed == [t]
+            assert trimmed == ([t] if stats(t).smax > 0 else [])
     rng = random.Random(2000)
     edges = tuple((rng.randrange(2000), rng.randrange(2000)) for _ in range(4000))
     reach = gen_reach_bounded(Digraph(2000, edges, s=0, t=1999)).nft
@@ -1304,9 +1404,9 @@ def test_decisions_write_nothing(capsys):
 def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
     real = nftdev.engine._walk
 
-    def light(starts, expand, accepts, limit=None):
+    def light(starts, expand, accepts, limit=None, live=True):
         # the heaviest run from a start, reported as exceeding the limit
-        return real(starts, expand, accepts)._replace(heavier=([], starts[0]))
+        return real(starts, expand, accepts, live=live)._replace(heavier=([], starts[0]))
 
     monkeypatch.setattr(nftdev.engine, "_walk", light)
     # the unsatisfiable gadget has deviation 26 < U = 27: at k = 26 the

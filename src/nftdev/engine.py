@@ -73,17 +73,25 @@ The four public questions take one route, _analyze.  analyze_deviation
 asks for the whole result; is_bounded, threshold and exact ask whether
 the deviation lies in [lo, hi], namely [0, INF], [0, k] and [k, k], and
 get the answer as soon as it is known.  A verdict other than BOUNDED
-answers from the value 0 (EMPTY) or False.  When b > 0 and the search
-finds the deviation finite, is_bounded answers True, and otherwise the
-deviation lies in [0, U] (_upper_bound, U = v on T_n): that answers True
-when lo = 0 and U <= hi (threshold at k >= U) and False when lo > U
-(exact at k > U), with no configuration walked.  So is_bounded walks at
-most the state graph, at smax = 0, and needs no budget.  Otherwise the
-walk stops at the first component whose root's tree path and value
-together weigh more than the limit, hi, or U - 1 where hi >= U
-(analyze_deviation; exact at k = U).  That run is rebuilt and checked:
-past hi it answers False; past U - 1 it must weigh exactly U, the
-deviation, and is the witness.
+answers from the value 0 (EMPTY) or False.  When b > 0, is_bounded
+answers from the search alone, so it walks at most the state graph, at
+smax = 0, and needs no budget.  Every other question first takes, from
+the state graph's condensation, an upper bound U and a probe, an
+accepting run along the path U maximises, of weight L (_upper_bound;
+L = U = v on T_n).  A finite deviation lies in [L, U]:
+  - lo > U (exact at k > U) answers False at once;
+  - lo = 0 and U <= hi (threshold at k >= U) answers from the search
+    alone, True when it finds the deviation finite;
+  - otherwise L > hi answers False before the search, since that run
+    refutes [lo, hi] whether or not the deviation is finite, and once
+    the search finds it finite, L = U answers BOUNDED with value U and
+    the probe as witness,
+all with no configuration walked.  Otherwise the walk stops at the first
+component whose root's tree path and value together weigh more than the
+limit, hi, or U - 1 where hi >= U (analyze_deviation; exact at k = U).
+That run is rebuilt and checked: past hi it answers False; past U - 1 it
+must weigh exactly U, the deviation, and is the witness.  A budget that
+stops the walk reports the bracket [L, U].
 
 For a length-preserving trimmed transducer the lag at q holds |s_q|
 letters, so every lag stays within b = max |s_q|, read from the shift
@@ -141,15 +149,20 @@ class Bounds:
     B: int
 
 
-def _upper_bound(t: Nft, comp, shift: dict[int, int]) -> int:
-    """U >= the deviation of a trimmed t that the search found bounded,
-    comp[q] naming q's strongly connected component (_components): the
-    longest path over the condensation, U = max enter(q) over the initial
-    states.  enter(q) = [q's component is cyclic] * |s_q| + leave(q's
-    component); leave(C) is the max of 0 and of overlap(d) + enter(dst d)
-    over the transitions d leaving C; overlap(d) = min(|s_p| + |joined|,
-    |fixed|) counts the positions d compares from its source p (the words
-    of _configurations).
+def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]) -> tuple[int, int, list[int]]:
+    """(U, q, steps) for a trimmed length-preserving t, rows being
+    _state_rows(t) and comp[q] naming q's strongly connected component
+    (_components): U >= the deviation once the search has found it
+    bounded, and the probe, an accepting run of t that starts at the
+    initial state q and follows the path U maximises; steps are its
+    transitions.
+
+    U is the longest path over the condensation, U = max enter(q) over the
+    initial states.  enter(q) = [q's component is cyclic] * |s_q| +
+    leave(q's component); leave(C) is the max of 0 (when C holds a final
+    state) and of overlap(d) + enter(dst d) over the transitions d leaving
+    C; overlap(d) = min(|s_p| + |joined|, |fixed|) counts the positions d
+    compares from its source p (the words of _configurations).
 
     A run enters each component once and leaves it for good.  Two letters
     written within one visit never mismatch, or the search would have
@@ -158,33 +171,64 @@ def _upper_bound(t: Nft, comp, shift: dict[int, int]) -> int:
     cyclic one against the |s_q| letters of lag the run entered it with
     at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
     * |Q| < B.  leave(C) is final once each transition leaving C is
-    counted, as its target's component becomes final.
+    counted, as its target's component becomes final; each component
+    keeps the transition that gave its leave, or None to end at one of its
+    final states.
+
+    The probe walks that path: from the argmax initial state q (ties go to
+    the smallest id), at each entry q of a cyclic component with s_q != 0
+    it loops a shortest cycle through q, of input length l, ceil(|s_q| / l)
+    times (none when l = 0), so that the lag it entered with is compared
+    in full, then takes a shortest path inside the component to the kept
+    transition's source, or to a final state.  That is the run the paper's
+    k_i = i - 1 gives on T_n.  It is a run of t, so its weight L is at most
+    the deviation v; L = U proves v = U.  Each component adds at most b
+    cycles and one path, of at most |Q| transitions each, so the probe
+    has O(b * |Q|^2) transitions.
     """
-    leave = dict.fromkeys(comp[: t.num_states], 0)
+    finals = {comp[f] for f in t.finals}
+    leave = {c: 0 if c in finals else -1 for c in comp[: t.num_states]}
+    out = dict.fromkeys(leave)
     waits = dict.fromkeys(leave, 0)
     cyclic, into = set(), {}
-    for d in t.transitions:
-        src, _, _, dst = d
+    for ti, (src, _, _, dst) in enumerate(t.transitions):
         c = comp[src]
         if c == comp[dst]:
             cyclic.add(c)
         else:
             waits[c] += 1
-            into.setdefault(comp[dst], []).append(d)
+            into.setdefault(comp[dst], []).append(ti)
 
     def enter(q: int) -> int:
         return leave[comp[q]] + abs(shift[q]) * (comp[q] in cyclic)
 
     ready = [c for c, n in waits.items() if n == 0]
     while ready:
-        for p, x, y, q in into.get(ready.pop(), ()):
+        for ti in into.get(ready.pop(), ()):
+            p, x, y, q = t.transitions[ti]
             s, c = shift[p], comp[p]
             joined, fixed = (x, y) if s >= 0 else (y, x)
-            leave[c] = max(leave[c], min(abs(s) + len(joined), len(fixed)) + enter(q))
+            weight = min(abs(s) + len(joined), len(fixed)) + enter(q)
+            if weight > leave[c]:
+                leave[c], out[c] = weight, ti
             waits[c] -= 1
             if waits[c] == 0:
                 ready.append(c)
-    return max(map(enter, t.initials))
+    start = q = max(sorted(t.initials), key=enter)
+    steps: list[int] = []
+    while True:
+        c = comp[q]
+        if c in cyclic and shift[q]:
+            cycle = _shortest_cycle(rows, q, comp)
+            ell = sum(len(t.transitions[ti].input) for ti in cycle)
+            if ell:
+                steps += cycle * -(-abs(shift[q]) // ell)
+        d = out[c]
+        steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
+        if d is None:
+            return enter(start), start, steps
+        steps.append(d)
+        q = t.transitions[d].dst
 
 
 class Verdict(str, Enum):
@@ -267,6 +311,23 @@ def _bfs_path(rows, sources, targets, comp=None) -> tuple[int, ...]:
                 return _parent_chain(parent, v)
             queue.append(v)
     raise AssertionError("no path from the source to a target")
+
+
+def _shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
+    """Transitions of a shortest cycle from q back to q inside q's
+    component, over the (v, weight, transition) edges rows[u] leaving u;
+    q's component must be cyclic."""
+    parent: dict[int, tuple[int, int] | None] = {q: None}
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for v, _, label in rows[u]:
+            if v == q:
+                return _parent_chain(parent, u) + (label,)
+            if v not in parent and comp[v] == comp[q]:
+                parent[v] = (u, label)
+                queue.append(v)
+    raise AssertionError("no cycle through the state")
 
 
 def shift_assignment(t: Nft) -> tuple[dict[int, int], Run | None]:
@@ -517,7 +578,9 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
     return rows
 
 
-def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, max_configs: int):
+def _configurations(
+    trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, max_configs: int, bracket=None
+):
     """The configuration graph as _walk unfolds it: (expand, state, lags,
     starts, accepts), with no configuration at a fusable state; rows is
     _state_rows(trimmed) and fusable[q] says whether q is fusable.  An edge
@@ -551,7 +614,8 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
     digits of the xor: with w > 1 each digit's bits are or-folded into its
     lowest bit, kept by a digit mask as wide as the longest overlap.
     s_f = 0, so a configuration at a final state has the empty lag and
-    accepts.
+    accepts.  A spent budget raises StateBudgetExceeded; with bracket =
+    (L, U) its message ends with the interval the deviation lies in.
     """
     began = time.perf_counter()
     code = {a: i for i, a in enumerate(sorted(trimmed.alphabet))}
@@ -592,11 +656,14 @@ def _configurations(trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, 
     accepts: set[int] = set()
 
     def over_budget():
-        return StateBudgetExceeded(
+        message = (
             f"state budget exceeded: budget of {max_configs} configurations spent at"
             f" {sum(map(bool, node_id))} states, b={b}, |Q|={trimmed.num_states},"
             f" {time.perf_counter() - began:.2f} s elapsed"
         )
+        if bracket is not None:
+            message += f", deviation in [{bracket[0]}, {bracket[1]}]"
+        return StateBudgetExceeded(message)
 
     starts = []
     for q in sorted(trimmed.initials):
@@ -784,6 +851,17 @@ def _analyze(
             cycle_suffix=_map_run(_bfs_path(rows, (p,), t.finals), trans_map),
         )
 
+    def bounded(steps: list[int], value: int) -> DeviationResult | bool:
+        """BOUNDED with value `value` and the run `steps` as its witness."""
+        if value > bounds.B:
+            raise AssertionError("bounded deviation exceeds the quadratic bound")
+        return reply(
+            verdict=Verdict.BOUNDED,
+            bounds=bounds,
+            value=value,
+            witness=_map_run(steps, trans_map),
+        )
+
     if st.smax == 0:
         # every shift is 0, so the potential is consistent, every lag is
         # empty and the configuration graph is the state graph
@@ -803,22 +881,47 @@ def _analyze(
                 witness=_map_run(unbalanced.transitions, trans_map),
             )
         comp = _components(t, rows)
+        if question == (0, INF):
+            # is_bounded needs no bound and no run
+            return _nonconjugate_cycle(t, rows, shift, comp) is None
+        upper, start, probe = _upper_bound(t, rows, comp, shift)
+        if question is not None and lo > upper:
+            # a finite deviation is at most U < lo (exact at k > U)
+            return False
+        # [0, U] lies inside [0, hi] (threshold at k >= U): the search alone
+        # answers, and no probe weight can change that answer
+        inside = question is not None and lo == 0 and upper <= hi
+        if not inside:
+            first, last = start, start
+            if probe:
+                first, last = t.transitions[probe[0]].src, t.transitions[probe[-1]].dst
+            if first not in t.initials or last not in t.finals:
+                raise AssertionError(
+                    "probe run must start at an initial state and end at a final one"
+                )
+            lower = hamming_distance(*run_words(t, Run(tuple(probe))))
+            if lower > hi:
+                # a run heavier than hi refutes [lo, hi], bounded or not
+                return False
         found = _nonconjugate_cycle(t, rows, shift, comp)
         if found is not None:
             return unbounded(found[0], found[1].transitions)
-        if question == (0, INF):
-            return True  # is_bounded needs no upper bound
-        upper = _upper_bound(t, comp, shift)
-        if question is not None and (lo > upper or lo == 0 and upper <= hi):
-            # the deviation lies in [0, U], which is inside [lo, hi] or outside it
-            return lo == 0
+        if inside:
+            return True
+        if lower > upper:
+            raise AssertionError("probe run outweighs the upper bound U")
+        if lower == upper:
+            # the deviation lies in [L, U] = {U}, and the probe weighs it
+            return bounded(probe, upper)
         if hi >= upper:
             # analyze, and exact at k = U: no run outweighs U, so the first
             # run heavier than U - 1 weighs U and is the witness
             limit, meets = upper - 1, upper
         ends = t.initials | t.finals
         fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
-        expand, _, _, starts, accepts = _configurations(t, rows, fusable, shift, b, max_configs)
+        expand, _, _, starts, accepts = _configurations(
+            t, rows, fusable, shift, b, max_configs, (lower, upper)
+        )
     walk = _walk(starts, expand, accepts, limit, live=st.smax > 0)
     if walk.pumped is not None:
         if st.smax > 0:
@@ -848,14 +951,7 @@ def _analyze(
         n = len(walk.value) - walk.value.count(-1)
         kept = range(n) if n == t.num_states else {q for q, x in enumerate(walk.value) if x >= 0}
         bounds = _zero_shift_bounds(t, st.lmax, kept)
-    if value > bounds.B:
-        raise AssertionError("bounded deviation exceeds the quadratic bound")
-    return reply(
-        verdict=Verdict.BOUNDED,
-        bounds=bounds,
-        value=value,
-        witness=_map_run(steps, trans_map),
-    )
+    return bounded(steps, value)
 
 
 def _zero_shift_bounds(t: Nft, lmax: int, kept) -> Bounds:

@@ -30,6 +30,18 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _write_unsat(tmp_path, capsys):
+    """The 3-SAT gadget of all 8 sign patterns over variables 1-3: it is
+    unsatisfiable, so its deviation 26 lies below the engine's upper bound
+    U = 27, and its probe weighs 18."""
+    clauses = [f"{x} {y} {z} 0" for x in (1, -1) for y in (2, -2) for z in (3, -3)]
+    cnf = _write(tmp_path, "unsat.cnf", "\n".join(["p cnf 3 8", *clauses, ""]))
+    out = str(tmp_path / "unsat.nft")
+    assert main(["gen", "3sat", cnf, "-o", out]) == 0
+    capsys.readouterr()
+    return out
+
+
 def test_exact_true(tmp_path, capsys):
     assert main(["exact", _write_family4(tmp_path), "10"]) == 0
     assert capsys.readouterr().out.strip() == "TRUE"
@@ -108,20 +120,39 @@ def test_threshold_false_within_a_small_budget(tmp_path, capsys):
 
 
 def test_threshold_at_the_bound_walks_no_configuration(tmp_path, capsys):
-    # T_400 has deviation U = 80,200, B = 322,400 and a walk far beyond
-    # any budget; k >= U (and k > U for exact) is answered from the bound,
-    # so one configuration of budget is enough, while threshold below U
-    # and exact at k = U still need the walk
+    # the unsatisfiable gadget has L = 18 < v = 26 < U = 27 and B = 329:
+    # k >= U (and k > U for exact) is answered from the bound and k < L
+    # from the probe, so one configuration of budget is enough, while
+    # threshold at U - 1 and exact at U still need the walk
+    g = _write_unsat(tmp_path, capsys)
+    for k in ("27", "329"):
+        assert main(["threshold", g, k, "--max-configs", "1"]) == 0
+    for k in ("28", "330"):
+        assert main(["exact", g, k, "--max-configs", "1"]) == 1
+    for question in ("threshold", "exact"):
+        assert main([question, g, "17", "--max-configs", "1"]) == 1
+    assert capsys.readouterr().out.split() == ["TRUE", "TRUE", "FALSE", "FALSE", "FALSE", "FALSE"]
+    assert main(["threshold", g, "26", "--max-configs", "1"]) == 3
+    assert main(["exact", g, "27", "--max-configs", "1"]) == 3
+
+
+def test_family_400_builds_no_configuration(tmp_path, capsys):
+    # T_400 has deviation U = 80,200 and a probe that weighs it, so every
+    # question answers with a budget of one configuration
     fam = str(tmp_path / "fam400.nft")
     assert main(["gen", "family", "400", "-o", fam]) == 0
     capsys.readouterr()
+    for k in ("0", "1", "2", "80199"):
+        assert main(["threshold", fam, k, "--max-configs", "1"]) == 1
     for k in ("80200", "322400"):
         assert main(["threshold", fam, k, "--max-configs", "1"]) == 0
-    for k in ("80201", "322401"):
+    assert main(["exact", fam, "80200", "--max-configs", "1"]) == 0
+    for k in ("80199", "80201"):
         assert main(["exact", fam, k, "--max-configs", "1"]) == 1
-    assert capsys.readouterr().out.split() == ["TRUE", "TRUE", "FALSE", "FALSE"]
-    assert main(["threshold", fam, "80199", "--max-configs", "1"]) == 3
-    assert main(["exact", fam, "80200", "--max-configs", "1"]) == 3
+    out = capsys.readouterr().out.split()
+    assert out == ["FALSE"] * 4 + ["TRUE"] * 3 + ["FALSE"] * 2
+    assert main(["analyze", fam, "--max-configs", "1"]) == 0
+    assert "  deviation: 80200\n" in capsys.readouterr().out
 
 
 def test_analyze_human(tmp_path, capsys):
@@ -133,8 +164,8 @@ def test_analyze_human(tmp_path, capsys):
     looping = _write(tmp_path, "u.nft", text)
     assert main(["analyze", looping]) == 0
     assert "  deviation: INF\n" in capsys.readouterr().out
-    # the whole graph of T_22 outgrows the default budget, but the walk
-    # stops at the first run weighing U = v = 253
+    # the whole graph of T_22 outgrows the default budget, but the probe
+    # weighs U = v = 253, so no configuration is built
     fam = str(tmp_path / "fam22.nft")
     assert main(["gen", "family", "22", "-o", fam]) == 0
     capsys.readouterr()
@@ -257,13 +288,14 @@ def test_missing_file_exit_code(tmp_path, capsys):
 
 
 def test_budget_exit_code(tmp_path, capsys):
-    fam = _write_family4(tmp_path)
-    assert main(["analyze", fam, "--max-configs", "2"]) == 3
+    g = _write_unsat(tmp_path, capsys)
+    assert main(["analyze", g, "--max-configs", "2"]) == 3
     err = capsys.readouterr().err
-    # the start and one successor, at two states
+    # the start and one successor, at two states; the probe and U bracket
+    # the deviation
     assert re.fullmatch(
         r"nftdev: state budget exceeded: budget of 2 configurations spent at 2 states,"
-        r" b=3, \|Q\|=8, \d+\.\d\d s elapsed\n",
+        r" b=3, \|Q\|=47, \d+\.\d\d s elapsed, deviation in \[18, 27\]\n",
         err,
     )
 

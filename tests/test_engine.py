@@ -82,13 +82,27 @@ def _nft(states, initials, finals, transitions, alphabet="ab"):
     )
 
 
-def _upper(t: Nft) -> int:
-    """The engine's upper bound U for t, length-preserving with finite
-    deviation."""
+def _bracket(t: Nft) -> tuple[int, int]:
+    """The engine's (L, U) for t, length-preserving with finite deviation:
+    U its upper bound and L the weight of its probe, which must be an
+    accepting run of trim(t) from the start _upper_bound names."""
     trimmed = trim(t)
     rows = _state_rows(trimmed)
     shift, _ = shift_assignment(trimmed)
-    return _upper_bound(trimmed, _components(trimmed, rows), shift)
+    upper, start, probe = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)
+    assert start in trimmed.initials and _accepting(trimmed, probe)
+    assert not probe or trimmed.transitions[probe[0]].src == start
+    return hamming_distance(*run_words(trimmed, Run(tuple(probe)))), upper
+
+
+def _missed_family(n: int) -> Nft:
+    """T_n with a second bridge from p_n to q_1, listed first, that copies
+    c_n.  The deviation and U stay n(n+1)/2, but the probe, whose ties go
+    to the first transition, crosses the new bridge and weighs one less,
+    so the questions that L = U would answer still walk."""
+    t = gen_family(n).nft
+    bridge = Transition(n - 1, str(n % 2), str(n % 2), n)
+    return dataclasses.replace(t, transitions=(bridge,) + t.transitions)
 
 
 def _identity(letters="ab"):
@@ -188,11 +202,11 @@ def test_consistency_implies_balanced_simple_cycles(corpus):
 
 
 def test_family_deviation_exact():
-    # U = v on T_n, so the walk stops at the first run weighing v: T_22
-    # answers within 1,000 configurations, where its whole graph has over
-    # 4 million
+    # the probe weighs U = v on T_n, so no configuration is built: T_22
+    # answers within a budget of one, where its whole graph has over 4
+    # million
     for n in [*range(2, 9), 22]:
-        res = analyze_deviation(gen_family(n).nft, max_configs=1000)
+        res = analyze_deviation(gen_family(n).nft, max_configs=1)
         assert res.verdict is Verdict.BOUNDED
         assert res.value == n * (n + 1) // 2
 
@@ -312,14 +326,17 @@ def test_unbounded_cycle_pumps(corpus):
 
 
 def test_state_budget():
-    with pytest.raises(StateBudgetExceeded, match="state budget exceeded"):
-        analyze_deviation(gen_family(4).nft, max_configs=3)
+    # the probe weighs less than U on both, so the walk runs; the message
+    # ends with the bracket [L, U] the deviation lies in
+    bracket = r"^state budget exceeded: .*, deviation in \[9, 10\]$"
+    with pytest.raises(StateBudgetExceeded, match=bracket):
+        analyze_deviation(_missed_family(4), max_configs=3)
     # two initial configurations: the budget stops the seeding, when one
     # state holds a configuration
-    two_starts = union(gen_family(2).nft, gen_family(3).nft)
+    two_starts = union(_missed_family(2), _missed_family(3))
     expected = (
         r"^state budget exceeded: budget of 1 configurations spent at 1 states,"
-        r" b=2, \|Q\|=10, \d+\.\d\d s elapsed$"
+        r" b=2, \|Q\|=10, \d+\.\d\d s elapsed, deviation in \[5, 6\]$"
     )
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(two_starts, max_configs=1)
@@ -344,11 +361,16 @@ def test_max_configs_below_one_rejected():
 
 def test_state_budget_boundary():
     # the budget counts the configurations at kept states, and the pad
-    # chain q_1..q_9 of T_10 is fusable, so it has none.  The analysis
-    # walks with limit U - 1: T_10 has U = v = 55, so its walk stops at
-    # the first run weighing 55; the unsatisfiable gadget has v = 26 < U,
-    # so its walk runs to the end
-    cases = ((gen_family(10).nft, 55, 9, False), (gen_3sat(UNSAT).nft, 26, 8, True))
+    # chain q_1..q_9 of T_10 is fusable, so it has none.  On T_10 itself
+    # the probe weighs U = v = 55 and no configuration is built, so the
+    # walk is checked on _missed_family(10), whose probe weighs 54: with
+    # limit U - 1 its walk stops at the first run weighing 55.  The
+    # unsatisfiable gadget has v = 26 < U = 27, so its walk runs to the end
+    cases = (
+        (_missed_family(10), 55, 9, False),
+        (gen_3sat(UNSAT).nft, 26, 8, True),
+    )
+    assert analyze_deviation(gen_family(10).nft, max_configs=1).value == 55
     for t, value, pad, full in cases:
         t = trim(t)
         shift, _ = shift_assignment(t)
@@ -357,7 +379,9 @@ def test_state_budget_boundary():
         fusable = [len(row) == 1 and q not in t.initials | t.finals for q, row in enumerate(rows)]
         assert sum(fusable) == pad
         expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**20)
-        walk = _walk(starts, expand, accepts, _upper(t) - 1)
+        lower, upper = _bracket(t)
+        assert lower < upper
+        walk = _walk(starts, expand, accepts, upper - 1)
         assert (walk.heavier is None) == full
         n = len(state)
         assert analyze_deviation(t, max_configs=n).value == value
@@ -367,7 +391,8 @@ def test_state_budget_boundary():
         assert held == t.num_states - pad
         expected = (
             rf"^state budget exceeded: budget of {n - 1} configurations spent at {held} states,"
-            rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed$"
+            rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed,"
+            rf" deviation in \[{lower}, {upper}\]$"
         )
         with pytest.raises(StateBudgetExceeded, match=expected):
             analyze_deviation(t, max_configs=n - 1)
@@ -434,8 +459,9 @@ def test_bounded_value_stays_within_B_where_lags_are_nonempty():
 def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
     # at b > 0, once the search finds the deviation finite, it is at most
     # U <= B: threshold(k >= U) is True and exact(k > U) False with no
-    # configuration graph, so also at k >= B.  Every answer must equal the
-    # one the walk's value gives.
+    # configuration graph, so also at k >= B.  The probe weighs L <= v, so
+    # k < L is False with no graph too, and L = U answers every k.  Every
+    # answer must equal the one the walk's value gives.
     real = nftdev.engine._configurations
     graphs = []
 
@@ -451,11 +477,11 @@ def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
     draws = (random_length_preserving_nft(rng) for _ in range(600))
     instances += [t for t in draws if t is not None]
     instances += [gen_family(n).nft for n in range(2, 11)]
-    skipped = 0
+    skipped = walked = 0
     for t in instances:
         res = analyze_deviation(t)
         b, B = res.bounds.b, res.bounds.B
-        upper = _upper(t) if res.verdict is Verdict.BOUNDED and b > 0 else None
+        lower, upper = _bracket(t) if res.verdict is Verdict.BOUNDED and b > 0 else (None, None)
         ks = {B - 1, B, B + 1} if upper is None else {upper - 1, upper, upper + 1, B - 1, B, B + 1}
         for k in sorted(ks):
             if k < 0:
@@ -467,11 +493,13 @@ def test_k_at_least_B_is_answered_without_the_graph(monkeypatch):
             assert exact(t, k) == (res.bounded and res.value == k)
             walked_exact = bool(graphs)
             if upper is not None:
-                # exact at k = U walks, unless U = 0 = k puts [0, U] inside [k, k]
-                assert walked_threshold == (k < upper)
-                assert walked_exact == (k <= upper and upper > 0)
+                # only k in [L, U) walks for threshold and [L, U] for exact,
+                # and neither walks when L = U
+                assert walked_threshold == (lower <= k < upper)
+                assert walked_exact == (lower <= k <= upper and lower < upper)
                 skipped += (k >= B) + (k > B)
-    assert skipped >= 300
+                walked += walked_threshold + walked_exact
+    assert skipped >= 300 and walked >= 100
 
 
 def test_flat_graph_matches_tuple_keyed_reference():
@@ -656,36 +684,41 @@ def test_questions_on_bounded_instances_with_lags(monkeypatch):
     gadgets = [gen_3sat(f) for f in formulas]
     assert [g.expected.deviation is None for g in gadgets] == [False] * 7 + [True]
     instances += [g.nft for g in gadgets]
-    from_bounds = agreed = 0
+    from_bounds = agreed = walked = 0
     for t in instances:
         res = analyze_deviation(t)
-        v, U, B = res.value, _upper(t), res.bounds.B
+        v, (L, U), B = res.value, _bracket(t), res.bounds.B
+        assert L <= v <= U
         orc = brute_force_deviation(t, node_budget=20_000)
         if not orc.saturated:
             assert orc.max_seen == v
             agreed += 1
         for k in sorted(k for k in {v - 1, v, v + 1, U - 1, U, U + 1, B - 1, B, B + 1} if k >= 0):
-            # exact at k = U walks, unless U = 0 = k puts [0, U] inside [k, k]
+            # the probe answers k < L and every k when L = U; otherwise
+            # threshold walks at k < U and exact at k <= U
             for question, answer, skips in (
-                (threshold, v <= k, k >= U),
-                (exact, v == k, k > U or k == U == 0),
+                (threshold, v <= k, not L <= k < U),
+                (exact, v == k, not (L <= k <= U and L < U)),
             ):
                 graphs.clear()
                 assert question(t, k) is answer
                 assert (not graphs) is skips
                 from_bounds += skips
+                walked += not skips
         t1, t2 = deviation_to_comparison(t)
         z = comparison_to_deviation(t1, t2)
         product = analyze_deviation(z)
         assert product.verdict is Verdict.BOUNDED and product.value == v
-        zU, zB = _upper(z), product.bounds.B
+        zU, zB = _bracket(z)[1], product.bounds.B
         assert compare(t1, t2, "bounded") is True
         for k in sorted(k for k in {v - 1, v, v + 1, zU - 1, zU, zU + 1, zB - 1, zB, zB + 1} if k >= 0):
             assert compare(t1, t2, "threshold", k) is (v <= k)
             assert compare(t1, t2, "exact", k) is (v == k)
     # threshold at U, U + 1, B - 1, B and B + 1 and exact at the last four
-    # answer from the bounds, and also at v or v + 1 where those pass U
+    # answer from the bounds, and also at v or v + 1 where those pass U;
+    # the walk still runs where L < U
     assert agreed == len(instances) and from_bounds >= 9 * len(instances)
+    assert walked >= 2 * len(instances)
     for g in gadgets:
         truth = g.expected
         assert threshold(g.nft, truth.threshold_k) is truth.threshold_answer
@@ -779,14 +812,17 @@ def test_fused_chains_keep_every_answer(monkeypatch):
 
 def test_a_merge_state_is_fused():
     # m has two ways in and one way out, so it is fusable and holds no
-    # configuration: only i and f do, each with the empty lag
+    # configuration: only i and f do, each with the empty lag.  Both ways
+    # in give U = 3, but only the one through x weighs 3, and the probe
+    # takes the one through y (weight 2), so the walk runs
     t = Nft(
         ("i", "x", "y", "m", "f"),
         frozenset("ab"),
         {0},
         {4},
-        [(0, "a", "", 1), (0, "b", "", 2), (1, "a", "b", 3), (2, "b", "a", 3), (3, "a", "ab", 4)],
+        [(0, "b", "", 1), (0, "a", "", 2), (1, "b", "a", 3), (2, "a", "b", 3), (3, "a", "ab", 4)],
     )
+    assert _bracket(t) == (2, 3)
     res = analyze_deviation(t, max_configs=2)
     assert res.bounds.b == 1
     assert res.value == 3 == brute_force_deviation(t).max_seen
@@ -822,10 +858,13 @@ def test_invariant_checks_survive_optimize():
     # a wrong distance function must trip the witness check even under -O,
     # in the full analysis and in the questions' check of a heavier run.
     # The unsatisfiable gadget has deviation 26 < U = 27, so its analysis
-    # walks to the end and checks the heaviest run; T_12 has deviation
+    # walks to the end and checks the heaviest run.  A distance of 0
+    # weighs the probe 0 < U, so the questions walk: T_12 has deviation
     # 78 = U, so at k = 77 both walks stop at a heavier run, and T_3 has
     # deviation 6 = U, so its analysis and exact at 6 stop at a run that
-    # must weigh U
+    # must weigh U.  Patched shortest paths leave the probe of a
+    # three-state cycle short of its final state, and a distance past U
+    # makes the probe outweigh U once the search finds the deviation finite
     cases = [
         (
             "engine.hamming_distance = lambda u, v: -1\n"
@@ -845,12 +884,26 @@ def test_invariant_checks_survive_optimize():
             "queries = [lambda: engine.analyze_deviation(t), lambda: engine.exact(t, 6)]\n",
             ["raised: run heavier than U - 1 does not weigh the upper bound U"] * 2,
         ),
+        (
+            "engine._bfs_path = lambda *args: ()\n"
+            "t = Nft(('i', 'x', 'f'), frozenset('a'), {0}, {2},"
+            " [(0, 'a', '', 1), (1, '', 'a', 2), (2, 'a', '', 1)])\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.threshold(t, 0)]\n",
+            ["raised: probe run must start at an initial state and end at a final one"] * 2,
+        ),
+        (
+            "engine.hamming_distance = lambda u, v: 10**6\n"
+            "f = CnfFormula(3, [(x, y, z) for x in (1, -1) for y in (2, -2) for z in (3, -3)])\n"
+            "queries = [lambda: engine.analyze_deviation(gen_family(3).nft),"
+            " lambda: engine.analyze_deviation(gen_3sat(f).nft)]\n",
+            ["raised: probe run outweighs the upper bound U"] * 2,
+        ),
     ]
     src = str(Path(nftdev.__file__).resolve().parent.parent)
     for patch, expected in cases:
         script = (
             "import nftdev.engine as engine\n"
-            "from nftdev import CnfFormula, gen_3sat, gen_family\n"
+            "from nftdev import CnfFormula, Nft, gen_3sat, gen_family\n"
             + patch
             + "for query in queries:\n"
             "    try:\n"
@@ -1279,18 +1332,26 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         exact(t, 2)
         is_bounded(t)
     assert not calls
-    # T_4 has deviation 10 = U: threshold at 9 and exact at 10 walk,
-    # threshold at 10 answers from U, and is_bounded from the search alone
+    # T_4 has deviation 10 = U = L: every question but is_bounded answers
+    # from the probe, and threshold at 9 before the search; _missed_family(4)
+    # has L = 9, so threshold at 9 and exact at 10 walk and threshold at 10
+    # answers from U.  is_bounded answers from the search alone
     every = dict.fromkeys(names + ("_configurations",), 1)
-    for query in (analyze_deviation, lambda t: threshold(t, 9), lambda t: exact(t, 10)):
+    queries = (analyze_deviation, lambda t: threshold(t, 9), lambda t: exact(t, 10))
+    for query, searched in zip(queries, (True, False, True)):
         query(gen_family(4).nft)
+        assert calls == {name: 1 for name in names if searched or name != "_nonconjugate_cycle"}
+        calls.clear()
+        query(_missed_family(4))
         assert calls == every
         calls.clear()
-    assert threshold(gen_family(4).nft, 10)
-    assert calls == dict.fromkeys(names, 1)
-    calls.clear()
-    assert is_bounded(gen_family(4).nft)
-    assert calls == dict.fromkeys(names[:3], 1)
+    for t in (gen_family(4).nft, _missed_family(4)):
+        assert threshold(t, 10)
+        assert calls == dict.fromkeys(names, 1)
+        calls.clear()
+        assert is_bounded(t)
+        assert calls == dict.fromkeys(names[:3], 1)
+        calls.clear()
 
 
 def test_every_question_takes_one_route(monkeypatch):
@@ -1342,21 +1403,23 @@ def test_every_question_takes_one_route(monkeypatch):
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
     # with b > 0 the search has ruled out every pumpable cycle before the
     # walk; an inner positive edge after it means the two disagree.  The
-    # loop's initial state comes first, so the walk meets the loop before
-    # T_3's run weighing U = 6 can end it
+    # probe of _missed_family(3) weighs 5 < U = 6, so the questions walk,
+    # and the loop's initial state comes first, so the walk meets the loop
+    # before the run weighing U can end it
     monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda *args: None)
-    t = union(_mismatch_loop(), gen_family(3).nft)
+    t = union(_mismatch_loop(), _missed_family(3))
     for query in (analyze_deviation, lambda t: exact(t, 6), lambda t: threshold(t, 5)):
         with pytest.raises(AssertionError, match="positive edge inside a component"):
             query(t)
 
 
 def test_threshold_and_exact_stop_at_the_first_heavier_path():
-    # T_12 has deviation 78 = U and 6,143 configurations
-    t = gen_family(12).nft
+    # _missed_family(12) has deviation 78 = U, a probe of weight 77 and
+    # over 6,000 configurations, so at k = 77 the questions walk
+    t = _missed_family(12)
     assert not threshold(t, 77, max_configs=500)
     assert not exact(t, 77, max_configs=500)
-    assert not threshold(gen_family(16).nft, 135, max_configs=1000)
+    assert not threshold(_missed_family(16), 135, max_configs=1000)
     # exact at k = U stops at the first run weighing U, and threshold at
     # k >= U walks nothing
     assert exact(t, 78, max_configs=500)
@@ -1415,7 +1478,7 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
     # run as the witness of value U, so one that weighs 26 trips that
     # check.  Both are explicit raises, which python -O keeps.
     g = gen_3sat(UNSAT).nft
-    assert _upper(g) == 27
+    assert _bracket(g) == (18, 27)
     for query in (lambda t: threshold(t, 26), lambda t: exact(t, 26)):
         with pytest.raises(AssertionError, match="^run heavier than the limit does not exceed"):
             query(g)
@@ -1424,23 +1487,25 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
             query(g)
 
 
-def test_upper_bound_lies_between_the_deviation_and_B():
+def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
     # U >= v is what lets analyze and exact stop at the first run weighing
     # U; U <= B keeps the paper's bound; U = v on T_n, and U = n(m + 1) on
     # the 3-SAT gadgets, which is v exactly when the formula is
-    # satisfiable.  The corpora hold no bounded instance with b > 0, so
-    # seeded length-preserving draws join them.
+    # satisfiable.  The probe is an accepting run, so its weight L <= v,
+    # and L = U on T_n and on their comparison products, so these answer
+    # with no configuration.  The corpora hold no bounded instance with
+    # b > 0, so seeded length-preserving draws join them.
     rng = random.Random(67)
     sources = {"corpus": [t for seed in (CORPUS_SEED, 1, 2, 3) for t in make_corpus(500, seed)]}
     sources["draws"] = [random_length_preserving_nft(rng, a) for a in ("a", "ab", "abc") * 300]
-    sources["family"] = [gen_family(n).nft for n in range(2, 19)]
+    sources["family"] = [gen_family(n).nft for n in range(2, 41)]
     formulas = [random_cnf(rng) for _ in range(15)] + [random_unsat_cnf(rng) for _ in range(15)]
     sources["3-SAT"] = [gen_3sat(f).nft for f in formulas + [UNSAT]]
     pairs = sources["family"][:11] + sources["3-SAT"][::3] + sources["draws"][:60]
     sources["product"] = [
         comparison_to_deviation(*deviation_to_comparison(t)) for t in pairs if t is not None
     ]
-    checked, tight = Counter(), Counter()
+    checked, tight, probed = Counter(), Counter(), Counter()
     for source, instances in sources.items():
         for t in instances:
             if t is None:
@@ -1448,14 +1513,29 @@ def test_upper_bound_lies_between_the_deviation_and_B():
             res = analyze_deviation(t)
             if res.verdict is not Verdict.BOUNDED or res.bounds.b == 0:
                 continue
-            upper = _upper(t)
-            assert res.value <= upper <= res.bounds.B
+            lower, upper = _bracket(t)
+            assert lower <= res.value <= upper <= res.bounds.B
             checked[source] += 1
             tight[source] += res.value == upper
-    assert [_upper(t) for t in sources["family"]] == [n * (n + 1) // 2 for n in range(2, 19)]
+            probed[source] += lower == upper
+    family = [n * (n + 1) // 2 for n in range(2, 41)]
+    assert [_bracket(t) for t in sources["family"]] == [(v, v) for v in family]
+    assert [_bracket(z) for z in sources["product"][:11]] == [(v, v) for v in family[:11]]
     sat = [f.num_vars * (f.num_clauses + 1) for f in formulas + [UNSAT]]
-    assert [_upper(t) for t in sources["3-SAT"]] == sat
-    assert checked["corpus"] == 0 and tight["family"] == 17
+    assert [_bracket(t)[1] for t in sources["3-SAT"]] == sat
+    assert checked["corpus"] == 0 and tight["family"] == probed["family"] == 39
     assert checked["draws"] >= 200 and checked["3-SAT"] == 31 and checked["product"] >= 40
     assert tight["3-SAT"] == sum(sat_brute_force(f) is not None for f in formulas) < 31
     assert 0 < tight["draws"] < checked["draws"]
+    assert probed["draws"] >= 42 and probed["product"] >= 17
+    # on T_n the probe answers analyze, threshold at v - 1 and exact at v
+    # with no configuration graph
+
+    def unused(*args):
+        raise AssertionError("a configuration graph was built")
+
+    monkeypatch.setattr(nftdev.engine, "_configurations", unused)
+    for t, v in zip(sources["family"], family):
+        assert analyze_deviation(t, max_configs=1).value == v
+        assert threshold(t, v - 1, max_configs=1) is False
+        assert exact(t, v, max_configs=1) is True

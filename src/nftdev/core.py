@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import ne
 from typing import NamedTuple, Union
 
 
@@ -56,7 +57,7 @@ def hamming_distance(u: str, v: str) -> ExtendedNat:
     """Number of mismatching positions, or INF when the lengths differ."""
     if len(u) != len(v):
         return INF
-    return sum(1 for a, b in zip(u, v) if a != b)
+    return sum(map(ne, u, v))
 
 
 class Transition(NamedTuple):

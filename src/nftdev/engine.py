@@ -4,8 +4,9 @@ The engine decides, for an NFT, whether the Hamming distance between
 input and output is unbounded over the accepted pairs, and computes the
 exact supremum when it is finite:
 
-1. trim (at smax = 0 the walk does it; see below); an empty result means
-   the relation is empty (deviation 0);
+1. trim (at smax = 0 the walk does it; see below, and reductions.compare
+   says its product is trim already); an empty result means the relation
+   is empty (deviation 0);
 2. propagate the shift potential s_p from the initial states; where two
    initial runs disagree on a state's shift, or a final state's is not 0,
    the propagation returns an accepting run with |u| != |v|, the witness
@@ -36,8 +37,8 @@ cycle.  Trim is then needed only at smax > 0, where the shift potential
 needs it (trim(t) has smax = 0 whenever t does).  That walk is linear in
 the transducer, so no budget applies to it.  The state graph's rows
 (_state_rows, built in one pass over the transitions) are the engine's
-one adjacency: the shift potential, the shortest paths and the search
-below read them too.  Their edges carry mismatch weights only at
+one adjacency: the shift potential, the components and the shortest
+paths read them too.  Their edges carry mismatch weights only at
 smax = 0, the one place the weights are read.
 
 When b > 0 the INF verdict needs no configuration graph: a
@@ -158,8 +159,9 @@ def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]) -> tuple[int, int, l
     transitions.
 
     U is the longest path over the condensation, U = max enter(q) over the
-    initial states.  enter(q) = [q's component is cyclic] * |s_q| +
-    leave(q's component); leave(C) is the max of 0 (when C holds a final
+    initial states.  enter(q) = bonus(q) + leave(q's component), the entry
+    bonus being |s_q| when q's component is cyclic and 0 otherwise, read
+    from a list built once; leave(C) is the max of 0 (when C holds a final
     state) and of overlap(d) + enter(dst d) over the transitions d leaving
     C; overlap(d) = min(|s_p| + |joined|, |fixed|) counts the positions d
     compares from its source p (the words of _configurations).
@@ -191,42 +193,42 @@ def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]) -> tuple[int, int, l
     out = dict.fromkeys(leave)
     waits = dict.fromkeys(leave, 0)
     cyclic, into = set(), {}
-    for ti, (src, _, _, dst) in enumerate(t.transitions):
+    for ti, (src, x, y, dst) in enumerate(t.transitions):
         c = comp[src]
         if c == comp[dst]:
             cyclic.add(c)
         else:
             waits[c] += 1
-            into.setdefault(comp[dst], []).append(ti)
-
-    def enter(q: int) -> int:
-        return leave[comp[q]] + abs(shift[q]) * (comp[q] in cyclic)
-
+            s = shift[src]
+            joined, fixed = (x, y) if s >= 0 else (y, x)
+            overlap = min(abs(s) + len(joined), len(fixed))
+            into.setdefault(comp[dst], []).append((ti, c, overlap, dst))
+    bonus = [abs(shift[q]) if comp[q] in cyclic else 0 for q in range(t.num_states)]
     ready = [c for c, n in waits.items() if n == 0]
     while ready:
-        for ti in into.get(ready.pop(), ()):
-            p, x, y, q = t.transitions[ti]
-            s, c = shift[p], comp[p]
-            joined, fixed = (x, y) if s >= 0 else (y, x)
-            weight = min(abs(s) + len(joined), len(fixed)) + enter(q)
+        # the transitions into a component whose leave is final
+        done = ready.pop()
+        after = leave[done]
+        for ti, c, overlap, q in into.get(done, ()):
+            weight = overlap + after + bonus[q]
             if weight > leave[c]:
                 leave[c], out[c] = weight, ti
             waits[c] -= 1
             if waits[c] == 0:
                 ready.append(c)
-    start = q = max(sorted(t.initials), key=enter)
+    start = q = max(sorted(t.initials), key=lambda p: leave[comp[p]] + bonus[p])
     steps: list[int] = []
     while True:
         c = comp[q]
-        if c in cyclic and shift[q]:
+        if bonus[q]:
             cycle = _shortest_cycle(rows, q, comp)
             ell = sum(len(t.transitions[ti].input) for ti in cycle)
             if ell:
-                steps += cycle * -(-abs(shift[q]) // ell)
+                steps += cycle * -(-bonus[q] // ell)
         d = out[c]
         steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
         if d is None:
-            return enter(start), start, steps
+            return leave[comp[start]] + bonus[start], start, steps
         steps.append(d)
         q = t.transitions[d].dst
 
@@ -316,7 +318,11 @@ def _bfs_path(rows, sources, targets, comp=None) -> tuple[int, ...]:
 def _shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
     """Transitions of a shortest cycle from q back to q inside q's
     component, over the (v, weight, transition) edges rows[u] leaving u;
-    q's component must be cyclic."""
+    q's component must be cyclic.  The first self-loop at q in row order
+    is the answer whenever q has one, so it is returned with no search."""
+    for v, _, label in rows[q]:
+        if v == q:
+            return (label,)
     parent: dict[int, tuple[int, int] | None] = {q: None}
     queue = deque(parent)
     while queue:
@@ -746,47 +752,62 @@ def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] 
     connected component of the state graph: a mismatch confirmed from
     (p, None) closes into a cycle at p by any path back inside that
     component, and every violating cycle, iterated enough times, contains
-    a pair at exact offset s_p, so the search is complete.  Its links keep
-    only transitions; _close_cycle finds the positions by a scan.
+    a pair at exact offset s_p, so the search is complete.  Each state's
+    transitions inside its component are listed once, with their words,
+    in row order, and a popped pair whose state has none is skipped; the
+    search order and the parent links are those of reading each popped
+    state's whole row.  A pair is recorded by one setdefault, which keeps
+    the first link of a pair met before.  Its links keep only transitions;
+    _close_cycle finds the positions by a scan.
     """
+    # per state, its transitions inside its component as (dst, transition,
+    # (output, input)), in transition order, which is row order
+    moves: list[list[tuple[int, int, tuple[str, str]]]] = [[] for _ in range(t.num_states)]
+    for ti, (src, x, y, dst) in enumerate(t.transitions):
+        if comp[src] == comp[dst]:
+            moves[src].append((dst, ti, (y, x)))
     parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:
         key = queue.popleft()
         state, phase = key
-        sq = shift[state]
-        c = comp[state]
-        for dst, _, ti in rows[state]:
-            if comp[dst] != c:
-                continue
-            _, x, y, _ = t.transitions[ti]
-            streams = (y, x)
-            succs = []
-            if phase is None:
-                # staying idle is not a step: every (q, None) is a source
+        if not moves[state]:
+            continue
+        if phase is None:
+            # staying idle is not a step: every (q, None) is a source
+            sq = shift[state]
+            for dst, ti, words in moves[state]:
+                link = (key, ti)
                 for side, off in ((0, sq), (1, -sq)):
-                    theirs = streams[side]
-                    for o, a in enumerate(streams[1 - side], 1):
+                    theirs = words[side]
+                    for o, a in enumerate(words[1 - side], 1):
                         d = o + off
                         if d > len(theirs):
-                            succs.append((a, side, d - len(theirs)))
+                            nk = (dst, (a, side, d - len(theirs)))
                         elif d >= 1 and a != theirs[d - 1]:
-                            succs.append(True)
-            else:
-                a, side, d = phase
-                theirs = streams[side]
+                            nk = (dst, True)
+                        else:
+                            continue
+                        if parent.setdefault(nk, link) is link:
+                            if nk[1] is True:
+                                return _close_cycle(t, rows, comp, parent, nk, shift)
+                            queue.append(nk)
+        else:
+            # one letter waits: each move either carries it on or meets its partner
+            a, side, d = phase
+            for dst, ti, words in moves[state]:
+                theirs = words[side]
                 if d > len(theirs):
-                    succs.append((a, side, d - len(theirs)))
+                    nk = (dst, (a, side, d - len(theirs)))
                 elif a != theirs[d - 1]:
-                    succs.append(True)
-            for nphase in succs:
-                nk = (dst, nphase)
-                if nk in parent:
+                    nk = (dst, True)
+                else:
                     continue
-                parent[nk] = (key, ti)
-                if nphase is True:
-                    return _close_cycle(t, rows, comp, parent, nk, shift)
-                queue.append(nk)
+                link = (key, ti)
+                if parent.setdefault(nk, link) is link:
+                    if nk[1] is True:
+                        return _close_cycle(t, rows, comp, parent, nk, shift)
+                    queue.append(nk)
     return None
 
 
@@ -807,11 +828,16 @@ def _close_cycle(t: Nft, rows, comp, parent, done, shift) -> tuple[int, Run, int
 
 
 def _analyze(
-    t: Nft, max_configs: ExtendedNat, question: tuple[int, ExtendedNat] | None = None
+    t: Nft,
+    max_configs: ExtendedNat,
+    question: tuple[int, ExtendedNat] | None = None,
+    trimmed: bool = False,
 ) -> DeviationResult | bool:
     """analyze_deviation, or, asked the question (lo, hi), whether the
     deviation lies in [lo, hi], by the route the module docstring gives.
-    max_configs = INF sets no budget."""
+    max_configs = INF sets no budget.  trimmed says that t is trim already
+    (the product of reductions.comparison_to_deviation), so it is not
+    trimmed again; its ids are then those of the answer."""
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
@@ -826,12 +852,12 @@ def _analyze(
     # route on smax, never on b: a conflict met early can leave b = 0.  At
     # smax = 0 the walk does the trim, so its runs are in t's ids already
     state_map, trans_map = range(t.num_states), range(len(t.transitions))
-    if st.smax > 0:
-        trimmed, state_map, trans_map = trim_with_maps(t)
-        if trimmed.num_states == 0:
+    if st.smax > 0 and not trimmed:
+        trim, state_map, trans_map = trim_with_maps(t)
+        if trim.num_states == 0:
             return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
-        if trimmed is not t:
-            t, st = trimmed, stats(trimmed)
+        if trim is not t:
+            t, st = trim, stats(trim)
     rows = _state_rows(t, st.smax == 0)
     bounds = None  # at smax = 0, known once the walk has found the live states
 
@@ -994,25 +1020,38 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     return _analyze(t, max_configs)
 
 
+def _decide(
+    t: Nft,
+    mode: str,
+    k: int | None = None,
+    max_configs: ExtendedNat = DEFAULT_MAX_CONFIGS,
+    trimmed: bool = False,
+) -> bool:
+    """is_bounded (mode "bounded", which takes no k and no budget),
+    threshold or exact, each asked of _analyze as its question (lo, hi);
+    trimmed as there."""
+    if mode == "bounded":
+        return _analyze(t, INF, (0, INF), trimmed)
+    if k < 0:
+        raise ValueError(f"{mode} expects a natural number")
+    return _analyze(t, max_configs, (0, k) if mode == "threshold" else (k, k), trimmed)
+
+
 def is_bounded(t: Nft) -> bool:
     """True iff the deviation lies in [0, INF], that is, is finite (the
     empty relation counts as 0).  Decided in polynomial time and with no
     budget: at smax = 0 by one walk of the state graph, otherwise before
     any configuration is walked."""
-    return _analyze(t, INF, (0, INF))
+    return _decide(t, "bounded")
 
 
 def threshold(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """True iff the deviation lies in [0, k], that is, is at most k; k may
     be arbitrarily large (it arrives in binary from the CLI)."""
-    if k < 0:
-        raise ValueError("threshold expects a natural number")
-    return _analyze(t, max_configs, (0, k))
+    return _decide(t, "threshold", k, max_configs)
 
 
 def exact(t: Nft, k: int, max_configs: int = DEFAULT_MAX_CONFIGS) -> bool:
     """True iff the deviation lies in [k, k], that is, is finite and equal
     to k."""
-    if k < 0:
-        raise ValueError("exact expects a natural number")
-    return _analyze(t, max_configs, (k, k))
+    return _decide(t, "exact", k, max_configs)

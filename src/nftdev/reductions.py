@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from .core import Nft, Transition
-from .engine import DEFAULT_MAX_CONFIGS, exact, is_bounded, threshold
+from .engine import DEFAULT_MAX_CONFIGS, _decide
 from .transform import _closure, _unique_name, add_eps_self_loops, atomize
 
 
@@ -125,12 +125,11 @@ def compare(
     if mode == "bounded":
         if k is not None:
             raise ValueError("bounded mode takes no k")
-        return is_bounded(comparison_to_deviation(t1, t2))
-    if mode not in ("threshold", "exact"):
+    elif mode not in ("threshold", "exact"):
         raise ValueError(f"unknown comparison mode {mode!r}")
-    if k is None:
+    elif k is None:
         raise ValueError(f"{mode} mode needs k")
-    if k < 0:
+    elif k < 0:
         raise ValueError(f"{mode} expects a natural number")
-    z = comparison_to_deviation(t1, t2)
-    return threshold(z, k, max_configs) if mode == "threshold" else exact(z, k, max_configs)
+    # the product comes out trimmed, so the engine does not trim it again
+    return _decide(comparison_to_deviation(t1, t2), mode, k, max_configs, trimmed=True)

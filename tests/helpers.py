@@ -23,7 +23,7 @@ from nftdev import (
     shift_assignment,
     trim,
 )
-from nftdev.engine import _parent_chain
+from nftdev.engine import _bfs_path, _close_cycle, _parent_chain
 from nftdev.transform import _live_states
 
 ALPHABET = ("a", "b")
@@ -767,5 +767,118 @@ def find_threshold_witness(t: Nft, k: int) -> Run | None:
                 parent[nk] = (key, idx)
                 if accepting(nk):
                     return Run(_parent_chain(parent, nk))
+                queue.append(nk)
+    return None
+
+
+def reference_shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
+    """Reference for engine._shortest_cycle without its self-loop
+    shortcut: a breadth-first search from q that stops at the first edge
+    back to q."""
+    parent: dict[int, tuple[int, int] | None] = {q: None}
+    queue = deque(parent)
+    while queue:
+        u = queue.popleft()
+        for v, _, label in rows[u]:
+            if v == q:
+                return _parent_chain(parent, u) + (label,)
+            if v not in parent and comp[v] == comp[q]:
+                parent[v] = (u, label)
+                queue.append(v)
+    raise AssertionError("no cycle through the state")
+
+
+def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
+    """Reference for engine._upper_bound, as it was before its shortcuts:
+    the DP asks enter(q), with its test of q's component for a cycle, at
+    every transition, and every component's cycle comes from a breadth-
+    first search, a single state's too.  Returns the same (U, start,
+    steps)."""
+    finals = {comp[f] for f in t.finals}
+    leave = {c: 0 if c in finals else -1 for c in comp[: t.num_states]}
+    out = dict.fromkeys(leave)
+    waits = dict.fromkeys(leave, 0)
+    cyclic, into = set(), {}
+    for ti, (src, _, _, dst) in enumerate(t.transitions):
+        c = comp[src]
+        if c == comp[dst]:
+            cyclic.add(c)
+        else:
+            waits[c] += 1
+            into.setdefault(comp[dst], []).append(ti)
+
+    def enter(q: int) -> int:
+        return leave[comp[q]] + abs(shift[q]) * (comp[q] in cyclic)
+
+    ready = [c for c, n in waits.items() if n == 0]
+    while ready:
+        for ti in into.get(ready.pop(), ()):
+            p, x, y, q = t.transitions[ti]
+            s, c = shift[p], comp[p]
+            joined, fixed = (x, y) if s >= 0 else (y, x)
+            weight = min(abs(s) + len(joined), len(fixed)) + enter(q)
+            if weight > leave[c]:
+                leave[c], out[c] = weight, ti
+            waits[c] -= 1
+            if waits[c] == 0:
+                ready.append(c)
+    start = q = max(sorted(t.initials), key=enter)
+    steps: list[int] = []
+    while True:
+        c = comp[q]
+        if c in cyclic and shift[q]:
+            cycle = reference_shortest_cycle(rows, q, comp)
+            ell = sum(len(t.transitions[ti].input) for ti in cycle)
+            if ell:
+                steps += cycle * -(-abs(shift[q]) // ell)
+        d = out[c]
+        steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
+        if d is None:
+            return enter(start), start, steps
+        steps.append(d)
+        q = t.transitions[d].dst
+
+
+def reference_nonconjugate_cycle(t: Nft, rows, shift, comp):
+    """Reference for engine._nonconjugate_cycle, as it was before it listed
+    each state's inner transitions once: every pop reads the state's whole
+    row and skips the transitions that leave its component.  Returns the
+    same (p, run, i, j), or None."""
+    parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
+    queue = deque(parent)
+    while queue:
+        key = queue.popleft()
+        state, phase = key
+        sq = shift[state]
+        c = comp[state]
+        for dst, _, ti in rows[state]:
+            if comp[dst] != c:
+                continue
+            _, x, y, _ = t.transitions[ti]
+            streams = (y, x)
+            succs = []
+            if phase is None:
+                for side, off in ((0, sq), (1, -sq)):
+                    theirs = streams[side]
+                    for o, a in enumerate(streams[1 - side], 1):
+                        d = o + off
+                        if d > len(theirs):
+                            succs.append((a, side, d - len(theirs)))
+                        elif d >= 1 and a != theirs[d - 1]:
+                            succs.append(True)
+            else:
+                a, side, d = phase
+                theirs = streams[side]
+                if d > len(theirs):
+                    succs.append((a, side, d - len(theirs)))
+                elif a != theirs[d - 1]:
+                    succs.append(True)
+            for nphase in succs:
+                nk = (dst, nphase)
+                if nk in parent:
+                    continue
+                parent[nk] = (key, ti)
+                if nphase is True:
+                    return _close_cycle(t, rows, comp, parent, nk, shift)
                 queue.append(nk)
     return None

@@ -18,6 +18,8 @@ from helpers import (
     random_digraph,
     random_length_preserving_nft,
     random_unsat_cnf,
+    reference_nonconjugate_cycle,
+    reference_upper_bound,
     reference_walk,
     simple_cycles_shifts,
     tuple_keyed_graph,
@@ -52,6 +54,7 @@ from nftdev import (
     gen_reach_threshold,
     hamming_distance,
     is_bounded,
+    parse_nft,
     repr_size,
     run_words,
     sat_brute_force,
@@ -62,7 +65,15 @@ from nftdev import (
     union,
 )
 from nftdev.cli import main
-from nftdev.engine import _components, _configurations, _state_rows, _unfold, _upper_bound, _walk
+from nftdev.engine import (
+    _components,
+    _configurations,
+    _nonconjugate_cycle,
+    _state_rows,
+    _unfold,
+    _upper_bound,
+    _walk,
+)
 from nftdev.transform import trim_with_maps
 
 # all 8 sign patterns over variables 1-3: unsatisfiable, so the gadget's
@@ -864,7 +875,11 @@ def test_invariant_checks_survive_optimize():
     # deviation 6 = U, so its analysis and exact at 6 stop at a run that
     # must weigh U.  Patched shortest paths leave the probe of a
     # three-state cycle short of its final state, and a distance past U
-    # makes the probe outweigh U once the search finds the deviation finite
+    # makes the probe outweigh U once the search finds the deviation finite.
+    # The probe's searches raise where they find nothing, also inside a
+    # one-state component: state rows without their self-loops leave T_3's
+    # p_2 (s = 1) with no cycle, and rows without the edge back to i split
+    # the cycle i -> x -> i, leaving i with no way to a final state
     cases = [
         (
             "engine.hamming_distance = lambda u, v: -1\n"
@@ -897,6 +912,23 @@ def test_invariant_checks_survive_optimize():
             "queries = [lambda: engine.analyze_deviation(gen_family(3).nft),"
             " lambda: engine.analyze_deviation(gen_3sat(f).nft)]\n",
             ["raised: probe run outweighs the upper bound U"] * 2,
+        ),
+        (
+            "rows = engine._state_rows\n"
+            "engine._state_rows = lambda t, weighted=False: ["
+            "[e for e in row if e[0] != q] for q, row in enumerate(rows(t, weighted))]\n"
+            "t = gen_family(3).nft\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.exact(t, 6)]\n",
+            ["raised: no cycle through the state"] * 2,
+        ),
+        (
+            "rows = engine._state_rows\n"
+            "engine._state_rows = lambda t, weighted=False: ["
+            "[e for e in row if e[0] >= q] for q, row in enumerate(rows(t, weighted))]\n"
+            "t = Nft(('i', 'x', 'f'), frozenset('a'), {0}, {2},"
+            " [(0, 'a', '', 1), (1, '', 'a', 0), (1, '', 'a', 2)])\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.threshold(t, 0)]\n",
+            ["raised: no path from the source to a target"] * 2,
         ),
     ]
     src = str(Path(nftdev.__file__).resolve().parent.parent)
@@ -1539,3 +1571,66 @@ def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
         assert analyze_deviation(t, max_configs=1).value == v
         assert threshold(t, v - 1, max_configs=1) is False
         assert exact(t, v, max_configs=1) is True
+
+
+def _differential_fixtures() -> list[Nft]:
+    """Shapes the seeded sources may miss: a one-state component whose
+    first self-loop in row order is the longer one, a component of two
+    states with nonzero shift, and a non-final component {x, y} whose kept
+    exit, y -> g, is not its first leaving transition, x -> f."""
+    states = ["i", "x", "y", "f", "g"]
+    longer_loop_first = [(0, "a", "", 1), (1, "ab", "ab", 1), (1, "a", "a", 1), (1, "", "a", 3)]
+    two_state_cycle = [(0, "a", "", 1), (1, "a", "a", 2), (2, "b", "b", 1), (1, "", "a", 3)]
+    later_exit = two_state_cycle + [(2, "", "b", 4), (4, "ab", "ab", 3)]
+    shapes = (longer_loop_first, two_state_cycle, later_exit)
+    return [_nft(states, {0}, {3}, trans) for trans in shapes]
+
+
+def test_upper_bound_and_search_match_their_references():
+    # the shortcuts of _upper_bound (the entry bonus list, the first
+    # self-loop as the shortest cycle) and of _nonconjugate_cycle (each
+    # state's inner transitions listed once) must keep (U, start, steps)
+    # and (p, run, i, j) exactly
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    sources = {"family": [gen_family(n).nft for n in range(2, 41)]}
+    sources["compare"] = [
+        comparison_to_deviation(*map(parse_nft, q.texts))
+        for seed in (1, 2)
+        for q in workloads.build_compare(seed)
+    ]
+    sources["sat"] = [parse_nft(q.texts[0]) for q in workloads.build_sat(1)]
+    sources["corpus"] = [t for seed in (1, 2, 3) for t in make_corpus(500, seed)]
+    sources["fixtures"] = _differential_fixtures()
+    checked, shifted, found = Counter(), Counter(), Counter()
+    probes = []
+    for source, instances in sources.items():
+        for t in instances:
+            t = trim(t)
+            if t.num_states == 0:
+                continue
+            shift, unbalanced = shift_assignment(t)
+            if unbalanced is not None:
+                continue
+            rows = _state_rows(t)
+            comp = _components(t, rows)
+            upper = _upper_bound(t, rows, comp, shift)
+            assert upper == reference_upper_bound(t, rows, comp, shift)
+            cycle = _nonconjugate_cycle(t, rows, shift, comp)
+            assert cycle == reference_nonconjugate_cycle(t, rows, shift, comp)
+            checked[source] += 1
+            shifted[source] += any(shift.values())
+            found[source] += cycle is not None
+            if source == "fixtures":
+                probes.append(upper[2])
+    assert checked["family"] == 39 and checked["fixtures"] == 3
+    assert shifted["compare"] == 128 and shifted["sat"] == 106
+    assert checked["corpus"] >= 700 and found["corpus"] >= 200
+    # the fixtures are the shapes they claim: the probe loops the longer
+    # self-loop (transition 1), and the cycle x -> y -> x (1, 2), once each,
+    # and leaves {x, y} by the later exit y -> g (4)
+    assert probes == [[0, 1, 3], [0, 1, 2, 3], [0, 1, 2, 1, 4, 5]]

@@ -117,10 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--max-configs",
             type=int,
             default=DEFAULT_MAX_CONFIGS,
-            help="budget for the configuration graph, built only when some transition"
-            " shifts, in configurations (default 2**20), counted after chains of"
-            " states with one way out are fused; each costs about 200 to 300 bytes"
-            " of peak memory, so the default allows about 0.2 to 0.35 GB",
+            help="budget for the configuration walk, run only when some transition"
+            " shifts, in configurations it creates (default 2**20), counted after"
+            " chains of states with one way out are fused; each costs about 150 to"
+            " 300 bytes of peak memory, so the default allows about 0.15 to 0.35 GB",
         )
 
     p = sub.add_parser("analyze", help="full deviation report for NFT files")

@@ -60,15 +60,15 @@ kept state, and the chains are exactly the runs between kept states
 the configurations.  Every run the walk finds is unfolded to the trimmed
 transitions before it is checked and mapped back to the original ids.
 
-The graph is walked once, by Tarjan's algorithm run on the fly (_walk):
-a configuration is expanded when the depth-first walk first enters it,
-and each strongly connected component is decided and valued as it pops,
-from the final values of the components it leads to, which pop first.
-The node being scanned lives in locals and each tree edge of the DFS
-path is one saved frame.  Edge rows are kept only for nodes on that path
-and in multi-node components; a popped node keeps ints only: its
-component id, its value and, at the member its component leaves by, the
-leaving edge.
+At smax = 0 the state graph is walked once, by Tarjan's algorithm run on
+the fly (_walk): a node is expanded when the depth-first walk first
+enters it, and each strongly connected component is decided and valued
+as it pops, from the final values of the components it leads to, which
+pop first.  The node being scanned lives in locals and each tree edge of
+the DFS path is one saved frame.  Edge rows are kept only for nodes on
+that path and in multi-node components; a popped node keeps ints only:
+its component id, its value and, at the member its component leaves by,
+the leaving edge.
 
 The four public questions take one route, _analyze.  analyze_deviation
 asks for the whole result; is_bounded, threshold and exact ask whether
@@ -87,12 +87,23 @@ L = U = v on T_n).  A finite deviation lies in [L, U]:
     refutes [lo, hi] whether or not the deviation is finite, and once
     the search finds it finite, L = U answers BOUNDED with value U and
     the probe as witness,
-all with no configuration walked.  Otherwise the walk stops at the first
-component whose root's tree path and value together weigh more than the
-limit, hi, or U - 1 where hi >= U (analyze_deviation; exact at k = U).
-That run is rebuilt and checked: past hi it answers False; past U - 1 it
-must weigh exactly U, the deviation, and is the witness.  A budget that
-stops the walk reports the bracket [L, U].
+all with no configuration walked.  Otherwise, with L < U, the
+configuration graph is walked best first (_best_first, an A* search):
+each configuration has priority f = g + h(q), g its best known prefix
+weight and h(q) U's argument applied from its state q, which bounds what
+any run from q can still gain.  The walk looks only for runs heavier
+than a floor, leaving out every configuration with f <= floor:
+  - analyze_deviation takes floor L; each accepting configuration with g
+    > L is a goal, and the first goal to pop, once no f left exceeds it,
+    weighs the deviation and is the witness; with none, the deviation is
+    L and the probe the witness;
+  - threshold, and exact at k = L, take floor hi: the first accepting
+    configuration with g > hi answers False, and none answers True;
+  - exact at k > L takes floor k - 1: a g > k answers False, the goal
+    weighing k True, and none False.
+Each run is rebuilt along the walk's parent links and checked.  A budget
+that stops the walk reports the bracket [max(L, heaviest accepting g
+met), min(U, f of the configuration being expanded)].
 
 For a length-preserving trimmed transducer the lag at q holds |s_q|
 letters, so every lag stays within b = max |s_q|, read from the shift
@@ -111,8 +122,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from collections import deque
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from operator import ne
 from typing import NamedTuple
@@ -150,13 +163,15 @@ class Bounds:
     B: int
 
 
-def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]) -> tuple[int, int, list[int]]:
-    """(U, q, steps) for a trimmed length-preserving t, rows being
-    _state_rows(t) and comp[q] naming q's strongly connected component
-    (_components): U >= the deviation once the search has found it
-    bounded, and the probe, an accepting run of t that starts at the
+def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
+    """(U, q, steps, bonus, leave) for a trimmed length-preserving t, rows
+    being _state_rows(t) and comp[q] naming q's strongly connected
+    component (_components): U >= the deviation once the search has found
+    it bounded, and the probe, an accepting run of t that starts at the
     initial state q and follows the path U maximises; steps are its
-    transitions.
+    transitions.  bonus (a list per state) and leave (a dict per
+    component) are the parts of enter below, which bounds, from any
+    configuration at q, the weight still to come: the best-first walk's h.
 
     U is the longest path over the condensation, U = max enter(q) over the
     initial states.  enter(q) = bonus(q) + leave(q's component), the entry
@@ -228,7 +243,7 @@ def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]) -> tuple[int, int, l
         d = out[c]
         steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
         if d is None:
-            return leave[comp[start]] + bonus[start], start, steps
+            return leave[comp[start]] + bonus[start], start, steps, bonus, leave
         steps.append(d)
         q = t.transitions[d].dst
 
@@ -585,9 +600,10 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
 
 
 def _configurations(
-    trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, max_configs: int, bracket=None
+    trimmed: Nft, rows, fusable, shift: dict[int, int], b: int, max_configs: int, h=None,
+    bracket=None,
 ):
-    """The configuration graph as _walk unfolds it: (expand, state, lags,
+    """The configuration graph as a walk unfolds it: (expand, state, lags,
     starts, accepts), with no configuration at a fusable state; rows is
     _state_rows(trimmed) and fusable[q] says whether q is fusable.  An edge
     is a chain, named by its first transition, which leaves a kept state:
@@ -600,9 +616,13 @@ def _configurations(
     the runs between kept states are exactly the chains, with the same
     words; s_q at the kept states, b and B are unchanged.
 
-    Node ids number the configurations (q, lag) in discovery order, the
+    Node ids number the configurations (q, lag) in creation order, the
     starts first; state[u] and lags[u] are u's state and lag, and each
-    state keeps a dict from lag to node id.  A lag is a packed int: each
+    state keeps a dict from lag to node id.  expand(u) returns u's row of
+    (v, weight, transition) edges, creating the targets it meets first.
+    With h, a bound per state, expand(u, room) leaves out every edge whose
+    weight plus h at its target is at most room, before it creates the
+    target.  A lag is a packed int: each
     letter is its index in the sorted alphabet, in w = max(1,
     ceil(log2 |alphabet|)) bits, the first letter most significant.  The
     lag at q holds exactly |s_q| letters, so the int alone identifies it
@@ -611,8 +631,8 @@ def _configurations(
     s_src < 0 (the joined stream; the other word is the fixed one); the
     overlap of the two streams is compared and the rest of the longer one
     is the new lag.  A transition's plan is (transition, dst, dst's dict,
-    dst is final, shift, joined, cut, other, tail, rest): the joined
-    stream is (lag << shift) | joined, its top letters (>> cut) are
+    dst is final, shift, joined, cut, other, tail, rest, h at dst): the
+    joined stream is (lag << shift) | joined, its top letters (>> cut) are
     compared with `other`, the overlap of the fixed word, and the new lag
     is (joined stream & tail) | rest, rest being the tail of the fixed
     word when that one is longer; building the plan checks once that the
@@ -620,8 +640,9 @@ def _configurations(
     digits of the xor: with w > 1 each digit's bits are or-folded into its
     lowest bit, kept by a digit mask as wide as the longest overlap.
     s_f = 0, so a configuration at a final state has the empty lag and
-    accepts.  A spent budget raises StateBudgetExceeded; with bracket =
-    (L, U) its message ends with the interval the deviation lies in.
+    accepts.  Creating one configuration more than max_configs raises
+    StateBudgetExceeded; with bracket, a callable giving (lo, hi) at that
+    moment, its message ends with the interval the deviation lies in.
     """
     began = time.perf_counter()
     code = {a: i for i, a in enumerate(sorted(trimmed.alphabet))}
@@ -639,7 +660,9 @@ def _configurations(
     for ti, (src, x, y, dst) in enumerate(trimmed.transitions):
         if fusable[src]:
             continue
-        for ni in _unfold(trimmed, rows, fusable, [ti])[1:]:
+        while fusable[dst]:
+            # follow the chain, as _unfold does
+            ((_, _, ni),) = rows[dst]
             _, nx, ny, dst = trimmed.transitions[ni]
             x, y = x + nx, y + ny
         s = shift[src]
@@ -653,7 +676,7 @@ def _configurations(
         word = pack(fixed)
         plans[src].append(
             (ti, dst, node_id[dst], dst in trimmed.finals, w * len(joined), pack(joined),
-             cut, word >> spare, (1 << cut) - 1, word & (1 << spare) - 1)
+             cut, word >> spare, (1 << cut) - 1, word & (1 << spare) - 1, 0 if h is None else h[dst])
         )
     wide, folds = w > 1, range(1, w)
     digits = sum(1 << w * i for i in range(overlap))
@@ -668,7 +691,7 @@ def _configurations(
             f" {time.perf_counter() - began:.2f} s elapsed"
         )
         if bracket is not None:
-            message += f", deviation in [{bracket[0]}, {bracket[1]}]"
+            message += ", deviation in [{}, {}]".format(*bracket())
         return StateBudgetExceeded(message)
 
     starts = []
@@ -682,12 +705,20 @@ def _configurations(
         state.append(q)
         lags.append(0)
 
-    def expand(u: int) -> list[tuple[int, int, int]]:
+    def expand(u: int, room: int = -1) -> list[tuple[int, int, int]]:
         lag = lags[u]
         row = []
-        for ti, r, ids, final, shift, joined, cut, other, tail, rest in plans[state[u]]:
+        for ti, r, ids, final, shift, joined, cut, other, tail, rest, hr in plans[state[u]]:
             stream = lag << shift | joined
             d = stream >> cut ^ other
+            if wide and d:
+                f = d
+                for j in folds:
+                    f |= d >> j
+                d = f & digits
+            d = d.bit_count()
+            if d + hr <= room:
+                continue
             nlag = stream & tail | rest
             v = ids.get(nlag)
             if v is None:
@@ -698,12 +729,7 @@ def _configurations(
                 lags.append(nlag)
                 if final:
                     accepts.add(v)
-            if wide and d:
-                f = d
-                for j in folds:
-                    f |= d >> j
-                d = f & digits
-            row.append((v, d.bit_count(), ti))
+            row.append((v, d, ti))
         return row
 
     return expand, state, lags, starts, accepts
@@ -711,9 +737,7 @@ def _configurations(
 
 def _unfold(trimmed: Nft, rows, fusable, steps: list[int]) -> list[int]:
     """The trimmed transitions of a walk's run of chains, each named by its
-    first transition; steps itself when fusable is None."""
-    if fusable is None:
-        return steps
+    first transition."""
     run = []
     for ti in steps:
         run.append(ti)
@@ -722,6 +746,91 @@ def _unfold(trimmed: Nft, rows, fusable, steps: list[int]) -> list[int]:
             ((q, _, ti),) = rows[q]
             run.append(ti)
     return run
+
+
+def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: ExtendedNat):
+    """Best-first walk (A*) of the configuration graph of a length-
+    preserving transducer whose deviation the search has found finite, for
+    an accepting run heavier than floor.  configurations(bracket) builds
+    the graph (_configurations with h as the bound per state); h[q] =
+    bonus[q] + leave[q's component] bounds the weight any configuration at
+    q can still gain, U's argument applied from q.  upper is U and lower L,
+    the probe's weight, and floor >= L.
+
+    A configuration u with best known prefix weight g has priority f = g +
+    h[state u], which bounds every accepting run through u; the heap pops
+    the largest f, ties going to the larger g and then to the smaller node
+    id.  An edge to v whose f is at most floor is left out, before v is
+    created; v is pushed (again) only when the edge strictly improves its
+    best g, and its one parent link is then that edge.  h is consistent on
+    edges between components but may not be inside a cyclic one, where a
+    lag grows while letters are compared: the second push keeps the walk
+    exact.  Every cycle weighs 0, so the parent links form a tree and an
+    improved g reaches every configuration below it before the walk can
+    end.  The heaviest accepting g in (floor, hi] seen so far is the goal;
+    it pops, and the walk ends, once no f left exceeds it.
+
+    Returns (steps, g, heavier): the chains of the run along the parent
+    links to the first accepting configuration with g > hi (heavier), or to
+    the goal that popped; None when no accepting run weighs more than
+    floor.  A budget stop reports [max(L, heaviest accepting g met),
+    min(U, f of the configuration being expanded)]: the popped f is the
+    largest left, so no run left outweighs it.  A popped g above U, or
+    parent links that close a cycle, can only come of a positive cycle the
+    search missed, and raise.
+    """
+    reached, top = lower, upper
+    expand, state, _, starts, accepts = configurations(lambda: (reached, min(top, upper)))
+    best = [-1] * len(state)
+    parent: list[tuple[int, int] | None] = [None] * len(state)
+    heap = []
+    for u in starts:
+        best[u] = 0
+        if h[state[u]] > floor:
+            heap.append((-h[state[u]], 0, u))
+    heapify(heap)
+
+    def chains(v: int) -> list[int]:
+        steps: list[int] = []
+        while parent[v] is not None:
+            if len(steps) == len(state):
+                raise AssertionError("parent links close a cycle")
+            v, ti = parent[v]
+            steps.append(ti)
+        steps.reverse()
+        return steps
+
+    goal, goal_g = None, floor
+    while heap:
+        nf, ng, u = heappop(heap)
+        g = -ng
+        if g != best[u]:
+            continue  # a stale entry: u was pushed again with a better g
+        top = -nf
+        if top <= goal_g:
+            break
+        if g > upper:
+            raise AssertionError("configuration outweighs the upper bound U")
+        row = expand(u, floor - g)
+        grown = len(state) - len(best)
+        if grown:
+            best += repeat(-1, grown)
+            parent += repeat(None, grown)
+        for v, wt, ti in row:
+            x = g + wt
+            if x <= best[v]:
+                continue
+            best[v] = x
+            parent[v] = (u, ti)
+            if v in accepts:
+                if x > hi:
+                    return chains(v), x, True
+                if x > reached:
+                    reached = x
+                if x > goal_g:
+                    goal, goal_g = v, x
+            heappush(heap, (-x - h[state[v]], -x, v))
+    return None if goal is None else (chains(goal), goal_g, False)
 
 
 def _components(t: Nft, rows) -> list[int]:
@@ -842,7 +951,6 @@ def _analyze(
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
     limit = None if hi is INF else hi
-    meets = None  # the weight of a heavier run when it is a witness
 
     def reply(**fields) -> DeviationResult | bool:
         res = DeviationResult(**fields)
@@ -891,92 +999,99 @@ def _analyze(
     if st.smax == 0:
         # every shift is 0, so the potential is consistent, every lag is
         # empty and the configuration graph is the state graph
-        starts, expand, accepts = sorted(t.initials), rows.__getitem__, t.finals
-        fusable = None
-    else:
-        shift, unbalanced = _shift_potential(t, rows)
-        if unbalanced is None:
-            b = max(map(abs, shift.values()))
-        else:
-            b = st.smax * (t.num_states - 1)
-        bounds = Bounds(b, (b + st.lmax + 2) * t.num_states)
-        if unbalanced is not None:
-            return reply(
-                verdict=Verdict.NOT_LENGTH_PRESERVING,
-                bounds=bounds,
-                witness=_map_run(unbalanced.transitions, trans_map),
-            )
-        comp = _components(t, rows)
-        if question == (0, INF):
-            # is_bounded needs no bound and no run
-            return _nonconjugate_cycle(t, rows, shift, comp) is None
-        upper, start, probe = _upper_bound(t, rows, comp, shift)
-        if question is not None and lo > upper:
-            # a finite deviation is at most U < lo (exact at k > U)
+        starts = sorted(t.initials)
+        walk = _walk(starts, rows.__getitem__, t.finals, limit, live=False)
+        if walk.pumped is not None:
+            # the walk reports a positive edge only inside a component
+            # that reaches a final state, so it pumps
+            u, _, ti = walk.pumped
+            return unbounded(u, (ti,))
+        steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s), default=-1))
+        if v < 0 or walk.value[v] < 0:
+            # no initial state reaches a final one
+            return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
+        steps += _chain(walk, v)
+        value = hamming_distance(*run_words(t, Run(tuple(steps))))
+        if walk.heavier is not None:
+            if value <= limit:
+                raise AssertionError("run heavier than the limit does not exceed it")
             return False
-        # [0, U] lies inside [0, hi] (threshold at k >= U): the search alone
-        # answers, and no probe weight can change that answer
-        inside = question is not None and lo == 0 and upper <= hi
-        if not inside:
-            first, last = start, start
-            if probe:
-                first, last = t.transitions[probe[0]].src, t.transitions[probe[-1]].dst
-            if first not in t.initials or last not in t.finals:
-                raise AssertionError(
-                    "probe run must start at an initial state and end at a final one"
-                )
-            lower = hamming_distance(*run_words(t, Run(tuple(probe))))
-            if lower > hi:
-                # a run heavier than hi refutes [lo, hi], bounded or not
-                return False
-        found = _nonconjugate_cycle(t, rows, shift, comp)
-        if found is not None:
-            return unbounded(found[0], found[1].transitions)
-        if inside:
-            return True
-        if lower > upper:
-            raise AssertionError("probe run outweighs the upper bound U")
-        if lower == upper:
-            # the deviation lies in [L, U] = {U}, and the probe weighs it
-            return bounded(probe, upper)
-        if hi >= upper:
-            # analyze, and exact at k = U: no run outweighs U, so the first
-            # run heavier than U - 1 weighs U and is the witness
-            limit, meets = upper - 1, upper
-        ends = t.initials | t.finals
-        fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
-        expand, _, _, starts, accepts = _configurations(
-            t, rows, fusable, shift, b, max_configs, (lower, upper)
-        )
-    walk = _walk(starts, expand, accepts, limit, live=st.smax > 0)
-    if walk.pumped is not None:
-        if st.smax > 0:
-            # the search above has ruled out every pumpable cycle
-            raise AssertionError("positive edge inside a component of a bounded transducer")
-        # at smax = 0 the walk reports a positive edge only inside a
-        # component that reaches a final state, so it pumps
-        u, _, ti = walk.pumped
-        return unbounded(u, (ti,))
-    steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s), default=-1))
-    if v < 0 or walk.value[v] < 0:
-        # at smax = 0: no initial state reaches a final one
-        return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
-    steps = _unfold(t, rows, fusable, steps + _chain(walk, v))
-    value = hamming_distance(*run_words(t, Run(tuple(steps))))
-    if walk.heavier is None:
         if value != walk.value[v]:
             raise AssertionError("witness must realize the computed deviation")
-    elif meets is None:
-        if value <= limit:
-            raise AssertionError("run heavier than the limit does not exceed it")
-        return False
-    elif value != meets:
-        raise AssertionError("run heavier than U - 1 does not weigh the upper bound U")
-    if bounds is None:
         # the walk ran to the end, so the states it valued are trim(t)'s
         n = len(walk.value) - walk.value.count(-1)
         kept = range(n) if n == t.num_states else {q for q, x in enumerate(walk.value) if x >= 0}
         bounds = _zero_shift_bounds(t, st.lmax, kept)
+        return bounded(steps, value)
+    shift, unbalanced = _shift_potential(t, rows)
+    if unbalanced is None:
+        b = max(map(abs, shift.values()))
+    else:
+        b = st.smax * (t.num_states - 1)
+    bounds = Bounds(b, (b + st.lmax + 2) * t.num_states)
+    if unbalanced is not None:
+        return reply(
+            verdict=Verdict.NOT_LENGTH_PRESERVING,
+            bounds=bounds,
+            witness=_map_run(unbalanced.transitions, trans_map),
+        )
+    comp = _components(t, rows)
+    if question == (0, INF):
+        # is_bounded needs no bound and no run
+        return _nonconjugate_cycle(t, rows, shift, comp) is None
+    upper, start, probe, bonus, leave = _upper_bound(t, rows, comp, shift)
+    if question is not None and lo > upper:
+        # a finite deviation is at most U < lo (exact at k > U)
+        return False
+    # [0, U] lies inside [0, hi] (threshold at k >= U): the search alone
+    # answers, and no probe weight can change that answer
+    inside = question is not None and lo == 0 and upper <= hi
+    if not inside:
+        first, last = start, start
+        if probe:
+            first, last = t.transitions[probe[0]].src, t.transitions[probe[-1]].dst
+        if first not in t.initials or last not in t.finals:
+            raise AssertionError(
+                "probe run must start at an initial state and end at a final one"
+            )
+        lower = hamming_distance(*run_words(t, Run(tuple(probe))))
+        if lower > hi:
+            # a run heavier than hi refutes [lo, hi], bounded or not
+            return False
+    found = _nonconjugate_cycle(t, rows, shift, comp)
+    if found is not None:
+        return unbounded(found[0], found[1].transitions)
+    if inside:
+        return True
+    if lower > upper:
+        raise AssertionError("probe run outweighs the upper bound U")
+    if lower == upper:
+        # the deviation lies in [L, U] = {U}, and the probe weighs it
+        return bounded(probe, upper)
+    # walk for a run heavier than the floor: L for analyze, whose goals
+    # give the value; hi where L already meets lo (threshold, exact at k =
+    # L), so only a run past hi matters; lo - 1 otherwise (exact at k > L),
+    # whose goal must weigh k
+    floor = lower if question is None else hi if lo <= lower else lo - 1
+    ends = t.initials | t.finals
+    fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
+    h = [bonus[q] + leave[comp[q]] for q in range(t.num_states)]
+    graph = partial(_configurations, t, rows, fusable, shift, b, max_configs, h)
+    found = _best_first(graph, h, upper, lower, floor, hi)
+    if found is None:
+        # no accepting run outweighs the floor, so the deviation lies in
+        # [L, floor]: it is L for analyze, whose witness is the probe, and
+        # the interval lies inside [lo, hi] or misses it
+        return bounded(probe, lower)
+    chains, g, heavier = found
+    steps = _unfold(t, rows, fusable, chains)
+    value = hamming_distance(*run_words(t, Run(tuple(steps))))
+    if heavier:
+        if value <= hi:
+            raise AssertionError("run heavier than the limit does not exceed it")
+        return False
+    if value != g:
+        raise AssertionError("witness must realize the computed deviation")
     return bounded(steps, value)
 
 
@@ -1012,10 +1127,10 @@ def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> Deviati
     of trim(t).  At smax > 0 it trims internally; at smax = 0 the walk of
     the untrimmed state graph does the trim.
 
-    Raises StateBudgetExceeded when the configuration graph would exceed
-    max_configs nodes, which can happen only when some transition shifts
-    (at smax = 0 the walk is over the state graph and takes no budget),
-    and ValueError when max_configs is below 1.
+    Raises StateBudgetExceeded when the walk would create more than
+    max_configs configurations, which can happen only when some
+    transition shifts (at smax = 0 the walk is over the state graph and
+    takes no budget), and ValueError when max_configs is below 1.
     """
     return _analyze(t, max_configs)
 

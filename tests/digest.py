@@ -36,7 +36,11 @@ engine can be shown to keep its answers too.  A sixth, `zero-shift`,
 hashes the repr of analyze_deviation, is_bounded, and threshold and exact
 at the same k on the untrimmed draws of helpers.zero_shift_instances
 (smax = 0 with dead states, which none of the instances above has), so
-that the walk's own trim is covered.
+that the walk's own trim is covered.  A seventh, `walk`, hashes the repr
+of analyze_deviation, and threshold and exact at k in {L, v - 1, v, v + 1,
+U}, on seeded gen_3sat and gen_sat_unsat gadgets and on T_n with a missed
+bridge (helpers.missed_family): the instances where the probe weighs L <
+U and the configuration walk runs.
 """
 
 from __future__ import annotations
@@ -53,8 +57,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import (  # noqa: E402
     make_corpus,
+    missed_family,
+    random_cnf,
     random_length_preserving_nft,
     random_trimmed_nft,
+    random_unsat_cnf,
     zero_shift_instances,
 )
 from test_acceptance import CORPUS_SEED  # noqa: E402
@@ -62,6 +69,7 @@ from test_producers import COLLIDING, COLLIDING_DEAD  # noqa: E402
 
 from nftdev import (  # noqa: E402
     StateBudgetExceeded,
+    Run,
     Verdict,
     analyze_deviation,
     brute_force_deviation,
@@ -69,14 +77,20 @@ from nftdev import (  # noqa: E402
     comparison_to_deviation,
     deviation_to_comparison,
     exact,
+    gen_3sat,
     gen_family,
+    gen_sat_unsat,
+    hamming_distance,
     is_bounded,
     parse_nft,
+    run_words,
     serialize_nft,
+    shift_assignment,
     threshold,
     trim,
     union,
 )
+from nftdev.engine import _components, _state_rows, _upper_bound  # noqa: E402
 
 BUDGET = 1000
 COMPARE_MAX_STATES = 64  # compares T_n up to n = 12 (4n states)
@@ -139,6 +153,40 @@ def zero_shift_lines(label: str, t) -> list[str]:
     return lines
 
 
+def walk_instances():
+    """(label, Nft) for the walk digest, in a fixed order: 3-SAT gadgets
+    of 40 seeded formulas, 20 of them unsatisfiable, SAT-UNSAT gadgets of
+    20 pairs of them, and T_n with a missed bridge for n = 2..14."""
+    rng = random.Random(3131)
+    formulas = [random_cnf(rng, 4, 6) for _ in range(20)]
+    formulas += [random_unsat_cnf(rng, 4, 6) for _ in range(20)]
+    for i, f in enumerate(formulas):
+        yield f"3sat#{i}", gen_3sat(f).nft
+    for i in range(20):
+        yield f"satunsat#{i}", gen_sat_unsat(formulas[i], formulas[20 + i]).nft
+    for n in range(2, 15):
+        yield f"missed{n}", missed_family(n)
+
+
+def walk_lines(label: str, t) -> list[str]:
+    """analyze_deviation's repr, and threshold and exact at L, v - 1, v,
+    v + 1 and U, (L, U) being the probe's weight and the engine's upper
+    bound, where the deviation is finite with b > 0; elsewhere at
+    question_ks."""
+    res = analyze_deviation(t)
+    ks = question_ks(res)
+    if res.verdict is Verdict.BOUNDED and res.bounds.b > 0:
+        trimmed = trim(t)
+        rows = _state_rows(trimmed)
+        shift, _ = shift_assignment(trimmed)
+        upper, _, probe = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)[:3]
+        lower = hamming_distance(*run_words(trimmed, Run(tuple(probe))))
+        ks = sorted(k for k in {lower, res.value - 1, res.value, res.value + 1, upper} if k >= 0)
+    lines = [label, repr(res)]
+    lines += [f"threshold {k} {threshold(t, k)} exact {exact(t, k)}" for k in ks]
+    return lines
+
+
 def outputs(label: str, t):
     """The strings hashed for one instance: (main, nlp_bounds, product,
     bounded, oracle)."""
@@ -177,7 +225,7 @@ def main() -> None:
         "--lines", action="store_true", help="print every hashed line instead of the digests"
     )
     show = parser.parse_args().lines
-    names = ("main", "nlp-bounds", "product", "bounded", "oracle", "zero-shift")
+    names = ("main", "nlp-bounds", "product", "bounded", "oracle", "zero-shift", "walk")
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
 
@@ -196,6 +244,8 @@ def main() -> None:
     for i, t in enumerate(zero_shift_instances()):
         if trim(t) != t:
             add("zero-shift", zero_shift_lines(f"zero#{i}", t))
+    for label, t in walk_instances():
+        add("walk", walk_lines(label, t))
     if not show:
         for name, h in digests.items():
             print(f"{name} {h.hexdigest()} ({counts[name]} lines)")

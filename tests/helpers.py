@@ -11,19 +11,31 @@ from nftdev import (
     INF,
     CnfFormula,
     Digraph,
+    ExtendedNat,
     Nft,
     ParseError,
     Run,
     Transition,
     add_eps_self_loops,
     atomize,
+    gen_family,
     gen_reach_bounded,
     gen_reach_threshold,
     hamming_distance,
+    run_words,
     shift_assignment,
     trim,
 )
-from nftdev.engine import _bfs_path, _close_cycle, _parent_chain
+from nftdev.engine import (
+    _bfs_path,
+    _close_cycle,
+    _components,
+    _configurations,
+    _parent_chain,
+    _state_rows,
+    _upper_bound,
+    _walk,
+)
 from nftdev.transform import _live_states
 
 ALPHABET = ("a", "b")
@@ -592,6 +604,50 @@ def reference_walk(succ, starts, accepts, live=True):
     for u in sorted(reached):
         valued(comp[u])
     return reached, comp, value, exit
+
+
+def missed_family(n: int) -> Nft:
+    """T_n with a second bridge from p_n to q_1, listed first, that copies
+    c_n.  The deviation and U stay n(n+1)/2, but the probe, whose ties go
+    to the first transition, crosses the new bridge and weighs one less,
+    so the questions that L = U would answer still walk."""
+    t = gen_family(n).nft
+    bridge = Transition(n - 1, str(n % 2), str(n % 2), n)
+    return t._with(transitions=(bridge,) + t.transitions)
+
+
+def reference_route(t: Nft, question: tuple[int, ExtendedNat] | None = None):
+    """Reference for the engine's configuration walk: the depth-first route
+    it took before its best-first walk, for t length-preserving with b > 0
+    and finite deviation.  Returns (answer, created): the deviation, or,
+    asked (lo, hi), whether it lies in [lo, hi]; and the number of
+    configurations created, 0 where [L, U] answers with no walk.
+
+    engine._walk runs over engine._configurations (fused, no pruning) with
+    a limit: analyze, and exact at k = U, stop at the first run heavier
+    than U - 1, which weighs U; threshold and exact at k < U stop at the
+    first run heavier than k; a walk that runs to the end values every
+    start."""
+    t = trim(t)
+    rows = _state_rows(t)
+    shift, _ = shift_assignment(t)
+    upper, _, probe, _, _ = _upper_bound(t, rows, _components(t, rows), shift)
+    lower = hamming_distance(*run_words(t, Run(tuple(probe))))
+    lo, hi = question or (0, INF)
+    if lo > upper or lower > hi:
+        return False, 0
+    if question is not None and lo == 0 and hi >= upper:
+        return True, 0
+    if lower == upper:
+        return (upper if question is None else lo <= upper <= hi), 0
+    limit = upper - 1 if hi >= upper else hi
+    ends = t.initials | t.finals
+    fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
+    b = max(map(abs, shift.values()))
+    expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**40)
+    walk = _walk(starts, expand, accepts, limit)
+    value = limit + 1 if walk.heavier else max(walk.value[s] for s in starts)
+    return (value if question is None else lo <= value <= hi), len(state)
 
 
 # Breadth-first small-witness searches: the nondeterministic procedures of

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from helpers import (
     conjugate_by,
     make_corpus,
+    missed_family,
     random_cnf,
     random_digraph,
     random_length_preserving_nft,
     random_unsat_cnf,
     reference_nonconjugate_cycle,
+    reference_route,
     reference_upper_bound,
     reference_walk,
     simple_cycles_shifts,
@@ -52,6 +54,7 @@ from nftdev import (
     gen_family,
     gen_reach_bounded,
     gen_reach_threshold,
+    gen_sat_unsat,
     hamming_distance,
     is_bounded,
     parse_nft,
@@ -100,20 +103,10 @@ def _bracket(t: Nft) -> tuple[int, int]:
     trimmed = trim(t)
     rows = _state_rows(trimmed)
     shift, _ = shift_assignment(trimmed)
-    upper, start, probe = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)
+    upper, start, probe, _, _ = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)
     assert start in trimmed.initials and _accepting(trimmed, probe)
     assert not probe or trimmed.transitions[probe[0]].src == start
     return hamming_distance(*run_words(trimmed, Run(tuple(probe)))), upper
-
-
-def _missed_family(n: int) -> Nft:
-    """T_n with a second bridge from p_n to q_1, listed first, that copies
-    c_n.  The deviation and U stay n(n+1)/2, but the probe, whose ties go
-    to the first transition, crosses the new bridge and weighs one less,
-    so the questions that L = U would answer still walk."""
-    t = gen_family(n).nft
-    bridge = Transition(n - 1, str(n % 2), str(n % 2), n)
-    return dataclasses.replace(t, transitions=(bridge,) + t.transitions)
 
 
 def _identity(letters="ab"):
@@ -338,19 +331,28 @@ def test_unbounded_cycle_pumps(corpus):
 
 def test_state_budget():
     # the probe weighs less than U on both, so the walk runs; the message
-    # ends with the bracket [L, U] the deviation lies in
+    # ends with the bracket the deviation lies in, [L, U] before any
+    # accepting configuration outweighs L or any f falls below U
     bracket = r"^state budget exceeded: .*, deviation in \[9, 10\]$"
     with pytest.raises(StateBudgetExceeded, match=bracket):
-        analyze_deviation(_missed_family(4), max_configs=3)
+        analyze_deviation(missed_family(4), max_configs=3)
     # two initial configurations: the budget stops the seeding, when one
     # state holds a configuration
-    two_starts = union(_missed_family(2), _missed_family(3))
+    two_starts = union(missed_family(2), missed_family(3))
     expected = (
         r"^state budget exceeded: budget of 1 configurations spent at 1 states,"
         r" b=2, \|Q\|=10, \d+\.\d\d s elapsed, deviation in \[5, 6\]$"
     )
     with pytest.raises(StateBudgetExceeded, match=expected):
         analyze_deviation(two_starts, max_configs=1)
+    # the upper end is the f of the configuration being expanded: on the
+    # unsatisfiable gadget (v = 26, U = 27) the walk pops f = 27 up to its
+    # 158th configuration and f = 26 after, and it creates 162 in all
+    g = gen_3sat(UNSAT).nft
+    for budget, upper in ((158, 27), (159, 26), (161, 26)):
+        with pytest.raises(StateBudgetExceeded, match=rf", deviation in \[18, {upper}\]$"):
+            analyze_deviation(g, max_configs=budget)
+    assert analyze_deviation(g, max_configs=162).value == 26
 
 
 def test_max_configs_below_one_rejected():
@@ -370,43 +372,60 @@ def test_max_configs_below_one_rejected():
     assert analyze_deviation(single, max_configs=1).value == 0
 
 
-def test_state_budget_boundary():
-    # the budget counts the configurations at kept states, and the pad
-    # chain q_1..q_9 of T_10 is fusable, so it has none.  On T_10 itself
-    # the probe weighs U = v = 55 and no configuration is built, so the
-    # walk is checked on _missed_family(10), whose probe weighs 54: with
-    # limit U - 1 its walk stops at the first run weighing 55.  The
-    # unsatisfiable gadget has v = 26 < U = 27, so its walk runs to the end
+def _created(monkeypatch) -> list[list[int]]:
+    """Patches engine._configurations to record the state list of every
+    configuration graph the engine builds: its length is the number of
+    configurations that walk created."""
+    real = nftdev.engine._configurations
+    graphs = []
+
+    def counted(*args):
+        graph = real(*args)
+        graphs.append(graph[1])
+        return graph
+
+    monkeypatch.setattr(nftdev.engine, "_configurations", counted)
+    return graphs
+
+
+def test_state_budget_boundary(monkeypatch):
+    # the budget counts the configurations the walk creates at kept
+    # states, and the pad chain q_1..q_9 of T_10 is fusable, so it has
+    # none.  On T_10 itself the probe weighs U = v = 55 and no
+    # configuration is built, so the walk is checked on missed_family(10),
+    # whose probe weighs 54, and on the unsatisfiable gadget, v = 26 < U =
+    # 27.  Each creates fewer configurations than the depth-first walk
+    # that came before it (56 against 92, and 162 against 222)
     cases = (
-        (_missed_family(10), 55, 9, False),
-        (gen_3sat(UNSAT).nft, 26, 8, True),
+        (missed_family(10), 55, 9, 56, 54, 55),
+        (gen_3sat(UNSAT).nft, 26, 8, 162, 18, 26),
     )
     assert analyze_deviation(gen_family(10).nft, max_configs=1).value == 55
-    for t, value, pad, full in cases:
+    graphs = _created(monkeypatch)
+    for t, value, pad, n, lower, upper in cases:
         t = trim(t)
         shift, _ = shift_assignment(t)
         b = max(map(abs, shift.values()))
         rows = _state_rows(t)
         fusable = [len(row) == 1 and q not in t.initials | t.finals for q, row in enumerate(rows)]
         assert sum(fusable) == pad
-        expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**20)
-        lower, upper = _bracket(t)
-        assert lower < upper
-        walk = _walk(starts, expand, accepts, upper - 1)
-        assert (walk.heavier is None) == full
-        n = len(state)
+        assert _bracket(t)[0] == lower < _bracket(t)[1]
+        graphs.clear()
         assert analyze_deviation(t, max_configs=n).value == value
-        # the walk discovers the configurations in the same order under any
+        (state,) = graphs
+        assert len(state) == n < reference_route(t)[1]
+        # the walk creates the configurations in the same order under any
         # budget, so the first n - 1 of them are spread over these states
         held = len(set(state[: n - 1]))
-        assert held == t.num_states - pad
         expected = (
             rf"^state budget exceeded: budget of {n - 1} configurations spent at {held} states,"
             rf" b={b}, \|Q\|={t.num_states}, \d+\.\d\d s elapsed,"
             rf" deviation in \[{lower}, {upper}\]$"
         )
+        graphs.clear()
         with pytest.raises(StateBudgetExceeded, match=expected):
             analyze_deviation(t, max_configs=n - 1)
+        assert graphs[0] == state[: n - 1]
 
 
 def _unpack_lag(lag: int, n: int, alphabet) -> str:
@@ -821,6 +840,82 @@ def test_fused_chains_keep_every_answer(monkeypatch):
     assert with_chains >= 100 and walked >= 50 and from_oracle >= 100
 
 
+def _bench_workloads():
+    """The benchmark's workloads module, imported from bench/."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    return workloads
+
+
+def test_best_first_agrees_with_the_depth_first_reference(monkeypatch):
+    # the best-first walk must give the value, threshold and exact answers
+    # of the depth-first route it replaced (helpers.reference_route), at k
+    # in {v - 1, v, v + 1, L, U}.  The instances are the bounded ones with
+    # b > 0 among 3,000 length-preserving draws, the seed-1 compare
+    # products, T_n with a missed bridge, and 3-SAT and SAT-UNSAT gadgets.
+    # analyze never creates more configurations than the reference, nor
+    # does a question answered True or one at k >= v.  At k < v a question
+    # can, for the depth-first walk may meet a heavier run on its first
+    # path where f sends the best-first walk elsewhere first (threshold and
+    # exact at k = L on the 3-SAT products, 192 against 115 on the first);
+    # there each source's total must still fall
+    workloads = _bench_workloads()
+    rng = random.Random(7)
+    sources = {"draws": [random_length_preserving_nft(rng) for _ in range(3000)]}
+    sources["compare"] = [
+        comparison_to_deviation(*map(parse_nft, q.texts)) for q in workloads.build_compare(1)
+    ]
+    sources["missed"] = [missed_family(n) for n in range(2, 13)]
+    rng = random.Random(11)
+    formulas = [random_cnf(rng, 4, 5) for _ in range(12)] + [random_unsat_cnf(rng, 3, 4) for _ in range(6)]
+    sources["sat"] = [gen_3sat(f).nft for f in formulas + [UNSAT]]
+    sources["sat"] += [parse_nft(q.texts[0]) for q in workloads.build_sat(1, tiny=True)]
+    pairs = zip(formulas[:6], formulas[12:] + formulas[6:12])
+    sources["sat"] += [gen_sat_unsat(f1, f2).nft for f1, f2 in pairs]
+    graphs = _created(monkeypatch)
+
+    def created(query, *args):
+        graphs.clear()
+        answer = query(*args)
+        return answer, sum(map(len, graphs))
+
+    checked, walked, fewer, more = Counter(), Counter(), Counter(), Counter()
+    totals = {"engine": Counter(), "reference": Counter()}
+    for source, instances in sources.items():
+        for t in instances:
+            if t is None:
+                continue
+            res, n = created(analyze_deviation, t)
+            if res.verdict is not Verdict.BOUNDED or res.bounds.b == 0:
+                continue
+            v, (lower, upper) = res.value, _bracket(t)
+            want, ref_n = reference_route(t)
+            assert v == want and n <= ref_n
+            walked[source] += n > 0
+            fewer[source] += n < ref_n
+            for k in sorted(k for k in {v - 1, v, v + 1, lower, upper} if k >= 0):
+                for question, interval in ((threshold, (0, k)), (exact, (k, k))):
+                    answer, n = created(question, t, k)
+                    want, ref_n = reference_route(t, interval)
+                    assert answer is want is (interval[0] <= v <= interval[1])
+                    assert n <= ref_n or k < v
+                    fewer[source] += n < ref_n
+                    more[source] += n > ref_n
+                    totals["engine"][source] += n
+                    totals["reference"][source] += ref_n
+            checked[source] += 1
+    assert checked["draws"] >= 500 and checked["compare"] >= 60
+    assert checked["missed"] == 11 and checked["sat"] >= 25
+    assert all(walked[source] >= 10 for source in sources)
+    assert all(fewer[source] >= 10 for source in sources)
+    assert all(totals["engine"][source] < totals["reference"][source] for source in sources)
+    assert sum(more.values()) < sum(fewer.values()) / 10
+
+
 def test_a_merge_state_is_fused():
     # m has two ways in and one way out, so it is fusable and holds no
     # configuration: only i and f do, each with the empty lag.  Both ways
@@ -869,11 +964,15 @@ def test_invariant_checks_survive_optimize():
     # a wrong distance function must trip the witness check even under -O,
     # in the full analysis and in the questions' check of a heavier run.
     # The unsatisfiable gadget has deviation 26 < U = 27, so its analysis
-    # walks to the end and checks the heaviest run.  A distance of 0
-    # weighs the probe 0 < U, so the questions walk: T_12 has deviation
+    # walks until its goal pops and checks that goal's run.  A distance of
+    # 0 weighs the probe 0 < U, so the questions walk: T_12 has deviation
     # 78 = U, so at k = 77 both walks stop at a heavier run, and T_3 has
-    # deviation 6 = U, so its analysis and exact at 6 stop at a run that
-    # must weigh U.  Patched shortest paths leave the probe of a
+    # deviation 6 = U, so its analysis and exact at 6 stop at a goal whose
+    # rebuilt run must weigh the goal's g.  With the search patched out,
+    # the walk of a pumpable lag (_pumped_lag) pops a g past U in analyze
+    # and exact at U, and threshold at L meets a heavier accepting
+    # configuration whose parent links close a cycle; both raise rather
+    # than loop.  Patched shortest paths leave the probe of a
     # three-state cycle short of its final state, and a distance past U
     # makes the probe outweigh U once the search finds the deviation finite.
     # The probe's searches raise where they find nothing, also inside a
@@ -897,7 +996,16 @@ def test_invariant_checks_survive_optimize():
             "engine.hamming_distance = lambda u, v: 0\n"
             "t = gen_family(3).nft\n"
             "queries = [lambda: engine.analyze_deviation(t), lambda: engine.exact(t, 6)]\n",
-            ["raised: run heavier than U - 1 does not weigh the upper bound U"] * 2,
+            ["raised: witness must realize the computed deviation"] * 2,
+        ),
+        (
+            "engine._nonconjugate_cycle = lambda *args: None\n"
+            "t = Nft(('i', 'q', 'f'), frozenset('ab'), {0}, {2},"
+            " [(0, 'a', '', 1), (1, 'a', 'b', 1), (1, '', 'a', 2)])\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.exact(t, 2),"
+            " lambda: engine.threshold(t, 1)]\n",
+            ["raised: configuration outweighs the upper bound U"] * 2
+            + ["raised: parent links close a cycle"],
         ),
         (
             "engine._bfs_path = lambda *args: ()\n"
@@ -1365,7 +1473,7 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         is_bounded(t)
     assert not calls
     # T_4 has deviation 10 = U = L: every question but is_bounded answers
-    # from the probe, and threshold at 9 before the search; _missed_family(4)
+    # from the probe, and threshold at 9 before the search; missed_family(4)
     # has L = 9, so threshold at 9 and exact at 10 walk and threshold at 10
     # answers from U.  is_bounded answers from the search alone
     every = dict.fromkeys(names + ("_configurations",), 1)
@@ -1374,10 +1482,10 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         query(gen_family(4).nft)
         assert calls == {name: 1 for name in names if searched or name != "_nonconjugate_cycle"}
         calls.clear()
-        query(_missed_family(4))
+        query(missed_family(4))
         assert calls == every
         calls.clear()
-    for t in (gen_family(4).nft, _missed_family(4)):
+    for t in (gen_family(4).nft, missed_family(4)):
         assert threshold(t, 10)
         assert calls == dict.fromkeys(names, 1)
         calls.clear()
@@ -1432,37 +1540,56 @@ def test_every_question_takes_one_route(monkeypatch):
     assert (res.verdict, res.value) == (Verdict.BOUNDED, 1)
 
 
+def _pumped_lag() -> Nft:
+    """i -a/-> q, a loop q -a/b-> q and q -/a-> f: s_q = 1, and from its
+    second lap on the loop compares the a it wrote last lap with b, so
+    every lap adds a mismatch.  U = 2 (q's entry bonus 1, and 1 position
+    compared on the way out) and the probe, one lap, weighs L = 1."""
+    return _nft(
+        ["i", "q", "f"], {0}, {2}, [(0, "a", "", 1), (1, "a", "b", 1), (1, "", "a", 2)]
+    )
+
+
 def test_inner_positive_edge_is_an_invariant_when_b_positive(monkeypatch):
     # with b > 0 the search has ruled out every pumpable cycle before the
-    # walk; an inner positive edge after it means the two disagree.  The
-    # probe of _missed_family(3) weighs 5 < U = 6, so the questions walk,
-    # and the loop's initial state comes first, so the walk meets the loop
-    # before the run weighing U can end it
+    # walk; a walk that meets one means the two disagree.  Each lap of
+    # _pumped_lag's loop improves the g of the one configuration at q, so
+    # with the search patched out the walk pops it again and again: analyze
+    # and exact at U = 2 raise once a popped g passes U, and threshold at 1
+    # meets an accepting g of 2 > 1 whose parent links loop back to q
     monkeypatch.setattr(nftdev.engine, "_nonconjugate_cycle", lambda *args: None)
-    t = union(_mismatch_loop(), _missed_family(3))
-    for query in (analyze_deviation, lambda t: exact(t, 6), lambda t: threshold(t, 5)):
-        with pytest.raises(AssertionError, match="positive edge inside a component"):
+    t = _pumped_lag()
+    assert _bracket(t) == (1, 2)
+    for query in (analyze_deviation, lambda t: exact(t, 2)):
+        with pytest.raises(AssertionError, match="^configuration outweighs the upper bound U$"):
             query(t)
+    with pytest.raises(AssertionError, match="^parent links close a cycle$"):
+        threshold(t, 1)
 
 
-def test_threshold_and_exact_stop_at_the_first_heavier_path():
-    # _missed_family(12) has deviation 78 = U, a probe of weight 77 and
-    # over 6,000 configurations, so at k = 77 the questions walk
-    t = _missed_family(12)
-    assert not threshold(t, 77, max_configs=500)
-    assert not exact(t, 77, max_configs=500)
-    assert not threshold(_missed_family(16), 135, max_configs=1000)
-    # exact at k = U stops at the first run weighing U, and threshold at
-    # k >= U walks nothing
-    assert exact(t, 78, max_configs=500)
-    assert analyze_deviation(t, max_configs=500).value == 78
+def test_threshold_and_exact_stop_at_the_first_heavier_path(monkeypatch):
+    # missed_family(12) has deviation 78 = U, a probe of weight 77 and
+    # over 6,000 configurations, so at k = 77 the questions walk, and stop
+    # at the first accepting configuration heavier than 77
+    graphs = _created(monkeypatch)
+    t = missed_family(12)
+    assert not threshold(t, 77, max_configs=79)
+    assert not exact(t, 77, max_configs=79)
+    assert not threshold(missed_family(16), 135, max_configs=137)
+    # exact at k = U, and analyze, stop once the goal weighing U pops, and
+    # threshold at k >= U walks nothing
+    assert exact(t, 78, max_configs=79)
+    assert analyze_deviation(t, max_configs=79).value == 78
+    assert [len(state) for state in graphs] == [79, 79, 137, 79, 79]
     assert threshold(t, 78, max_configs=1)
     # the unsatisfiable gadget's deviation 26 lies below U = 27, so at k =
-    # 26 no run stops the walk of its 222 configurations
+    # 26 threshold walks until no f above 26 is left (119 configurations)
+    # and exact until the goal weighing 26 pops (160)
     g = gen_3sat(UNSAT).nft
-    for question in (threshold, exact):
+    for question, n in ((threshold, 119), (exact, 160)):
+        assert question(g, 26, max_configs=n)
         with pytest.raises(StateBudgetExceeded):
-            question(g, 26, max_configs=200)
+            question(g, 26, max_configs=n - 1)
 
 
 def test_decisions_write_nothing(capsys):
@@ -1497,25 +1624,34 @@ def test_decisions_write_nothing(capsys):
 
 
 def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
-    real = nftdev.engine._walk
+    real = nftdev.engine._best_first
 
-    def light(starts, expand, accepts, limit=None, live=True):
-        # the heaviest run from a start, reported as exceeding the limit
-        return real(starts, expand, accepts, live=live)._replace(heavier=([], starts[0]))
+    def light(configurations, h, upper, lower, floor, hi):
+        # the heaviest run, reported as exceeding hi
+        steps, g, _ = real(configurations, h, upper, lower, lower, INF)
+        return steps, g, True
 
-    monkeypatch.setattr(nftdev.engine, "_walk", light)
     # the unsatisfiable gadget has deviation 26 < U = 27: at k = 26 the
-    # questions walk with limit 26, which its heaviest run does not exceed;
-    # analyze and exact at k = U walk with limit U - 1 and take a heavier
-    # run as the witness of value U, so one that weighs 26 trips that
-    # check.  Both are explicit raises, which python -O keeps.
+    # questions walk, and the heaviest run does not exceed 26, which the
+    # engine's check of a heavier run catches
     g = gen_3sat(UNSAT).nft
     assert _bracket(g) == (18, 27)
+    monkeypatch.setattr(nftdev.engine, "_best_first", light)
     for query in (lambda t: threshold(t, 26), lambda t: exact(t, 26)):
         with pytest.raises(AssertionError, match="^run heavier than the limit does not exceed"):
             query(g)
+
+    def heavy(configurations, h, upper, lower, floor, hi):
+        # the heaviest run as the goal, one heavier than it weighs
+        steps, g, _ = real(configurations, h, upper, lower, lower, INF)
+        return steps, g + 1, False
+
+    # analyze, and exact at k = U, take the goal's run as the witness of
+    # the goal's g, so a run that weighs one less trips that check.  Both
+    # are explicit raises, which python -O keeps.
+    monkeypatch.setattr(nftdev.engine, "_best_first", heavy)
     for query in (analyze_deviation, lambda t: exact(t, 27)):
-        with pytest.raises(AssertionError, match="^run heavier than U - 1 does not weigh"):
+        with pytest.raises(AssertionError, match="^witness must realize the computed deviation"):
             query(g)
 
 
@@ -1618,7 +1754,7 @@ def test_upper_bound_and_search_match_their_references():
                 continue
             rows = _state_rows(t)
             comp = _components(t, rows)
-            upper = _upper_bound(t, rows, comp, shift)
+            upper = _upper_bound(t, rows, comp, shift)[:3]
             assert upper == reference_upper_bound(t, rows, comp, shift)
             cycle = _nonconjugate_cycle(t, rows, shift, comp)
             assert cycle == reference_nonconjugate_cycle(t, rows, shift, comp)

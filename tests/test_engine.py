@@ -1727,12 +1727,7 @@ def test_upper_bound_and_search_match_their_references():
     # self-loop as the shortest cycle) and of _nonconjugate_cycle (each
     # state's inner transitions listed once) must keep (U, start, steps)
     # and (p, run, i, j) exactly
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(bench))
+    workloads = _bench_workloads()
     sources = {"family": [gen_family(n).nft for n in range(2, 41)]}
     sources["compare"] = [
         comparison_to_deviation(*map(parse_nft, q.texts))

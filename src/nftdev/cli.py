@@ -130,9 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bounded",
-        help="is the deviation finite? (polynomial, no budget: a walk of the state"
-        " graph, which also trims it, when no transition shifts, else a (state,"
-        " phase) search for a nonconjugate cycle)",
+        help="is the deviation finite? (polynomial, no budget: the longest paths"
+        " over the state graph's components, which also trim it, when no"
+        " transition shifts, else a (state, phase) search for a nonconjugate"
+        " cycle)",
     )
     p.add_argument("file", metavar="FILE")
 

@@ -4,9 +4,9 @@ The engine decides, for an NFT, whether the Hamming distance between
 input and output is unbounded over the accepted pairs, and computes the
 exact supremum when it is finite:
 
-1. trim (at smax = 0 the walk does it; see below, and reductions.compare
-   says its product is trim already); an empty result means the relation
-   is empty (deviation 0);
+1. trim (at smax = 0 the longest paths do it; see below, and
+   reductions.compare says its product is trim already); an empty result
+   means the relation is empty (deviation 0);
 2. propagate the shift potential s_p from the initial states; where two
    initial runs disagree on a state's shift, or a final state's is not 0,
    the propagation returns an accepting run with |u| != |v|, the witness
@@ -26,20 +26,27 @@ exact supremum when it is finite:
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the state graph itself,
-walked directly and untrimmed, from the initial states with the final
-ones as accepts: the walk does the trim.  A component that reaches no
-final state is dead and the walk skips the edges into it; a dead state
-reaches no live one, so the live part of the walk (its order, values and
-tie-breaks, and the shortest paths of the witnesses) is the walk of
-trim(t), whose ids keep t's order, and every answer is trim(t)'s in t's
-ids.  A positive edge inside a live component closes into a pumpable
-cycle.  Trim is then needed only at smax > 0, where the shift potential
-needs it (trim(t) has smax = 0 whenever t does).  That walk is linear in
-the transducer, so no budget applies to it.  The state graph's rows
-(_state_rows, built in one pass over the transitions) are the engine's
-one adjacency: the shift potential, the components and the shortest
-paths read them too.  Their edges carry mismatch weights only at
-smax = 0, the one place the weights are read.
+taken untrimmed, from the initial states with the final ones as accepts.
+The deviation is then exactly the longest path over its condensation,
+each transition weighing its mismatches: _components finds the strongly
+connected components reached from the initial states, and
+_longest_paths values them in pop order, which does the trim.  A
+component that reaches no final state is dead and the edges into it are
+skipped; a dead state reaches no live one, so the live components, their
+values and tie-breaks, and the shortest paths of the witnesses are those
+of trim(t), whose ids keep t's order, and every answer is trim(t)'s in
+t's ids.  A positive transition inside a live component closes into a
+pumpable cycle: the first in pop order gives UNBOUNDED.  Otherwise the
+witness follows each component's exit from the heaviest initial state
+(_run_along) and weighs the value.  Trim is then needed only at
+smax > 0, where the shift potential needs it (trim(t) has smax = 0
+whenever t does).  This route is linear in the transducer, so no budget
+applies to it, and every question takes all of it: it has no early
+stop.  The state graph's rows (_state_rows, built in one pass over the
+transitions) are the engine's one adjacency: the shift potential, the
+components and the shortest paths read them too.  Their edges carry
+mismatch weights only at smax = 0; at b > 0 _upper_bound builds rows of
+its own weights for the longest paths.
 
 When b > 0 the INF verdict needs no configuration graph: a
 length-preserving transducer has finite deviation exactly when no cycle
@@ -60,25 +67,21 @@ kept state, and the chains are exactly the runs between kept states
 the configurations.  Every run the walk finds is unfolded to the trimmed
 transitions before it is checked and mapped back to the original ids.
 
-At smax = 0 the state graph is walked once, by Tarjan's algorithm run on
-the fly (_walk): a node is expanded when the depth-first walk first
-enters it, and each strongly connected component is decided and valued
-as it pops, from the final values of the components it leads to, which
-pop first.  The node being scanned lives in locals and each tree edge of
-the DFS path is one saved frame.  Edge rows are kept only for nodes on
-that path and in multi-node components; a popped node keeps ints only:
-its component id, its value and, at the member its component leaves by,
-the leaving edge.
+_longest_paths is the engine's one longest-path pass over a
+condensation.  At smax = 0 it takes mismatch weights and no bonus, and
+gives the deviation itself; at b > 0 _upper_bound gives it the weights
+and entry bonus of U, below, and it gives U and the best-first walk's h.
 
 The four public questions take one route, _analyze.  analyze_deviation
 asks for the whole result; is_bounded, threshold and exact ask whether
 the deviation lies in [lo, hi], namely [0, INF], [0, k] and [k, k], and
 get the answer as soon as it is known.  A verdict other than BOUNDED
 answers from the value 0 (EMPTY) or False.  When b > 0, is_bounded
-answers from the search alone, so it walks at most the state graph, at
-smax = 0, and needs no budget.  Every other question first takes, from
-the state graph's condensation, an upper bound U and a probe, an
-accepting run along the path U maximises, of weight L (_upper_bound;
+answers from the search alone, after the longest paths that check that
+every state reaches acceptance, so it walks at most the state graph and
+needs no budget.  Every other question first takes, from the state
+graph's condensation, an upper bound U and a probe, an accepting run
+along the path U maximises, of weight L (_upper_bound and _run_along;
 L = U = v on T_n).  A finite deviation lies in [L, U]:
   - lo > U (exact at k > U) answers False at once;
   - lo = 0 and U <= hi (threshold at k >= U) answers from the search
@@ -128,10 +131,9 @@ from enum import Enum
 from functools import partial
 from itertools import repeat
 from operator import ne
-from typing import NamedTuple
 
 from .core import INF, ExtendedNat, Nft, Run, hamming_distance, run_words, stats
-from .transform import _live_states, is_trim, trim_with_maps
+from .transform import is_trim, trim_with_maps
 
 DEFAULT_MAX_CONFIGS = 2**20
 
@@ -163,87 +165,185 @@ class Bounds:
     B: int
 
 
-def _upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
-    """(U, q, steps, bonus, leave) for a trimmed length-preserving t, rows
-    being _state_rows(t) and comp[q] naming q's strongly connected
-    component (_components): U >= the deviation once the search has found
-    it bounded, and the probe, an accepting run of t that starts at the
-    initial state q and follows the path U maximises; steps are its
-    transitions.  bonus (a list per state) and leave (a dict per
-    component) are the parts of enter below, which bounds, from any
-    configuration at q, the weight still to come: the best-first walk's h.
+def _components(rows, starts) -> tuple[list[int], list]:
+    """Tarjan's strongly connected components of the graph whose node u
+    has the (v, weight, transition) edges rows[u], from the nodes `starts`
+    in order: (comp, order).  order lists the components as they pop,
+    which is reverse topological (every edge leaving a component reaches
+    one listed before it), each as its members in node order; comp[u] is
+    the index of u's component there, or -1 when no start reaches u.
 
-    U is the longest path over the condensation, U = max enter(q) over the
-    initial states.  enter(q) = bonus(q) + leave(q's component), the entry
-    bonus being |s_q| when q's component is cyclic and 0 otherwise, read
-    from a list built once; leave(C) is the max of 0 (when C holds a final
-    state) and of overlap(d) + enter(dst d) over the transitions d leaving
-    C; overlap(d) = min(|s_p| + |joined|, |fixed|) counts the positions d
-    compares from its source p (the words of _configurations).
-
-    A run enters each component once and leaves it for good.  Two letters
-    written within one visit never mismatch, or the search would have
-    found the pair as a (state, phase) path inside the component.  So a
-    mismatch is compared on a transition between components, or inside a
-    cyclic one against the |s_q| letters of lag the run entered it with
-    at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
-    * |Q| < B.  leave(C) is final once each transition leaving C is
-    counted, as its target's component becomes final; each component
-    keeps the transition that gave its leave, or None to end at one of its
-    final states.
-
-    The probe walks that path: from the argmax initial state q (ties go to
-    the smallest id), at each entry q of a cyclic component with s_q != 0
-    it loops a shortest cycle through q, of input length l, ceil(|s_q| / l)
-    times (none when l = 0), so that the lag it entered with is compared
-    in full, then takes a shortest path inside the component to the kept
-    transition's source, or to a final state.  That is the run the paper's
-    k_i = i - 1 gives on T_n.  It is a run of t, so its weight L is at most
-    the deviation v; L = U proves v = U.  Each component adds at most b
-    cycles and one path, of at most |Q| transitions each, so the probe
-    has O(b * |Q|^2) transitions.
+    The node being scanned lives in locals (node, row cursor, low link)
+    and each tree edge of the DFS path is one saved frame.  A popped node's
+    DFS number becomes len(rows), so it never undercuts a low link.
     """
-    finals = {comp[f] for f in t.finals}
-    leave = {c: 0 if c in finals else -1 for c in comp[: t.num_states]}
-    out = dict.fromkeys(leave)
-    waits = dict.fromkeys(leave, 0)
-    cyclic, into = set(), {}
+    n = len(rows)
+    index = [-1] * n
+    comp = [-1] * n
+    order: list = []
+    stack: list[int] = []
+    frames: list[tuple] = []  # the DFS path above the node being scanned
+    tick = 0
+    for v in starts:
+        if index[v] >= 0:
+            continue
+        index[v] = low = tick
+        tick += 1
+        stack.append(v)
+        cursor = iter(rows[v])
+        while True:
+            for w, _, _ in cursor:
+                i = index[w]
+                if i < 0:
+                    frames.append((v, cursor, low))
+                    index[w] = low = tick
+                    tick += 1
+                    stack.append(w)
+                    v, cursor = w, iter(rows[w])
+                    break
+                if i < low:
+                    low = i
+            else:
+                if low == index[v]:
+                    if stack[-1] == v:
+                        # one node, the common case (every component of an
+                        # acyclic graph)
+                        stack.pop()
+                        index[v] = n
+                        comp[v] = len(order)
+                        order.append((v,))
+                    else:
+                        # the stack is in DFS order; v's component is the
+                        # part from v up
+                        height = bisect_left(stack, low, key=index.__getitem__)
+                        members = sorted(stack[height:])
+                        del stack[height:]
+                        for m in members:
+                            index[m] = n
+                            comp[m] = len(order)
+                        order.append(members)
+                if not frames:
+                    break
+                x = low
+                v, cursor, low = frames.pop()
+                if x < low:
+                    low = x
+    return comp, order
+
+
+def _longest_paths(rows, comp, order, finals, bonus):
+    """The heaviest path to a final state from every node, over the
+    condensation (_components' comp and order), the one longest-path pass
+    of the engine: (enter, exits, pumped).  An edge weighs the weight of
+    its (v, weight, transition) row entry, and a path entering a node v
+    gains bonus[v] there.
+
+    The components are valued in pop order, so every edge leaving one
+    reaches a component whose value is final.  leave(C) is the max of 0,
+    when C has a final state, and of weight(d) + enter(dst d) over the
+    transitions d leaving C; enter(v) = bonus(v) + leave(v's component),
+    and enter[v] = -1 when v reaches no final state (its component is
+    dead; edges into it are skipped) or no start reaches it.  Members are
+    scanned in node order and each row in order, the first final member
+    first and then strictly heavier exits, so ties go to the first member
+    and then the first transition; exits[C] = (m, d) keeps the member m
+    and the transition d that gave leave(C), or (m, None) when the path
+    ends at the final member m.  pumped is the first (u, transition) of
+    positive weight inside a component that reaches a final state, over
+    the components in pop order, or None.
+    """
+    enter = [-1] * len(rows)
+    exits = []
+    pumped = None
+    for c, members in enumerate(order):
+        best, top, via, inner = -1, None, None, None
+        for m in members:
+            if m in finals:
+                best, top = 0, m
+                break
+        for u in members:
+            for v, wt, ti in rows[u]:
+                x = enter[v]
+                if x >= 0:
+                    x += wt
+                    if x > best:
+                        best, top, via = x, u, ti
+                elif wt and inner is None and comp[v] == c:
+                    # v is a member: this edge closes a cycle
+                    inner = (u, ti)
+        exits.append((top, via))
+        if best >= 0:
+            pumped = pumped or inner
+            for m in members:
+                enter[m] = best + bonus[m]
+    return enter, exits, pumped
+
+
+def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
+    """(h, exits, bonus) for a trimmed length-preserving t, comp and order
+    being its components from every state (_components): _longest_paths
+    over the state graph with the overlap weights and the entry bonus.
+    h[q] = enter(q) bounds, from any configuration at q, the weight still
+    to come once the search has found the deviation finite: the
+    best-first walk's h; U = max h[q] over the initial states.
+
+    The entry bonus is |s_q| when q's component is cyclic and 0
+    otherwise; overlap(d) = min(|s_p| + |joined|, |fixed|) counts the
+    positions a transition d between components compares from its source
+    p (the words of _configurations), and a transition inside one weighs
+    0.  A run enters each component once and leaves it for good.  Two
+    letters written within one visit never mismatch, or the search would
+    have found the pair as a (state, phase) path inside the component.  So
+    a mismatch is compared on a transition between components, or inside
+    a cyclic one against the |s_q| letters of lag the run entered it with
+    at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
+    * |Q| < B.  A state that reaches no final state raises.
+
+    The probe (_run_along with these exits and bonus, from the argmax
+    initial state, ties going to the smallest id) walks the path U
+    maximises.  On T_n it is the run the paper's k_i = i - 1 gives.  It is
+    a run of t, so its weight L is at most the deviation v; L = U proves
+    v = U.
+    """
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
+    cyclic = set()
     for ti, (src, x, y, dst) in enumerate(t.transitions):
         c = comp[src]
+        overlap = 0
         if c == comp[dst]:
             cyclic.add(c)
         else:
-            waits[c] += 1
             s = shift[src]
             joined, fixed = (x, y) if s >= 0 else (y, x)
             overlap = min(abs(s) + len(joined), len(fixed))
-            into.setdefault(comp[dst], []).append((ti, c, overlap, dst))
+        rows[src].append((dst, overlap, ti))
     bonus = [abs(shift[q]) if comp[q] in cyclic else 0 for q in range(t.num_states)]
-    ready = [c for c, n in waits.items() if n == 0]
-    while ready:
-        # the transitions into a component whose leave is final
-        done = ready.pop()
-        after = leave[done]
-        for ti, c, overlap, q in into.get(done, ()):
-            weight = overlap + after + bonus[q]
-            if weight > leave[c]:
-                leave[c], out[c] = weight, ti
-            waits[c] -= 1
-            if waits[c] == 0:
-                ready.append(c)
-    start = q = max(sorted(t.initials), key=lambda p: leave[comp[p]] + bonus[p])
+    h, exits, _ = _longest_paths(rows, comp, order, t.finals, bonus)
+    if -1 in h:
+        raise AssertionError("state cannot reach acceptance")
+    return h, exits, bonus
+
+
+def _run_along(t: Nft, rows, comp, exits, bonus, q: int) -> list[int]:
+    """Transitions of the run from q along the exits of _longest_paths: at
+    each entry q of a component with bonus[q] > 0 it loops a shortest
+    cycle through q, of input length l, ceil(bonus[q] / l) times (none
+    when l = 0), so that the |s_q| letters of lag it entered with are
+    compared in full; then it takes a shortest path inside the component
+    to the member the component's exit leaves by, and that exit.  Each
+    component adds at most b cycles and one path, of at most |Q|
+    transitions each, so the run has O(b * |Q|^2) transitions."""
     steps: list[int] = []
     while True:
-        c = comp[q]
         if bonus[q]:
             cycle = _shortest_cycle(rows, q, comp)
             ell = sum(len(t.transitions[ti].input) for ti in cycle)
             if ell:
                 steps += cycle * -(-bonus[q] // ell)
-        d = out[c]
-        steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
+        m, d = exits[comp[q]]
+        steps += _bfs_path(rows, (q,), {m}, comp)
         if d is None:
-            return leave[comp[start]] + bonus[start], start, steps, bonus, leave
+            return steps
         steps.append(d)
         q = t.transitions[d].dst
 
@@ -409,190 +509,14 @@ def _map_run(steps, trans_map) -> Run:
     return Run(tuple(trans_map[i] for i in steps))
 
 
-class _Walk(NamedTuple):
-    """What _walk found, per node id.
-
-    comp[u] is -1 before the walk enters u and u's DFS number while u is
-    on the Tarjan stack; once u's component pops it is -2 - m, m being the
-    member the component's heaviest path to acceptance leaves by (-2 - r,
-    r its root, while a multi-node component is being valued), so it
-    tells the components apart.  value[u] is then the weight of that path
-    (-1 before, and -1 for good in a dead component, one with no path to
-    acceptance), and nxt[m], via[m] the node and transition it leaves by,
-    or nxt[m] = -1 when it ends at the accepting member m; exit reads
-    them.  inner holds the rows of the members of multi-node components.
-    The walk ends early at pumped, a positive (u, v, transition) edge
-    inside a component that reaches acceptance, or at heavier, (steps, v)
-    when the tree path `steps` to the root v of a popped component
-    outweighs the limit together with v's value.
-    """
-
-    comp: list[int]
-    value: list[int]
-    nxt: list[int]
-    via: list[int]
-    inner: dict[int, list[tuple[int, int, int]]]
-    pumped: tuple[int, int, int] | None
-    heavier: tuple[list[int], int] | None
-
-    def exit(self, u: int) -> tuple[int, int | None, int | None]:
-        """(m, v, transition): the edge the heaviest path from u's
-        component leaves it by, or (m, None, None) when that path ends at
-        the accepting member m."""
-        m = -2 - self.comp[u]
-        v = self.nxt[m]
-        return (m, None, None) if v < 0 else (m, v, self.via[m])
-
-
-def _walk(starts, expand, accepts, limit=None, live=True) -> _Walk:
-    """Tarjan's strongly connected components, run on the fly, deciding
-    and valuing each component as it pops.
-
-    Nodes are ints.  expand(u) returns u's row of (v, weight, transition)
-    edges; it is called once, when the depth-first walk first enters u,
-    so the graph is unfolded as it is walked.  A row is kept while u is on
-    the DFS path and afterwards only if u's component has more than one
-    node.  The node being scanned lives in locals (node, row cursor, row,
-    low link, tree path weight g, tree transition); descending pushes them
-    as one frame and returning pops it.  Components pop in reverse
-    topological order, so every edge leaving a component reaches one
-    whose value is already final, while value[w] < 0 marks w as inside
-    the popping component or dead.  Members are scanned in node order, an
-    accepting member first and then strictly heavier edges, so ties go to
-    the smallest node id.  With a limit the walk stops at the first popped
-    component whose root has g + value > limit.
-
-    A component with no path to acceptance is dead: when live is set every
-    node must reach acceptance and a dead component raises, otherwise it
-    pops with value -1.  Edges into dead nodes are skipped, a positive
-    edge inside a dead component does not pump (the walk reports the
-    first one only once the component's value is known to be >= 0), and a
-    dead root never outweighs the limit.
-    """
-    # comp[u] (see _Walk) doubles as Tarjan's index: a popped id is
-    # negative, so it never undercuts a low link.  The per-node lists at
-    # least double whenever expand hands out a node id beyond them.
-    comp: list[int] = []
-    value: list[int] = []
-    nxt: list[int] = []
-    via: list[int] = []
-    size = 0
-
-    def grow(u: int) -> int:
-        for a in (comp, value, nxt, via):
-            a.extend(repeat(-1, u + 1))
-        return len(comp)
-
-    held: dict[int, list] = {}
-    stack: list[int] = []
-    frames: list[tuple] = []  # the DFS path above the node being scanned
-    tick = 0
-    for v in starts:
-        # v, cursor, row, low, g and tl are the node being scanned
-        if v >= size:
-            size = grow(v)
-        if comp[v] != -1:
-            continue
-        comp[v] = low = tick
-        tick += 1
-        stack.append(v)
-        row = expand(v)
-        cursor = iter(row)
-        g = tl = 0
-        while True:
-            for w, wt, ti in cursor:
-                if w >= size:
-                    size = grow(w)
-                i = comp[w]
-                if i < 0:
-                    if i == -1:
-                        frames.append((v, cursor, row, low, g, tl))
-                        comp[w] = low = tick
-                        tick += 1
-                        stack.append(w)
-                        v, g, tl = w, g + wt, ti
-                        row = expand(w)
-                        cursor = iter(row)
-                        break
-                elif i < low:
-                    low = i
-            else:
-                if low != comp[v]:
-                    held[v] = row
-                else:
-                    b = nx = lb = -1
-                    m0 = v
-                    pumped = None
-                    if stack[-1] == v:
-                        # one node, the common case (every component of an
-                        # acyclic graph): no member list, and its row is at hand
-                        stack.pop()
-                        members = ()
-                        if v in accepts:
-                            b = 0
-                        for w, wt, ti in row:
-                            x = value[w]
-                            if x < 0:
-                                # w is v itself or dead
-                                if wt > 0 and w == v and pumped is None:
-                                    pumped = (v, w, ti)
-                            elif wt + x > b:
-                                b, nx, lb = wt + x, w, ti
-                    else:
-                        # the stack is in index order; v's component is the
-                        # part from v up
-                        height = bisect_left(stack, low, key=comp.__getitem__)
-                        members = sorted(stack[height:])
-                        del stack[height:]
-                        held[v] = row
-                        inside = -2 - v
-                        for m in members:
-                            comp[m] = inside
-                        for m in members:
-                            if m in accepts:
-                                b, m0 = 0, m
-                                break
-                        for u in members:
-                            for w, wt, ti in held[u]:
-                                x = value[w]
-                                if x < 0:
-                                    # w is a member or dead
-                                    if wt > 0 and comp[w] == inside and pumped is None:
-                                        pumped = (u, w, ti)
-                                elif wt + x > b:
-                                    b, m0, nx, lb = wt + x, u, w, ti
-                    if b < 0:
-                        if live:
-                            raise AssertionError("configuration cannot reach acceptance")
-                    elif pumped is not None:
-                        return _Walk(comp, value, nxt, via, held, pumped, None)
-                    for m in members:
-                        comp[m] = -2 - m0
-                        value[m] = b
-                    comp[v] = -2 - m0
-                    value[v] = b
-                    nxt[m0] = nx
-                    via[m0] = lb
-                    if b >= 0 and limit is not None and g + b > limit:
-                        steps = [f[5] for f in frames[1:]]
-                        if frames:
-                            steps.append(tl)
-                        return _Walk(comp, value, nxt, via, held, None, (steps, v))
-                if not frames:
-                    break
-                x = low
-                v, cursor, row, low, g, tl = frames.pop()
-                if x < low:
-                    low = x
-    return _Walk(comp, value, nxt, via, held, None, None)
-
-
 def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int]]]:
-    """The state graph of t as _walk rows: per state its (dst, weight,
-    transition) edges in transition order.  The weight is the mismatch
-    count when `weighted` and 0 otherwise.  When smax = 0 every lag is
-    empty, and the weighted rows are those of the configuration graph;
-    at smax > 0 no reader uses the weights."""
+    """The state graph of t: per state its (dst, weight, transition) edges
+    in transition order, the shape of the configuration graph's rows.  The
+    weight is the mismatch count when `weighted` and 0 otherwise.  When
+    smax = 0 every lag is empty, and the weighted rows are those of the
+    configuration graph, whose longest paths give the deviation; at
+    smax > 0 no reader uses the weights (_upper_bound weighs its own
+    rows)."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
     for ti, (src, x, y, dst) in enumerate(t.transitions):
         rows[src].append((dst, sum(map(ne, x, y)) if weighted and x != y else 0, ti))
@@ -753,8 +677,8 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
     preserving transducer whose deviation the search has found finite, for
     an accepting run heavier than floor.  configurations(bracket) builds
     the graph (_configurations with h as the bound per state); h[q] =
-    bonus[q] + leave[q's component] bounds the weight any configuration at
-    q can still gain, U's argument applied from q.  upper is U and lower L,
+    enter(q) of _upper_bound bounds the weight any configuration at q
+    can still gain, U's argument applied from q.  upper is U and lower L,
     the probe's weight, and floor >= L.
 
     A configuration u with best known prefix weight g has priority f = g +
@@ -770,8 +694,8 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
     end.  The heaviest accepting g in (floor, hi] seen so far is the goal;
     it pops, and the walk ends, once no f left exceeds it.
 
-    Returns (steps, g, heavier): the chains of the run along the parent
-    links to the first accepting configuration with g > hi (heavier), or to
+    Returns (steps, g, past): the chains of the run along the parent
+    links to the first accepting configuration with g > hi (past True), or to
     the goal that popped; None when no accepting run weighs more than
     floor.  A budget stop reports [max(L, heaviest accepting g met),
     min(U, f of the configuration being expanded)]: the popped f is the
@@ -833,20 +757,14 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
     return None if goal is None else (chains(goal), goal_g, False)
 
 
-def _components(t: Nft, rows) -> list[int]:
-    """A strongly connected component id per state of t (rows is
-    _state_rows(t)): equal ids share a component."""
-    return _walk(range(t.num_states), rows.__getitem__, t.finals).comp
-
-
 def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] | None:
     """A cycle whose words are not conjugate by its anchor's shift, or None.
 
-    t is trimmed, rows is _state_rows(t) with zero weights, shift its
-    consistent potential and comp _components(t, rows).  Returns (p, run,
-    i, j) where the run goes from p to itself over some (u, v), j - i
-    equals s_p exactly, and (i, j) is the first such pair with u_i != v_j;
-    1-based positions.
+    t is trimmed, rows is _state_rows(t), shift its consistent potential
+    and comp the component ids _components gives from every state.
+    Returns (p, run, i, j) where the run goes from p to itself over some
+    (u, v), j - i equals s_p exactly, and (i, j) is the first such pair
+    with u_i != v_j; 1-based positions.
     None means no cycle of any length violates conjugacy, which for a
     length-preserving transducer is exactly boundedness.
 
@@ -950,7 +868,6 @@ def _analyze(
     if max_configs < 1:
         raise ValueError("max_configs must be at least 1")
     lo, hi = question or (0, INF)
-    limit = None if hi is INF else hi
 
     def reply(**fields) -> DeviationResult | bool:
         res = DeviationResult(**fields)
@@ -958,7 +875,7 @@ def _analyze(
 
     st = stats(t)
     # route on smax, never on b: a conflict met early can leave b = 0.  At
-    # smax = 0 the walk does the trim, so its runs are in t's ids already
+    # smax = 0 the longest paths do the trim, so the runs are in t's ids
     state_map, trans_map = range(t.num_states), range(len(t.transitions))
     if st.smax > 0 and not trimmed:
         trim, state_map, trans_map = trim_with_maps(t)
@@ -967,7 +884,7 @@ def _analyze(
         if trim is not t:
             t, st = trim, stats(trim)
     rows = _state_rows(t, st.smax == 0)
-    bounds = None  # at smax = 0, known once the walk has found the live states
+    bounds = None  # at smax = 0, known once the longest paths give trim(t)'s states
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
         """UNBOUNDED from a pumpable cycle at p, closed by a shortest path
@@ -978,7 +895,7 @@ def _analyze(
         cycle += _bfs_path(rows, (t.transitions[cycle[-1]].dst,), {p})
         return DeviationResult(
             verdict=Verdict.UNBOUNDED,
-            bounds=bounds or _zero_shift_bounds(t, st.lmax, _live_states(t)),
+            bounds=bounds or _zero_shift_bounds(t, st.lmax, kept),
             cycle_witness=_map_run(cycle, trans_map),
             anchor_state=state_map[p],
             cycle_prefix=_map_run(_bfs_path(rows, sorted(t.initials), {p}), trans_map),
@@ -1000,27 +917,24 @@ def _analyze(
         # every shift is 0, so the potential is consistent, every lag is
         # empty and the configuration graph is the state graph
         starts = sorted(t.initials)
-        walk = _walk(starts, rows.__getitem__, t.finals, limit, live=False)
-        if walk.pumped is not None:
-            # the walk reports a positive edge only inside a component
-            # that reaches a final state, so it pumps
-            u, _, ti = walk.pumped
+        comp, order = _components(rows, starts)
+        zero = [0] * t.num_states
+        enter, exits, pumped = _longest_paths(rows, comp, order, t.finals, zero)
+        # the states reached that reach a final state are trim(t)'s
+        n = t.num_states - enter.count(-1)
+        kept = range(n) if n == t.num_states else {q for q, x in enumerate(enter) if x >= 0}
+        if pumped is not None:
+            # a positive edge inside a component that reaches a final state
+            u, ti = pumped
             return unbounded(u, (ti,))
-        steps, v = walk.heavier or ([], max(starts, key=lambda s: (walk.value[s], -s), default=-1))
-        if v < 0 or walk.value[v] < 0:
+        v = max(starts, key=enter.__getitem__, default=-1)
+        if v < 0 or enter[v] < 0:
             # no initial state reaches a final one
             return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
-        steps += _chain(walk, v)
+        steps = _run_along(t, rows, comp, exits, zero, v)
         value = hamming_distance(*run_words(t, Run(tuple(steps))))
-        if walk.heavier is not None:
-            if value <= limit:
-                raise AssertionError("run heavier than the limit does not exceed it")
-            return False
-        if value != walk.value[v]:
+        if value != enter[v]:
             raise AssertionError("witness must realize the computed deviation")
-        # the walk ran to the end, so the states it valued are trim(t)'s
-        n = len(walk.value) - walk.value.count(-1)
-        kept = range(n) if n == t.num_states else {q for q, x in enumerate(walk.value) if x >= 0}
         bounds = _zero_shift_bounds(t, st.lmax, kept)
         return bounded(steps, value)
     shift, unbalanced = _shift_potential(t, rows)
@@ -1035,11 +949,13 @@ def _analyze(
             bounds=bounds,
             witness=_map_run(unbalanced.transitions, trans_map),
         )
-    comp = _components(t, rows)
+    comp, order = _components(rows, range(t.num_states))
+    h, exits, bonus = _upper_bound(t, comp, order, shift)
     if question == (0, INF):
         # is_bounded needs no bound and no run
         return _nonconjugate_cycle(t, rows, shift, comp) is None
-    upper, start, probe, bonus, leave = _upper_bound(t, rows, comp, shift)
+    start = max(sorted(t.initials), key=h.__getitem__)
+    upper = h[start]
     if question is not None and lo > upper:
         # a finite deviation is at most U < lo (exact at k > U)
         return False
@@ -1047,6 +963,7 @@ def _analyze(
     # answers, and no probe weight can change that answer
     inside = question is not None and lo == 0 and upper <= hi
     if not inside:
+        probe = _run_along(t, rows, comp, exits, bonus, start)
         first, last = start, start
         if probe:
             first, last = t.transitions[probe[0]].src, t.transitions[probe[-1]].dst
@@ -1075,7 +992,6 @@ def _analyze(
     floor = lower if question is None else hi if lo <= lower else lo - 1
     ends = t.initials | t.finals
     fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
-    h = [bonus[q] + leave[comp[q]] for q in range(t.num_states)]
     graph = partial(_configurations, t, rows, fusable, shift, b, max_configs, h)
     found = _best_first(graph, h, upper, lower, floor, hi)
     if found is None:
@@ -1083,10 +999,10 @@ def _analyze(
         # [L, floor]: it is L for analyze, whose witness is the probe, and
         # the interval lies inside [lo, hi] or misses it
         return bounded(probe, lower)
-    chains, g, heavier = found
+    chains, g, past = found
     steps = _unfold(t, rows, fusable, chains)
     value = hamming_distance(*run_words(t, Run(tuple(steps))))
-    if heavier:
+    if past:
         if value <= hi:
             raise AssertionError("run heavier than the limit does not exceed it")
         return False
@@ -1108,29 +1024,15 @@ def _zero_shift_bounds(t: Nft, lmax: int, kept) -> Bounds:
     return Bounds(0, (lmax + 2) * len(kept))
 
 
-def _chain(walk: _Walk, cur: int) -> list[int]:
-    """Transitions of the heaviest path from cur to acceptance: through
-    each component to the member its exit leaves by (ties go to the
-    smallest node id), then along the exit edge."""
-    steps: list[int] = []
-    while cur is not None:
-        u, v, ti = walk.exit(cur)
-        steps += _bfs_path(walk.inner, (cur,), {u}, walk.comp)
-        if v is not None:
-            steps.append(ti)
-        cur = v
-    return steps
-
-
 def analyze_deviation(t: Nft, max_configs: int = DEFAULT_MAX_CONFIGS) -> DeviationResult:
     """Full deviation analysis of an arbitrary Nft; its bounds are those
-    of trim(t).  At smax > 0 it trims internally; at smax = 0 the walk of
-    the untrimmed state graph does the trim.
+    of trim(t).  At smax > 0 it trims internally; at smax = 0 the longest
+    paths over the untrimmed state graph do the trim.
 
     Raises StateBudgetExceeded when the walk would create more than
     max_configs configurations, which can happen only when some
-    transition shifts (at smax = 0 the walk is over the state graph and
-    takes no budget), and ValueError when max_configs is below 1.
+    transition shifts (at smax = 0 the longest paths over the state graph
+    take no budget), and ValueError when max_configs is below 1.
     """
     return _analyze(t, max_configs)
 
@@ -1155,8 +1057,8 @@ def _decide(
 def is_bounded(t: Nft) -> bool:
     """True iff the deviation lies in [0, INF], that is, is finite (the
     empty relation counts as 0).  Decided in polynomial time and with no
-    budget: at smax = 0 by one walk of the state graph, otherwise before
-    any configuration is walked."""
+    budget: at smax = 0 by the longest paths over the state graph,
+    otherwise before any configuration is walked."""
     return _decide(t, "bounded")
 
 

@@ -56,6 +56,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import (  # noqa: E402
+    engine_probe,
     make_corpus,
     missed_family,
     random_cnf,
@@ -90,7 +91,7 @@ from nftdev import (  # noqa: E402
     trim,
     union,
 )
-from nftdev.engine import _components, _state_rows, _upper_bound  # noqa: E402
+from nftdev.engine import _state_rows  # noqa: E402
 
 BUDGET = 1000
 COMPARE_MAX_STATES = 64  # compares T_n up to n = 12 (4n states)
@@ -179,7 +180,7 @@ def walk_lines(label: str, t) -> list[str]:
         trimmed = trim(t)
         rows = _state_rows(trimmed)
         shift, _ = shift_assignment(trimmed)
-        upper, _, probe = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)[:3]
+        upper, _, probe = engine_probe(trimmed, rows, shift)
         lower = hamming_distance(*run_words(trimmed, Run(tuple(probe))))
         ks = sorted(k for k in {lower, res.value - 1, res.value, res.value + 1, upper} if k >= 0)
     lines = [label, repr(res)]

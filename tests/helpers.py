@@ -4,8 +4,12 @@ reference implementations used to cross-check the library."""
 from __future__ import annotations
 
 import random
+import sys
+from bisect import bisect_left
 from collections import deque
-from itertools import combinations
+from functools import cache
+from itertools import combinations, repeat
+from typing import NamedTuple
 
 from nftdev import (
     INF,
@@ -32,9 +36,9 @@ from nftdev.engine import (
     _components,
     _configurations,
     _parent_chain,
+    _run_along,
     _state_rows,
     _upper_bound,
-    _walk,
 )
 from nftdev.transform import _live_states
 
@@ -546,9 +550,10 @@ def tuple_keyed_graph(trimmed: Nft, shift: dict[int, int], b: int):
 
 
 def reference_walk(succ, starts, accepts, live=True):
-    """Reference for engine._walk on a small graph given as per-node rows
-    of (v, weight, transition) edges, from reachability closures instead
-    of a depth-first walk.  Returns (reached, comp, value, exit): the set
+    """Reference for engine._longest_paths over engine._components, and for
+    depth_first_walk, on a small graph given as per-node rows of (v,
+    weight, transition) edges, from reachability closures instead of a
+    depth-first walk.  Returns (reached, comp, value, exit): the set
     of nodes reachable from starts; comp[u], the frozenset of reached
     nodes that u reaches and that reach u; value[u], the heaviest path
     weight from u to an accepting node, INF when a path from u to one
@@ -616,6 +621,198 @@ def missed_family(n: int) -> Nft:
     return t._with(transitions=(bridge,) + t.transitions)
 
 
+class DepthFirstWalk(NamedTuple):
+    """What depth_first_walk found, per node id.
+
+    comp[u] is -1 before the walk enters u and u's DFS number while u is
+    on the Tarjan stack; once u's component pops it is -2 - m, m being the
+    member the component's heaviest path to acceptance leaves by (-2 - r,
+    r its root, while a multi-node component is being valued), so it
+    tells the components apart.  value[u] is then the weight of that path
+    (-1 before, and -1 for good in a dead component, one with no path to
+    acceptance), and nxt[m], via[m] the node and transition it leaves by,
+    or nxt[m] = -1 when it ends at the accepting member m; exit reads
+    them.  inner holds the rows of the members of multi-node components.
+    The walk ends early at pumped, a positive (u, v, transition) edge
+    inside a component that reaches acceptance, or at heavier, (steps, v)
+    when the tree path `steps` to the root v of a popped component
+    outweighs the limit together with v's value.
+    """
+
+    comp: list[int]
+    value: list[int]
+    nxt: list[int]
+    via: list[int]
+    inner: dict[int, list[tuple[int, int, int]]]
+    pumped: tuple[int, int, int] | None
+    heavier: tuple[list[int], int] | None
+
+    def exit(self, u: int) -> tuple[int, int | None, int | None]:
+        """(m, v, transition): the edge the heaviest path from u's
+        component leaves it by, or (m, None, None) when that path ends at
+        the accepting member m."""
+        m = -2 - self.comp[u]
+        v = self.nxt[m]
+        return (m, None, None) if v < 0 else (m, v, self.via[m])
+
+
+def depth_first_walk(starts, expand, accepts, limit=None, live=True) -> DepthFirstWalk:
+    """Tarjan's strongly connected components, run on the fly, deciding
+    and valuing each component as it pops: the engine's walk before it
+    became engine._components plus engine._longest_paths, kept as the
+    depth-first reference with an early stop at a limit.
+
+    Nodes are ints.  expand(u) returns u's row of (v, weight, transition)
+    edges; it is called once, when the depth-first walk first enters u,
+    so the graph is unfolded as it is walked.  A row is kept while u is on
+    the DFS path and afterwards only if u's component has more than one
+    node.  The node being scanned lives in locals (node, row cursor, row,
+    low link, tree path weight g, tree transition); descending pushes them
+    as one frame and returning pops it.  Components pop in reverse
+    topological order, so every edge leaving a component reaches one
+    whose value is already final, while value[w] < 0 marks w as inside
+    the popping component or dead.  Members are scanned in node order, an
+    accepting member first and then strictly heavier edges, so ties go to
+    the smallest node id.  With a limit the walk stops at the first popped
+    component whose root has g + value > limit.
+
+    A component with no path to acceptance is dead: when live is set every
+    node must reach acceptance and a dead component raises, otherwise it
+    pops with value -1.  Edges into dead nodes are skipped, a positive
+    edge inside a dead component does not pump (the walk reports the
+    first one only once the component's value is known to be >= 0), and a
+    dead root never outweighs the limit.
+    """
+    # comp[u] (see DepthFirstWalk) doubles as Tarjan's index: a popped id is
+    # negative, so it never undercuts a low link.  The per-node lists at
+    # least double whenever expand hands out a node id beyond them.
+    comp: list[int] = []
+    value: list[int] = []
+    nxt: list[int] = []
+    via: list[int] = []
+    size = 0
+
+    def grow(u: int) -> int:
+        for a in (comp, value, nxt, via):
+            a.extend(repeat(-1, u + 1))
+        return len(comp)
+
+    held: dict[int, list] = {}
+    stack: list[int] = []
+    frames: list[tuple] = []  # the DFS path above the node being scanned
+    tick = 0
+    for v in starts:
+        # v, cursor, row, low, g and tl are the node being scanned
+        if v >= size:
+            size = grow(v)
+        if comp[v] != -1:
+            continue
+        comp[v] = low = tick
+        tick += 1
+        stack.append(v)
+        row = expand(v)
+        cursor = iter(row)
+        g = tl = 0
+        while True:
+            for w, wt, ti in cursor:
+                if w >= size:
+                    size = grow(w)
+                i = comp[w]
+                if i < 0:
+                    if i == -1:
+                        frames.append((v, cursor, row, low, g, tl))
+                        comp[w] = low = tick
+                        tick += 1
+                        stack.append(w)
+                        v, g, tl = w, g + wt, ti
+                        row = expand(w)
+                        cursor = iter(row)
+                        break
+                elif i < low:
+                    low = i
+            else:
+                if low != comp[v]:
+                    held[v] = row
+                else:
+                    b = nx = lb = -1
+                    m0 = v
+                    pumped = None
+                    if stack[-1] == v:
+                        # one node, the common case (every component of an
+                        # acyclic graph): no member list, and its row is at hand
+                        stack.pop()
+                        members = ()
+                        if v in accepts:
+                            b = 0
+                        for w, wt, ti in row:
+                            x = value[w]
+                            if x < 0:
+                                # w is v itself or dead
+                                if wt > 0 and w == v and pumped is None:
+                                    pumped = (v, w, ti)
+                            elif wt + x > b:
+                                b, nx, lb = wt + x, w, ti
+                    else:
+                        # the stack is in index order; v's component is the
+                        # part from v up
+                        height = bisect_left(stack, low, key=comp.__getitem__)
+                        members = sorted(stack[height:])
+                        del stack[height:]
+                        held[v] = row
+                        inside = -2 - v
+                        for m in members:
+                            comp[m] = inside
+                        for m in members:
+                            if m in accepts:
+                                b, m0 = 0, m
+                                break
+                        for u in members:
+                            for w, wt, ti in held[u]:
+                                x = value[w]
+                                if x < 0:
+                                    # w is a member or dead
+                                    if wt > 0 and comp[w] == inside and pumped is None:
+                                        pumped = (u, w, ti)
+                                elif wt + x > b:
+                                    b, m0, nx, lb = wt + x, u, w, ti
+                    if b < 0:
+                        if live:
+                            raise AssertionError("configuration cannot reach acceptance")
+                    elif pumped is not None:
+                        return DepthFirstWalk(comp, value, nxt, via, held, pumped, None)
+                    for m in members:
+                        comp[m] = -2 - m0
+                        value[m] = b
+                    comp[v] = -2 - m0
+                    value[v] = b
+                    nxt[m0] = nx
+                    via[m0] = lb
+                    if b >= 0 and limit is not None and g + b > limit:
+                        steps = [f[5] for f in frames[1:]]
+                        if frames:
+                            steps.append(tl)
+                        return DepthFirstWalk(comp, value, nxt, via, held, None, (steps, v))
+                if not frames:
+                    break
+                x = low
+                v, cursor, row, low, g, tl = frames.pop()
+                if x < low:
+                    low = x
+    return DepthFirstWalk(comp, value, nxt, via, held, None, None)
+
+
+
+def engine_probe(t: Nft, rows, shift: dict[int, int]):
+    """The engine's (U, start, steps) for t trimmed and length-preserving,
+    rows being _state_rows(t) and shift its potential: the upper bound U,
+    the initial state the probe starts at and the probe's transitions, as
+    engine._analyze takes them from _upper_bound and _run_along."""
+    comp, order = _components(rows, range(t.num_states))
+    h, exits, bonus = _upper_bound(t, comp, order, shift)
+    start = max(sorted(t.initials), key=h.__getitem__)
+    return h[start], start, _run_along(t, rows, comp, exits, bonus, start)
+
+
 def reference_route(t: Nft, question: tuple[int, ExtendedNat] | None = None):
     """Reference for the engine's configuration walk: the depth-first route
     it took before its best-first walk, for t length-preserving with b > 0
@@ -623,15 +820,15 @@ def reference_route(t: Nft, question: tuple[int, ExtendedNat] | None = None):
     asked (lo, hi), whether it lies in [lo, hi]; and the number of
     configurations created, 0 where [L, U] answers with no walk.
 
-    engine._walk runs over engine._configurations (fused, no pruning) with
-    a limit: analyze, and exact at k = U, stop at the first run heavier
-    than U - 1, which weighs U; threshold and exact at k < U stop at the
-    first run heavier than k; a walk that runs to the end values every
-    start."""
+    depth_first_walk runs over engine._configurations (fused, no pruning)
+    with a limit: analyze, and exact at k = U, stop at the first run
+    heavier than U - 1, which weighs U; threshold and exact at k < U stop
+    at the first run heavier than k; a walk that runs to the end values
+    every start."""
     t = trim(t)
     rows = _state_rows(t)
     shift, _ = shift_assignment(t)
-    upper, _, probe, _, _ = _upper_bound(t, rows, _components(t, rows), shift)
+    upper, _, probe = engine_probe(t, rows, shift)
     lower = hamming_distance(*run_words(t, Run(tuple(probe))))
     lo, hi = question or (0, INF)
     if lo > upper or lower > hi:
@@ -645,7 +842,7 @@ def reference_route(t: Nft, question: tuple[int, ExtendedNat] | None = None):
     fusable = [len(row) == 1 and q not in ends for q, row in enumerate(rows)]
     b = max(map(abs, shift.values()))
     expand, state, _, starts, accepts = _configurations(t, rows, fusable, shift, b, 2**40)
-    walk = _walk(starts, expand, accepts, limit)
+    walk = depth_first_walk(starts, expand, accepts, limit)
     value = limit + 1 if walk.heavier else max(walk.value[s] for s in starts)
     return (value if question is None else lo <= value <= hi), len(state)
 
@@ -845,40 +1042,48 @@ def reference_shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
 
 
 def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
-    """Reference for engine._upper_bound, as it was before its shortcuts:
-    the DP asks enter(q), with its test of q's component for a cycle, at
-    every transition, and every component's cycle comes from a breadth-
-    first search, a single state's too.  Returns the same (U, start,
-    steps)."""
-    finals = {comp[f] for f in t.finals}
-    leave = {c: 0 if c in finals else -1 for c in comp[: t.num_states]}
-    out = dict.fromkeys(leave)
-    waits = dict.fromkeys(leave, 0)
-    cyclic, into = set(), {}
-    for ti, (src, _, _, dst) in enumerate(t.transitions):
-        c = comp[src]
-        if c == comp[dst]:
-            cyclic.add(c)
-        else:
-            waits[c] += 1
-            into.setdefault(comp[dst], []).append(ti)
+    """Reference for engine_probe, as a memoized recursion over the
+    condensation instead of one pass in pop order: leave(C) starts from 0
+    at C's first final member in node order, and takes strictly heavier
+    exits over the transitions leaving C, its members in node order and
+    each row in order; enter(q) tests q's component for a cycle, and every
+    component's cycle comes from a breadth-first search, a single state's
+    too.  Returns the same (U, start, steps)."""
+    members: dict[int, list[int]] = {}
+    for q in range(t.num_states):
+        members.setdefault(comp[q], []).append(q)
+    cyclic = {comp[p] for p, _, _, q in t.transitions if comp[p] == comp[q]}
 
     def enter(q: int) -> int:
-        return leave[comp[q]] + abs(shift[q]) * (comp[q] in cyclic)
+        return leave(comp[q])[0] + abs(shift[q]) * (comp[q] in cyclic)
 
-    ready = [c for c, n in waits.items() if n == 0]
-    while ready:
-        for ti in into.get(ready.pop(), ()):
-            p, x, y, q = t.transitions[ti]
-            s, c = shift[p], comp[p]
-            joined, fixed = (x, y) if s >= 0 else (y, x)
-            weight = min(abs(s) + len(joined), len(fixed)) + enter(q)
-            if weight > leave[c]:
-                leave[c], out[c] = weight, ti
-            waits[c] -= 1
-            if waits[c] == 0:
-                ready.append(c)
-    start = q = max(sorted(t.initials), key=enter)
+    @cache
+    def leave(c: int) -> tuple[int, int | None, int | None]:
+        """(weight, member, transition) of C's heaviest way to acceptance."""
+        best: tuple[int, int | None, int | None] = (-1, None, None)
+        for m in members[c]:
+            if m in t.finals:
+                best = (0, m, None)
+                break
+        for u in members[c]:
+            for v, _, ti in rows[u]:
+                if comp[v] == c:
+                    continue
+                p, x, y, _ = t.transitions[ti]
+                s = shift[p]
+                joined, fixed = (x, y) if s >= 0 else (y, x)
+                weight = min(abs(s) + len(joined), len(fixed)) + enter(v)
+                if weight > best[0]:
+                    best = (weight, u, ti)
+        return best
+
+    # a path through every component recurses twice per component
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(depth, 3 * t.num_states + 1000))
+    try:
+        start = q = max(sorted(t.initials), key=enter)
+    finally:
+        sys.setrecursionlimit(depth)
     steps: list[int] = []
     while True:
         c = comp[q]
@@ -887,8 +1092,8 @@ def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
             ell = sum(len(t.transitions[ti].input) for ti in cycle)
             if ell:
                 steps += cycle * -(-abs(shift[q]) // ell)
-        d = out[c]
-        steps += _bfs_path(rows, (q,), t.finals if d is None else {t.transitions[d].src}, comp)
+        _, m, d = leave(c)
+        steps += _bfs_path(rows, (q,), {m}, comp)
         if d is None:
             return enter(start), start, steps
         steps.append(d)

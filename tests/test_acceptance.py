@@ -271,7 +271,8 @@ def test_criterion_10_witness_agreement(corpus500):
             if unbalanced is not None:
                 continue
             rows = _state_rows(t)
-            found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
+            comp, _ = _components(rows, range(t.num_states))
+            found = _nonconjugate_cycle(t, rows, shift, comp)
             assert (found is not None) == (res.verdict is Verdict.UNBOUNDED)
             if found is not None:
                 p, run, i, j = found

@@ -301,7 +301,7 @@ def test_budget_exit_code(tmp_path, capsys):
 
 
 def test_budget_does_not_apply_at_zero_shift(tmp_path, capsys):
-    # smax = 0: the walk is over the state graph, linear in its size, so
+    # smax = 0: the longest paths are over the state graph, linear in its size, so
     # a budget below the number of states changes nothing
     chain = tuple((v, v + 1) for v in range(5))
     for edges in (chain, chain[:-1]):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     conjugate_by,
+    depth_first_walk,
+    engine_probe,
     make_corpus,
     missed_family,
     random_cnf,
@@ -71,11 +73,11 @@ from nftdev.cli import main
 from nftdev.engine import (
     _components,
     _configurations,
+    _longest_paths,
     _nonconjugate_cycle,
     _state_rows,
     _unfold,
     _upper_bound,
-    _walk,
 )
 from nftdev.transform import trim_with_maps
 
@@ -99,11 +101,11 @@ def _nft(states, initials, finals, transitions, alphabet="ab"):
 def _bracket(t: Nft) -> tuple[int, int]:
     """The engine's (L, U) for t, length-preserving with finite deviation:
     U its upper bound and L the weight of its probe, which must be an
-    accepting run of trim(t) from the start _upper_bound names."""
+    accepting run of trim(t) from the start the engine picks."""
     trimmed = trim(t)
     rows = _state_rows(trimmed)
     shift, _ = shift_assignment(trimmed)
-    upper, start, probe, _, _ = _upper_bound(trimmed, rows, _components(trimmed, rows), shift)
+    upper, start, probe = engine_probe(trimmed, rows, shift)
     assert start in trimmed.initials and _accepting(trimmed, probe)
     assert not probe or trimmed.transitions[probe[0]].src == start
     return hamming_distance(*run_words(trimmed, Run(tuple(probe)))), upper
@@ -560,7 +562,7 @@ def test_flat_graph_matches_tuple_keyed_reference():
             rows[u] = expand(u)
             return rows[u]
 
-        walk = _walk(starts, record, accepts)
+        walk = depth_first_walk(starts, record, accepts)
         if walk.pumped is None:
             # a walk that ran to the end entered every configuration
             assert sorted(rows) == list(range(len(state)))
@@ -812,7 +814,7 @@ def test_fused_chains_keep_every_answer(monkeypatch):
         orc = brute_force_deviation(t, node_budget=20_000)
         if orc.saturated:
             _, succ, _, starts, accepts = tuple_keyed_graph(trimmed, shift, b)
-            ref = _walk(starts, succ.__getitem__, accepts)
+            ref = depth_first_walk(starts, succ.__getitem__, accepts)
             expected = INF if ref.pumped else max(ref.value[s] for s in starts)
         else:
             expected = orc.max_seen
@@ -920,13 +922,14 @@ def test_a_merge_state_is_fused():
     # m has two ways in and one way out, so it is fusable and holds no
     # configuration: only i and f do, each with the empty lag.  Both ways
     # in give U = 3, but only the one through x weighs 3, and the probe
-    # takes the one through y (weight 2), so the walk runs
+    # takes the one through y (weight 2), whose transition comes first, so
+    # the walk runs
     t = Nft(
         ("i", "x", "y", "m", "f"),
         frozenset("ab"),
         {0},
         {4},
-        [(0, "b", "", 1), (0, "a", "", 2), (1, "b", "a", 3), (2, "a", "b", 3), (3, "a", "ab", 4)],
+        [(0, "a", "", 2), (0, "b", "", 1), (1, "b", "a", 3), (2, "a", "b", 3), (3, "a", "ab", 4)],
     )
     assert _bracket(t) == (2, 3)
     res = analyze_deviation(t, max_configs=2)
@@ -977,8 +980,11 @@ def test_invariant_checks_survive_optimize():
     # makes the probe outweigh U once the search finds the deviation finite.
     # The probe's searches raise where they find nothing, also inside a
     # one-state component: state rows without their self-loops leave T_3's
-    # p_2 (s = 1) with no cycle, and rows without the edge back to i split
-    # the cycle i -> x -> i, leaving i with no way to a final state
+    # p_2 (s = 1) with no cycle, and components that put i with f, apart
+    # from x, which lies between them, leave the run along the exits no
+    # way from i to f inside its component (smax = 0).  With trim patched
+    # out, a dead state d at b > 0 makes the longest paths raise on every
+    # route, is_bounded's included
     cases = [
         (
             "engine.hamming_distance = lambda u, v: -1\n"
@@ -1030,13 +1036,20 @@ def test_invariant_checks_survive_optimize():
             ["raised: no cycle through the state"] * 2,
         ),
         (
-            "rows = engine._state_rows\n"
-            "engine._state_rows = lambda t, weighted=False: ["
-            "[e for e in row if e[0] >= q] for q, row in enumerate(rows(t, weighted))]\n"
-            "t = Nft(('i', 'x', 'f'), frozenset('a'), {0}, {2},"
-            " [(0, 'a', '', 1), (1, '', 'a', 0), (1, '', 'a', 2)])\n"
+            "engine._components = lambda rows, starts: ([0, 0, 1], [(0, 1), (2,)])\n"
+            "t = Nft(('i', 'f', 'x'), frozenset('ab'), {0}, {1},"
+            " [(0, 'a', 'b', 2), (2, 'a', 'a', 1)])\n"
             "queries = [lambda: engine.analyze_deviation(t), lambda: engine.threshold(t, 0)]\n",
             ["raised: no path from the source to a target"] * 2,
+        ),
+        (
+            "engine.trim_with_maps = lambda t:"
+            " (t, range(t.num_states), range(len(t.transitions)))\n"
+            "t = Nft(('i', 'q', 'f', 'd'), frozenset('a'), {0}, {2},"
+            " [(0, 'a', '', 1), (1, '', 'a', 2), (1, 'a', 'a', 3)])\n"
+            "queries = [lambda: engine.analyze_deviation(t), lambda: engine.is_bounded(t),"
+            " lambda: engine.threshold(t, 0)]\n",
+            ["raised: state cannot reach acceptance"] * 3,
         ),
     ]
     src = str(Path(nftdev.__file__).resolve().parent.parent)
@@ -1077,10 +1090,22 @@ def test_no_bare_asserts_in_package():
     assert found == []
 
 
-def _walk_hand(succ, accepts):
-    """_walk over a hand-made graph given as per-node (v, weight,
-    transition) rows, from every node in order."""
-    return _walk(range(len(succ)), lambda u: succ[u], accepts)
+def _longest_hand(succ, accepts, starts=None):
+    """_components and _longest_paths, with no bonus, over a hand-made
+    graph given as per-node (v, weight, transition) rows, from `starts`
+    (every node in order by default): (comp, enter, exit, pumped), exit[u]
+    being, for every u that reaches acceptance, the (member, next node,
+    transition) its component leaves by, or (member, None, None) where
+    the path ends at that member."""
+    comp, order = _components(succ, range(len(succ)) if starts is None else starts)
+    dst = {ti: v for row in succ for v, _, ti in row}
+    enter, exits, pumped = _longest_paths(succ, comp, order, accepts, [0] * len(succ))
+    exit = {}
+    for u, x in enumerate(enter):
+        if x >= 0:
+            m, ti = exits[comp[u]]
+            exit[u] = (m, None if ti is None else dst[ti], ti)
+    return comp, enter, exit, pumped
 
 
 def test_value_components_zero_weight_component():
@@ -1094,50 +1119,53 @@ def test_value_components_zero_weight_component():
         [],
         [],
     ]
-    walk = _walk_hand(succ, {3, 4, 5})
-    comp = walk.comp
-    assert walk.pumped is None
+    comp, enter, exit, pumped = _longest_hand(succ, {3, 4, 5})
+    assert pumped is None
     assert comp[0] == comp[1] == comp[2]
     assert len({comp[0], comp[3], comp[4], comp[5]}) == 4
-    assert walk.value[0] == walk.value[1] == walk.value[2] == 1
-    assert walk.exit(0) == (1, 4, 13)  # the tie goes to the smaller node 1
-    assert walk.value[3] == 0 and walk.exit(3) == (3, None, None)
+    assert enter[0] == enter[1] == enter[2] == 1
+    assert exit[0] == (1, 4, 13)  # the tie goes to the smaller node 1
+    assert enter[3] == 0 and exit[3] == (3, None, None)
 
 
 def test_value_components_accepting_member_wins_ties():
     # the 0-weight cycle 0 <-> 1 holds the accepting node 1 and leaves by
     # a 0-weight edge to the accepting node 2
     succ = [[(1, 0, 0)], [(0, 0, 1), (2, 0, 2)], []]
-    walk = _walk_hand(succ, {1, 2})
-    assert walk.pumped is None
-    assert walk.value[0] == 0 and walk.exit(0) == (1, None, None)
+    _, enter, exit, pumped = _longest_hand(succ, {1, 2})
+    assert pumped is None
+    assert enter[0] == 0 and exit[0] == (1, None, None)
 
 
 def test_value_components_reports_inner_positive_edge():
     # 0 -> 1 -> 0 is a cycle whose edge 1 -> 0 weighs 1
     succ = [[(1, 0, 0)], [(2, 0, 1), (0, 1, 2)], []]
-    walk = _walk_hand(succ, {2})
-    assert walk.pumped == (1, 0, 2)
-    assert walk.comp[0] == walk.comp[1]
+    comp, _, _, pumped = _longest_hand(succ, {2})
+    assert pumped == (1, 2)
+    assert comp[0] == comp[1]
 
 
 def test_value_components_requires_acceptance():
-    # the configuration graph at b > 0 must reach acceptance everywhere;
-    # only the smax = 0 walk, which does the trim, lets a component die
+    # the longest paths leave a dead component at -1, and a positive edge
+    # inside it does not pump; only the smax = 0 route, which does the
+    # trim, lets a component die, and at b > 0 _upper_bound raises on one.
+    # d (3) is dead, which trim would have removed
     succ = [[(1, 0, 0)], [(0, 1, 1)]]
-    with pytest.raises(AssertionError, match="cannot reach acceptance"):
-        _walk_hand(succ, set())
-    walk = _walk(range(2), succ.__getitem__, set(), live=False)
-    assert walk.pumped is None and walk.value[:2] == [-1, -1] and walk.comp[0] == walk.comp[1] < -1
+    comp, enter, exit, pumped = _longest_hand(succ, set())
+    assert pumped is None and enter == [-1, -1] and exit == {} and comp[0] == comp[1]
+    t = _nft("iqfd", {0}, {2}, [(0, "a", "", 1), (1, "", "a", 2), (1, "a", "a", 3)], "a")
+    comp, order = _components(_state_rows(t), range(t.num_states))
+    with pytest.raises(AssertionError, match="^state cannot reach acceptance$"):
+        _upper_bound(t, comp, order, {0: 0, 1: 1, 2: 0, 3: 1})
 
 
 @st.composite
 def _walk_graphs(draw):
-    """(succ, starts, accepts, limit, live) for _walk: up to 12 nodes,
-    parallel edges and self-loops.  With live every node reaches an
-    accepting one; otherwise some components may be dead.  In about half
-    the draws every edge inside a component weighs 0, so the walk values
-    all it reaches."""
+    """(succ, starts, accepts, limit, live) for the longest paths and
+    depth_first_walk: up to 12 nodes, parallel edges and self-loops.  With
+    live every node reaches an accepting one; otherwise some components
+    may be dead.  In about half the draws every edge inside a component
+    weighs 0, so the walk values all it reaches."""
     n = draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
     weight = st.sampled_from((0, 0, 0, 1, 2))
@@ -1165,10 +1193,42 @@ def _walk_graphs(draw):
 @given(_walk_graphs())
 def test_walk_matches_the_closure_reference(graph):
     succ, starts, accepts, limit, live = graph
-    walk = _walk(starts, succ.__getitem__, accepts, limit, live)
     reached, comp, value, exit = reference_walk(succ, starts, accepts, live)
     n = len(succ)
     edges = {ti: (u, v, wt) for u, row in enumerate(succ) for v, wt, ti in row}
+    # the engine's components and longest paths, from the same starts
+    ids, enter, exits, pumped = _longest_hand(succ, accepts, starts)
+    assert {u for u in range(n) if ids[u] >= 0} == reached
+    assert all(enter[u] == -1 for u in range(n) if u not in reached)
+    for u in reached:
+        # each component has an id of its own, and pops after those it reaches
+        assert {v for v in range(n) if ids[v] == ids[u]} == comp[u]
+        assert all(ids[v] <= ids[u] for v, _, _ in succ[u])
+        if value[u] == INF:
+            # the longest paths value past a pump; pumped reports it
+            assert enter[u] >= 0 and pumped is not None
+        else:
+            assert enter[u] == value[u]
+            if value[u] >= 0:
+                assert exits[u] == exit[u]
+
+    def pumps(c):
+        """The first positive edge inside the live component c, in member
+        and row order, as (u, transition), or None."""
+        if value[min(c)] == -1:
+            return None
+        return next(((u, ti) for u in sorted(c) for v, wt, ti in succ[u] if wt and v in c), None)
+
+    if pumped is None:
+        assert INF not in {value[u] for u in reached}
+    else:
+        # the first component in pop order that pumps, and its first edge
+        u, ti = pumped
+        assert edges[ti][0] == u and value[u] == INF
+        assert pumps(comp[u]) == pumped
+        assert all(pumps(comp[v]) is None for v in reached if ids[v] < ids[u])
+    # the depth-first reference walk, with its early stop at the limit
+    walk = depth_first_walk(starts, succ.__getitem__, accepts, limit, live)
     ids = walk.comp + [-1] * (n - len(walk.comp))
     popped = {u for u in range(n) if u < len(walk.value) and walk.value[u] >= 0}
     dead = {u for u in reached if value[u] == -1}
@@ -1330,7 +1390,7 @@ def test_state_graph_walk_matches_the_configuration_graph():
         expand, _, _, starts, accepts = _configurations(
             trimmed, _state_rows(trimmed), unfused, shift, 0, 2**20
         )
-        walk = _walk(starts, expand, accepts)
+        walk = depth_first_walk(starts, expand, accepts)
         res = analyze_deviation(t)
         assert is_bounded(t) == (walk.pumped is None)
         if walk.pumped is not None:
@@ -1471,11 +1531,15 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         threshold(t, 2)
         exact(t, 2)
         is_bounded(t)
-    assert not calls
+    # the components and their longest paths answer every question there
+    assert calls == {"_components": 12}
+    calls.clear()
     # T_4 has deviation 10 = U = L: every question but is_bounded answers
     # from the probe, and threshold at 9 before the search; missed_family(4)
     # has L = 9, so threshold at 9 and exact at 10 walk and threshold at 10
-    # answers from U.  is_bounded answers from the search alone
+    # answers from U.  is_bounded answers from the search alone, after
+    # the longest paths that _upper_bound runs to check every state
+    # reaches acceptance
     every = dict.fromkeys(names + ("_configurations",), 1)
     queries = (analyze_deviation, lambda t: threshold(t, 9), lambda t: exact(t, 10))
     for query, searched in zip(queries, (True, False, True)):
@@ -1490,7 +1554,7 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         assert calls == dict.fromkeys(names, 1)
         calls.clear()
         assert is_bounded(t)
-        assert calls == dict.fromkeys(names[:3], 1)
+        assert calls == dict.fromkeys(names, 1)
         calls.clear()
 
 
@@ -1695,7 +1759,7 @@ def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
     assert checked["draws"] >= 200 and checked["3-SAT"] == 31 and checked["product"] >= 40
     assert tight["3-SAT"] == sum(sat_brute_force(f) is not None for f in formulas) < 31
     assert 0 < tight["draws"] < checked["draws"]
-    assert probed["draws"] >= 42 and probed["product"] >= 17
+    assert probed["draws"] >= 40 and probed["product"] >= 17
     # on T_n the probe answers analyze, threshold at v - 1 and exact at v
     # with no configuration graph
 
@@ -1723,10 +1787,11 @@ def _differential_fixtures() -> list[Nft]:
 
 
 def test_upper_bound_and_search_match_their_references():
-    # the shortcuts of _upper_bound (the entry bonus list, the first
-    # self-loop as the shortest cycle) and of _nonconjugate_cycle (each
-    # state's inner transitions listed once) must keep (U, start, steps)
-    # and (p, run, i, j) exactly
+    # the one longest-path pass in pop order behind U and the probe (with
+    # the first self-loop as the shortest cycle), and _nonconjugate_cycle's
+    # shortcut (each state's inner transitions listed once), must give the
+    # (U, start, steps) of a memoized recursion and the (p, run, i, j) of
+    # reading whole rows exactly
     workloads = _bench_workloads()
     sources = {"family": [gen_family(n).nft for n in range(2, 41)]}
     sources["compare"] = [
@@ -1748,8 +1813,8 @@ def test_upper_bound_and_search_match_their_references():
             if unbalanced is not None:
                 continue
             rows = _state_rows(t)
-            comp = _components(t, rows)
-            upper = _upper_bound(t, rows, comp, shift)[:3]
+            comp = _components(rows, range(t.num_states))[0]
+            upper = engine_probe(t, rows, shift)
             assert upper == reference_upper_bound(t, rows, comp, shift)
             cycle = _nonconjugate_cycle(t, rows, shift, comp)
             assert cycle == reference_nonconjugate_cycle(t, rows, shift, comp)

@@ -116,3 +116,47 @@ def test_engine_does_not_reach_textio():
             reached.add(target)
             todo.append(target)
     assert "textio" not in reached
+
+
+def _orphaned_private_names() -> list[str]:
+    """Private top-level names of the package (functions, classes and
+    assignments) that no package code refers to outside their own
+    definition, by name, attribute or import."""
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    referred: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                referred.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.alias):
+                referred.setdefault(node.name, []).append(node)
+    orphans = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [
+                    n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+                ]
+            else:
+                continue
+            inside = {id(node) for node in ast.walk(top)}
+            for name in names:
+                if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                    continue
+                if all(id(node) in inside for node in referred.get(name, ())):
+                    orphans.append(f"{module}.{name}")
+    return orphans
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only its own body or the tests refer to is dead
+    # code, or an algorithm of the tests, which belongs in tests/
+    assert _orphaned_private_names() == []

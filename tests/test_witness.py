@@ -106,7 +106,8 @@ def test_nonconjugate_cycle_on_reach_gadget():
     t = trim(gen_reach_bounded(Digraph(2, ((0, 1),), s=0, t=1)).nft)
     shift, _ = shift_assignment(t)
     rows = _state_rows(t)
-    found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
+    comp, _ = _components(rows, range(t.num_states))
+    found = _nonconjugate_cycle(t, rows, shift, comp)
     assert found is not None
     p, run, i, j = found
     u, v = run_words(t, run)
@@ -118,7 +119,8 @@ def test_nonconjugate_cycle_on_reach_gadget():
 def test_nonconjugate_cycle_none_on_bounded():
     for t in (gen_family(4).nft, _identity()):
         rows = _state_rows(t)
-        assert _nonconjugate_cycle(t, rows, shift_assignment(t)[0], _components(t, rows)) is None
+        comp, _ = _components(rows, range(t.num_states))
+        assert _nonconjugate_cycle(t, rows, shift_assignment(t)[0], comp) is None
 
 
 def test_nonconjugate_agreement(corpus):
@@ -128,7 +130,8 @@ def test_nonconjugate_agreement(corpus):
             continue
         res = analyze_deviation(t)
         rows = _state_rows(t)
-        found = _nonconjugate_cycle(t, rows, shift, _components(t, rows))
+        comp, _ = _components(rows, range(t.num_states))
+        found = _nonconjugate_cycle(t, rows, shift, comp)
         if res.verdict is Verdict.UNBOUNDED:
             assert found is not None
             p, run, i, j = found

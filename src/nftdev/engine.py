@@ -299,6 +299,14 @@ def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
     at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
     * |Q| < B.  A state that reaches no final state raises.
 
+    Ties in U go to the path whose transitions between components make the
+    most sure mismatches, sure(d) counting those d compares between its
+    own two words (joined against fixed past the |s_p| letters the lag
+    takes), which every run through d makes whatever its lag; only then
+    to the first member and transition.  So the rows weigh d as
+    overlap(d) * scale + sure(d), scale exceeding the sure mismatches of
+    any path, and h is the longest paths' quotient by scale.
+
     The probe (_run_along with these exits and bonus, from the argmax
     initial state, ties going to the smallest id) walks the path U
     maximises.  On T_n it is the run the paper's k_i = i - 1 gives.  It is
@@ -307,21 +315,23 @@ def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
     """
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
     cyclic = set()
+    scale = 1 + sum(len(x) + len(y) for _, x, y, _ in t.transitions)
     for ti, (src, x, y, dst) in enumerate(t.transitions):
         c = comp[src]
-        overlap = 0
+        weight = 0
         if c == comp[dst]:
             cyclic.add(c)
         else:
-            s = shift[src]
-            joined, fixed = (x, y) if s >= 0 else (y, x)
-            overlap = min(abs(s) + len(joined), len(fixed))
-        rows[src].append((dst, overlap, ti))
+            s = abs(shift[src])
+            joined, fixed = (x, y) if shift[src] >= 0 else (y, x)
+            weight = min(s + len(joined), len(fixed)) * scale
+            weight += sum(map(ne, joined, fixed[s:]))
+        rows[src].append((dst, weight, ti))
     bonus = [abs(shift[q]) if comp[q] in cyclic else 0 for q in range(t.num_states)]
-    h, exits, _ = _longest_paths(rows, comp, order, t.finals, bonus)
-    if -1 in h:
+    enter, exits, _ = _longest_paths(rows, comp, order, t.finals, [x * scale for x in bonus])
+    if -1 in enter:
         raise AssertionError("state cannot reach acceptance")
-    return h, exits, bonus
+    return [x // scale for x in enter], exits, bonus
 
 
 def _run_along(t: Nft, rows, comp, exits, bonus, q: int) -> list[int]:
@@ -884,7 +894,6 @@ def _analyze(
         if trim is not t:
             t, st = trim, stats(trim)
     rows = _state_rows(t, st.smax == 0)
-    bounds = None  # at smax = 0, known once the longest paths give trim(t)'s states
 
     def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
         """UNBOUNDED from a pumpable cycle at p, closed by a shortest path
@@ -895,7 +904,7 @@ def _analyze(
         cycle += _bfs_path(rows, (t.transitions[cycle[-1]].dst,), {p})
         return DeviationResult(
             verdict=Verdict.UNBOUNDED,
-            bounds=bounds or _zero_shift_bounds(t, st.lmax, kept),
+            bounds=bounds,
             cycle_witness=_map_run(cycle, trans_map),
             anchor_state=state_map[p],
             cycle_prefix=_map_run(_bfs_path(rows, sorted(t.initials), {p}), trans_map),
@@ -920,22 +929,22 @@ def _analyze(
         comp, order = _components(rows, starts)
         zero = [0] * t.num_states
         enter, exits, pumped = _longest_paths(rows, comp, order, t.finals, zero)
-        # the states reached that reach a final state are trim(t)'s
-        n = t.num_states - enter.count(-1)
-        kept = range(n) if n == t.num_states else {q for q, x in enumerate(enter) if x >= 0}
-        if pumped is not None:
-            # a positive edge inside a component that reaches a final state
-            u, ti = pumped
-            return unbounded(u, (ti,))
         v = max(starts, key=enter.__getitem__, default=-1)
         if v < 0 or enter[v] < 0:
             # no initial state reaches a final one
             return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
+        # the states reached that reach a final state are trim(t)'s
+        n = t.num_states - enter.count(-1)
+        kept = range(n) if n == t.num_states else {q for q, x in enumerate(enter) if x >= 0}
+        bounds = _zero_shift_bounds(t, st.lmax, kept)
+        if pumped is not None:
+            # a positive edge inside a component that reaches a final state
+            u, ti = pumped
+            return unbounded(u, (ti,))
         steps = _run_along(t, rows, comp, exits, zero, v)
         value = hamming_distance(*run_words(t, Run(tuple(steps))))
         if value != enter[v]:
             raise AssertionError("witness must realize the computed deviation")
-        bounds = _zero_shift_bounds(t, st.lmax, kept)
         return bounded(steps, value)
     shift, unbalanced = _shift_potential(t, rows)
     if unbalanced is None:

@@ -1043,45 +1043,51 @@ def reference_shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
 
 def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
     """Reference for engine_probe, as a memoized recursion over the
-    condensation instead of one pass in pop order: leave(C) starts from 0
-    at C's first final member in node order, and takes strictly heavier
-    exits over the transitions leaving C, its members in node order and
-    each row in order; enter(q) tests q's component for a cycle, and every
-    component's cycle comes from a breadth-first search, a single state's
-    too.  Returns the same (U, start, steps)."""
+    condensation instead of one pass in pop order, on pairs (weight, sure)
+    compared in order rather than on scaled ints: leave(C) starts from
+    (0, 0) at C's first final member in node order, and takes strictly
+    heavier exits over the transitions leaving C, its members in node
+    order and each row in order, sure counting the mismatches a transition
+    compares between its own two words; enter(q) tests q's component for a
+    cycle, and every component's cycle comes from a breadth-first search,
+    a single state's too.  Returns the same (U, start, steps)."""
     members: dict[int, list[int]] = {}
     for q in range(t.num_states):
         members.setdefault(comp[q], []).append(q)
     cyclic = {comp[p] for p, _, _, q in t.transitions if comp[p] == comp[q]}
 
-    def enter(q: int) -> int:
-        return leave(comp[q])[0] + abs(shift[q]) * (comp[q] in cyclic)
+    def enter(q: int) -> tuple[int, int]:
+        (weight, sure), _, _ = leave(comp[q])
+        return weight + abs(shift[q]) * (comp[q] in cyclic), sure
 
     @cache
-    def leave(c: int) -> tuple[int, int | None, int | None]:
-        """(weight, member, transition) of C's heaviest way to acceptance."""
-        best: tuple[int, int | None, int | None] = (-1, None, None)
+    def leave(c: int) -> tuple[tuple[int, int], int | None, int | None]:
+        """((weight, sure), member, transition) of C's heaviest way to
+        acceptance."""
+        best: tuple[tuple[int, int], int | None, int | None] = ((-1, 0), None, None)
         for m in members[c]:
             if m in t.finals:
-                best = (0, m, None)
+                best = ((0, 0), m, None)
                 break
         for u in members[c]:
             for v, _, ti in rows[u]:
                 if comp[v] == c:
                     continue
                 p, x, y, _ = t.transitions[ti]
-                s = shift[p]
-                joined, fixed = (x, y) if s >= 0 else (y, x)
-                weight = min(abs(s) + len(joined), len(fixed)) + enter(v)
-                if weight > best[0]:
-                    best = (weight, u, ti)
+                s = abs(shift[p])
+                joined, fixed = (x, y) if shift[p] >= 0 else (y, x)
+                after, sure = enter(v)
+                weight = min(s + len(joined), len(fixed)) + after
+                sure += sum(a != b for a, b in zip(joined, fixed[s:]))
+                if (weight, sure) > best[0]:
+                    best = ((weight, sure), u, ti)
         return best
 
     # a path through every component recurses twice per component
     depth = sys.getrecursionlimit()
     sys.setrecursionlimit(max(depth, 3 * t.num_states + 1000))
     try:
-        start = q = max(sorted(t.initials), key=enter)
+        start = q = max(sorted(t.initials), key=lambda q: enter(q)[0])
     finally:
         sys.setrecursionlimit(depth)
     steps: list[int] = []
@@ -1095,7 +1101,7 @@ def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
         _, m, d = leave(c)
         steps += _bfs_path(rows, (q,), {m}, comp)
         if d is None:
-            return enter(start), start, steps
+            return enter(start)[0], start, steps
         steps.append(d)
         q = t.transitions[d].dst
 

@@ -1759,7 +1759,7 @@ def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
     assert checked["draws"] >= 200 and checked["3-SAT"] == 31 and checked["product"] >= 40
     assert tight["3-SAT"] == sum(sat_brute_force(f) is not None for f in formulas) < 31
     assert 0 < tight["draws"] < checked["draws"]
-    assert probed["draws"] >= 40 and probed["product"] >= 17
+    assert probed["draws"] >= 42 and probed["product"] >= 17
     # on T_n the probe answers analyze, threshold at v - 1 and exact at v
     # with no configuration graph
 

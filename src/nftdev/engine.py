@@ -26,27 +26,28 @@ exact supremum when it is finite:
 
 When smax = 0 (so b = 0) every shift is 0, step 2 has nothing to find,
 every lag is empty and the configuration graph is the state graph itself,
-taken untrimmed, from the initial states with the final ones as accepts.
-The deviation is then exactly the longest path over its condensation,
-each transition weighing its mismatches: _components finds the strongly
-connected components reached from the initial states, and
-_longest_paths values them in pop order, which does the trim.  A
-component that reaches no final state is dead and the edges into it are
-skipped; a dead state reaches no live one, so the live components, their
-values and tie-breaks, and the shortest paths of the witnesses are those
-of trim(t), whose ids keep t's order, and every answer is trim(t)'s in
-t's ids.  A positive transition inside a live component closes into a
-pumpable cycle: the first in pop order gives UNBOUNDED.  Otherwise the
-witness follows each component's exit from the heaviest initial state
-(_run_along) and weighs the value.  Trim is then needed only at
-smax > 0, where the shift potential needs it (trim(t) has smax = 0
-whenever t does).  This route is linear in the transducer, so no budget
-applies to it, and every question takes all of it: it has no early
-stop.  The state graph's rows (_state_rows, built in one pass over the
-transitions) are the engine's one adjacency: the shift potential, the
-components and the shortest paths read them too.  Their edges carry
-mismatch weights only at smax = 0; at b > 0 _upper_bound builds rows of
-its own weights for the longest paths.
+taken untrimmed, from the initial states with the final ones as accepts,
+each transition weighing its mismatches.  The upper bound U below counts
+lag letters only where some state shifts, so here it is the longest path
+over the condensation: the deviation itself.
+_components finds the strongly connected components reached from the
+initial states, and _longest_paths values them in pop order, which does
+the trim.  A component that reaches no final state is dead and the edges
+into it are skipped; a dead state reaches no live one, so the live
+components, their values and tie-breaks, and the shortest paths of the
+witnesses are those of trim(t), whose ids keep t's order, and every
+answer is trim(t)'s in t's ids.  A positive transition inside a live
+component closes into a pumpable cycle: the first in pop order gives
+UNBOUNDED, and stands for the search below.  Otherwise L = U, and every
+question answers by the shared steps below with no search and no
+configuration walked.  Trim is then needed only at smax > 0, where the
+shift potential needs it (trim(t) has smax = 0 whenever t does).  This
+route is linear in the transducer, so no budget applies to it.  The
+state graph's rows (_state_rows, built in one pass over the transitions)
+are the engine's one adjacency: the shift potential, the components and
+the shortest paths read them too.  Their edges carry mismatch weights
+only at smax = 0, where they are U's rows; at b > 0 _upper_bound builds
+U's rows for the longest paths.
 
 When b > 0 the INF verdict needs no configuration graph: a
 length-preserving transducer has finite deviation exactly when no cycle
@@ -55,37 +56,39 @@ in polynomial time by one breadth-first search over (state, phase) pairs
 inside the strongly connected components of the state graph, a phase
 being idle, a confirmed mismatch, or one letter waiting on the other
 stream for its partner; a scan of the closed cycle's words then finds
-the positions.  Every question runs it first and takes UNBOUNDED from
-its cycle; analyze_deviation adds shortest state-graph paths as prefix
-and suffix, and the other questions, which answer False, build none.
+the positions.  A question that reaches the search (below) takes
+UNBOUNDED from its cycle; analyze_deviation adds shortest state-graph
+paths as prefix and suffix, and the other questions, which answer False,
+build none.
 
 A fusable state is neither initial nor final and has one outgoing
 transition; the others are kept.  An edge of the graph is a chain, a
 transition from a kept state followed through fusable states to the next
 kept state, and the chains are exactly the runs between kept states
-(_configurations).  On T_n the pad chain q_1..q_{n-1} goes, a third of
-the configurations.  Every run the walk finds is unfolded to the trimmed
+(_configurations).  Every run the walk finds is unfolded to the trimmed
 transitions before it is checked and mapped back to the original ids.
 
 _longest_paths is the engine's one longest-path pass over a
-condensation.  At smax = 0 it takes mismatch weights and no bonus, and
-gives the deviation itself; at b > 0 _upper_bound gives it the weights
-and entry bonus of U, below, and it gives U and the best-first walk's h.
+condensation, run once per question on both routes over the components
+from the initial states: at smax = 0 on the weighted state rows with no
+bonus, at b > 0 on the rows and entry bonus of U that _upper_bound
+builds, whose inner edges weigh 0, so that the search decides UNBOUNDED
+there.  It gives U and the best-first walk's h.
 
 The four public questions take one route, _analyze.  analyze_deviation
 asks for the whole result; is_bounded, threshold and exact ask whether
 the deviation lies in [lo, hi], namely [0, INF], [0, k] and [k, k], and
 get the answer as soon as it is known.  A verdict other than BOUNDED
-answers from the value 0 (EMPTY) or False.  When b > 0, is_bounded
-answers from the search alone, after the longest paths that check that
-every state reaches acceptance, so it walks at most the state graph and
-needs no budget.  Every other question first takes, from the state
-graph's condensation, an upper bound U and a probe, an accepting run
-along the path U maximises, of weight L (_upper_bound and _run_along;
-L = U = v on T_n).  A finite deviation lies in [L, U]:
+answers from the value 0 (EMPTY) or False.  Every question first takes,
+from the state graph's condensation, an upper bound U and, where needed,
+a probe, an accepting run along the path U maximises, of weight L
+(_upper_bound and _run_along; L = U = v on T_n and at smax = 0); at b > 0
+the longest paths also check that every state reaches acceptance.  A
+finite deviation lies in [L, U]:
   - lo > U (exact at k > U) answers False at once;
-  - lo = 0 and U <= hi (threshold at k >= U) answers from the search
-    alone, True when it finds the deviation finite;
+  - lo = 0 and U <= hi (is_bounded, and threshold at k >= U) answers
+    from the search alone, True when it finds the deviation finite, so
+    is_bounded walks at most the state graph and needs no budget;
   - otherwise L > hi answers False before the search, since that run
     refutes [lo, hi] whether or not the deviation is finite, and once
     the search finds it finite, L = U answers BOUNDED with value U and
@@ -279,33 +282,32 @@ def _longest_paths(rows, comp, order, finals, bonus):
     return enter, exits, pumped
 
 
-def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
-    """(h, exits, bonus) for a trimmed length-preserving t, comp and order
-    being its components from every state (_components): _longest_paths
-    over the state graph with the overlap weights and the entry bonus.
-    h[q] = enter(q) bounds, from any configuration at q, the weight still
-    to come once the search has found the deviation finite: the
-    best-first walk's h; U = max h[q] over the initial states.
+def _upper_bound(t: Nft, comp, shift: dict[int, int]):
+    """(rows, bonus) of U for a trimmed length-preserving t, comp being
+    its components (_components): the state graph with U's weights, and
+    the entry bonus.  _longest_paths over them gives enter(q), which
+    bounds, from any configuration at q, the weight still to come once
+    the search has found the deviation finite: the best-first walk's h;
+    U = max enter(q) over the initial states.
 
     The entry bonus is |s_q| when q's component is cyclic and 0
-    otherwise; overlap(d) = min(|s_p| + |joined|, |fixed|) counts the
-    positions a transition d between components compares from its source
-    p (the words of _configurations), and a transition inside one weighs
-    0.  A run enters each component once and leaves it for good.  Two
-    letters written within one visit never mismatch, or the search would
-    have found the pair as a (state, phase) path inside the component.  So
-    a mismatch is compared on a transition between components, or inside
-    a cyclic one against the |s_q| letters of lag the run entered it with
-    at q.  A run crosses at most |Q| components, so v <= U <= (b + lmax)
-    * |Q| < B.  A state that reaches no final state raises.
-
-    Ties in U go to the path whose transitions between components make the
-    most sure mismatches, sure(d) counting those d compares between its
-    own two words (joined against fixed past the |s_p| letters the lag
-    takes), which every run through d makes whatever its lag; only then
-    to the first member and transition.  So the rows weigh d as
-    overlap(d) * scale + sure(d), scale exceeding the sure mismatches of
-    any path, and h is the longest paths' quotient by scale.
+    otherwise.  A transition inside a component weighs 0, and a
+    transition d between components, from p, weighs min(|s_p|, |fixed|) +
+    sure(d): of the positions it compares (the words of _configurations),
+    the first min(|s_p|, |fixed|) hold lag letters, and the rest compare
+    its joined word against its fixed word past those, sure(d) being
+    their mismatches, which every run through d makes whatever its lag.
+    A run enters each component once and leaves it for good.  Two letters
+    written within one visit never mismatch, or the search would have
+    found the pair as a (state, phase) path inside the component.  So a
+    mismatch is compared either on a transition d between components,
+    where it meets a lag letter or is one of sure(d), or inside a cyclic
+    component against the |s_q| letters of lag the run entered it with at
+    q.  d weighs at most |fixed| <= lmax, the positions it compares, and a
+    run crosses at most |Q| components, so v <= U <= (b + lmax) * |Q| < B.
+    At smax = 0 every s_p is 0 and no bonus applies, so U is the longest
+    mismatch path, the deviation itself; _analyze takes it there from the
+    weighted state rows it has built already.
 
     The probe (_run_along with these exits and bonus, from the argmax
     initial state, ties going to the smallest id) walks the path U
@@ -315,7 +317,6 @@ def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
     """
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
     cyclic = set()
-    scale = 1 + sum(len(x) + len(y) for _, x, y, _ in t.transitions)
     for ti, (src, x, y, dst) in enumerate(t.transitions):
         c = comp[src]
         weight = 0
@@ -324,14 +325,9 @@ def _upper_bound(t: Nft, comp, order, shift: dict[int, int]):
         else:
             s = abs(shift[src])
             joined, fixed = (x, y) if shift[src] >= 0 else (y, x)
-            weight = min(s + len(joined), len(fixed)) * scale
-            weight += sum(map(ne, joined, fixed[s:]))
+            weight = min(s, len(fixed)) + sum(map(ne, joined, fixed[s:]))
         rows[src].append((dst, weight, ti))
-    bonus = [abs(shift[q]) if comp[q] in cyclic else 0 for q in range(t.num_states)]
-    enter, exits, _ = _longest_paths(rows, comp, order, t.finals, [x * scale for x in bonus])
-    if -1 in enter:
-        raise AssertionError("state cannot reach acceptance")
-    return [x // scale for x in enter], exits, bonus
+    return rows, [abs(shift[q]) if comp[q] in cyclic else 0 for q in range(t.num_states)]
 
 
 def _run_along(t: Nft, rows, comp, exits, bonus, q: int) -> list[int]:
@@ -406,10 +402,14 @@ class DeviationResult:
 def _parent_chain(parent, q: int) -> tuple[int, ...]:
     """Labels of the parent links from q back to a root, in path order.
 
-    parent[x] is (predecessor, label), or None at a root.
+    parent[x] is (predecessor, label), or None at a root.  Links that
+    close a cycle raise: a path over distinct nodes has fewer links than
+    parent has entries.
     """
     steps: list[int] = []
     while parent[q] is not None:
+        if len(steps) == len(parent):
+            raise AssertionError("parent links close a cycle")
         q, label = parent[q]
         steps.append(label)
     steps.reverse()
@@ -524,8 +524,8 @@ def _state_rows(t: Nft, weighted: bool = False) -> list[list[tuple[int, int, int
     in transition order, the shape of the configuration graph's rows.  The
     weight is the mismatch count when `weighted` and 0 otherwise.  When
     smax = 0 every lag is empty, and the weighted rows are those of the
-    configuration graph, whose longest paths give the deviation; at
-    smax > 0 no reader uses the weights (_upper_bound weighs its own
+    configuration graph and U's, whose longest paths give the deviation;
+    at smax > 0 no reader uses the weights (_upper_bound weighs its own
     rows)."""
     rows: list[list[tuple[int, int, int]]] = [[] for _ in range(t.num_states)]
     for ti, (src, x, y, dst) in enumerate(t.transitions):
@@ -687,8 +687,8 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
     preserving transducer whose deviation the search has found finite, for
     an accepting run heavier than floor.  configurations(bracket) builds
     the graph (_configurations with h as the bound per state); h[q] =
-    enter(q) of _upper_bound bounds the weight any configuration at q
-    can still gain, U's argument applied from q.  upper is U and lower L,
+    enter(q) over U's rows (_upper_bound) bounds the weight any
+    configuration at q can still gain, U's argument applied from q.  upper is U and lower L,
     the probe's weight, and floor >= L.
 
     A configuration u with best known prefix weight g has priority f = g +
@@ -704,10 +704,10 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
     end.  The heaviest accepting g in (floor, hi] seen so far is the goal;
     it pops, and the walk ends, once no f left exceeds it.
 
-    Returns (steps, g, past): the chains of the run along the parent
-    links to the first accepting configuration with g > hi (past True), or to
-    the goal that popped; None when no accepting run weighs more than
-    floor.  A budget stop reports [max(L, heaviest accepting g met),
+    Returns (steps, g): the chains of the run along the parent links to
+    the first accepting configuration with g > hi, or to the goal that
+    popped, whose g is at most hi; None when no accepting run weighs more
+    than floor.  A budget stop reports [max(L, heaviest accepting g met),
     min(U, f of the configuration being expanded)]: the popped f is the
     largest left, so no run left outweighs it.  A popped g above U, or
     parent links that close a cycle, can only come of a positive cycle the
@@ -723,17 +723,6 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
         if h[state[u]] > floor:
             heap.append((-h[state[u]], 0, u))
     heapify(heap)
-
-    def chains(v: int) -> list[int]:
-        steps: list[int] = []
-        while parent[v] is not None:
-            if len(steps) == len(state):
-                raise AssertionError("parent links close a cycle")
-            v, ti = parent[v]
-            steps.append(ti)
-        steps.reverse()
-        return steps
-
     goal, goal_g = None, floor
     while heap:
         nf, ng, u = heappop(heap)
@@ -758,13 +747,13 @@ def _best_first(configurations, h, upper: int, lower: int, floor: int, hi: Exten
             parent[v] = (u, ti)
             if v in accepts:
                 if x > hi:
-                    return chains(v), x, True
+                    return _parent_chain(parent, v), x
                 if x > reached:
                     reached = x
                 if x > goal_g:
                     goal, goal_g = v, x
             heappush(heap, (-x - h[state[v]], -x, v))
-    return None if goal is None else (chains(goal), goal_g, False)
+    return None if goal is None else (_parent_chain(parent, goal), goal_g)
 
 
 def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] | None:
@@ -895,22 +884,6 @@ def _analyze(
             t, st = trim, stats(trim)
     rows = _state_rows(t, st.smax == 0)
 
-    def unbounded(p: int, cycle: tuple[int, ...]) -> DeviationResult | bool:
-        """UNBOUNDED from a pumpable cycle at p, closed by a shortest path
-        back to p where it ends elsewhere.  Every question answers False,
-        so only analyze_deviation builds the witness."""
-        if question is not None:
-            return False
-        cycle += _bfs_path(rows, (t.transitions[cycle[-1]].dst,), {p})
-        return DeviationResult(
-            verdict=Verdict.UNBOUNDED,
-            bounds=bounds,
-            cycle_witness=_map_run(cycle, trans_map),
-            anchor_state=state_map[p],
-            cycle_prefix=_map_run(_bfs_path(rows, sorted(t.initials), {p}), trans_map),
-            cycle_suffix=_map_run(_bfs_path(rows, (p,), t.finals), trans_map),
-        )
-
     def bounded(steps: list[int], value: int) -> DeviationResult | bool:
         """BOUNDED with value `value` and the run `steps` as its witness."""
         if value > bounds.B:
@@ -922,54 +895,43 @@ def _analyze(
             witness=_map_run(steps, trans_map),
         )
 
+    starts = sorted(t.initials)
+    if st.smax > 0:
+        shift, unbalanced = _shift_potential(t, rows)
+        if unbalanced is None:
+            b = max(map(abs, shift.values()))
+        else:
+            b = st.smax * (t.num_states - 1)
+        bounds = Bounds(b, (b + st.lmax + 2) * t.num_states)
+        if unbalanced is not None:
+            return reply(
+                verdict=Verdict.NOT_LENGTH_PRESERVING,
+                bounds=bounds,
+                witness=_map_run(unbalanced.transitions, trans_map),
+            )
+    comp, order = _components(rows, starts)
+    # at smax = 0 every shift is 0, every lag is empty and the
+    # configuration graph is the state graph: U's rows are its weighted
+    # rows, with no bonus, and U is the deviation
+    weights, bonus = (rows, [0] * t.num_states) if st.smax == 0 else _upper_bound(t, comp, shift)
+    h, exits, pumped = _longest_paths(weights, comp, order, t.finals, bonus)
+    start = max(starts, key=h.__getitem__, default=-1)
     if st.smax == 0:
-        # every shift is 0, so the potential is consistent, every lag is
-        # empty and the configuration graph is the state graph
-        starts = sorted(t.initials)
-        comp, order = _components(rows, starts)
-        zero = [0] * t.num_states
-        enter, exits, pumped = _longest_paths(rows, comp, order, t.finals, zero)
-        v = max(starts, key=enter.__getitem__, default=-1)
-        if v < 0 or enter[v] < 0:
+        if start < 0 or h[start] < 0:
             # no initial state reaches a final one
             return reply(verdict=Verdict.EMPTY, bounds=Bounds(0, 0), value=0)
         # the states reached that reach a final state are trim(t)'s
-        n = t.num_states - enter.count(-1)
-        kept = range(n) if n == t.num_states else {q for q, x in enumerate(enter) if x >= 0}
+        n = t.num_states - h.count(-1)
+        kept = range(n) if n == t.num_states else {q for q, x in enumerate(h) if x >= 0}
         bounds = _zero_shift_bounds(t, st.lmax, kept)
-        if pumped is not None:
-            # a positive edge inside a component that reaches a final state
-            u, ti = pumped
-            return unbounded(u, (ti,))
-        steps = _run_along(t, rows, comp, exits, zero, v)
-        value = hamming_distance(*run_words(t, Run(tuple(steps))))
-        if value != enter[v]:
-            raise AssertionError("witness must realize the computed deviation")
-        return bounded(steps, value)
-    shift, unbalanced = _shift_potential(t, rows)
-    if unbalanced is None:
-        b = max(map(abs, shift.values()))
-    else:
-        b = st.smax * (t.num_states - 1)
-    bounds = Bounds(b, (b + st.lmax + 2) * t.num_states)
-    if unbalanced is not None:
-        return reply(
-            verdict=Verdict.NOT_LENGTH_PRESERVING,
-            bounds=bounds,
-            witness=_map_run(unbalanced.transitions, trans_map),
-        )
-    comp, order = _components(rows, range(t.num_states))
-    h, exits, bonus = _upper_bound(t, comp, order, shift)
-    if question == (0, INF):
-        # is_bounded needs no bound and no run
-        return _nonconjugate_cycle(t, rows, shift, comp) is None
-    start = max(sorted(t.initials), key=h.__getitem__)
+    elif -1 in h:
+        raise AssertionError("state cannot reach acceptance")
     upper = h[start]
     if question is not None and lo > upper:
         # a finite deviation is at most U < lo (exact at k > U)
         return False
-    # [0, U] lies inside [0, hi] (threshold at k >= U): the search alone
-    # answers, and no probe weight can change that answer
+    # [0, U] lies inside [0, hi] (is_bounded, threshold at k >= U): the
+    # search alone answers, and no probe weight can change that answer
     inside = question is not None and lo == 0 and upper <= hi
     if not inside:
         probe = _run_along(t, rows, comp, exits, bonus, start)
@@ -984,11 +946,29 @@ def _analyze(
         if lower > hi:
             # a run heavier than hi refutes [lo, hi], bounded or not
             return False
-    found = _nonconjugate_cycle(t, rows, shift, comp)
+    # at smax = 0 a positive edge inside a live component pumps
+    found = pumped if st.smax == 0 else _nonconjugate_cycle(t, rows, shift, comp)
     if found is not None:
-        return unbounded(found[0], found[1].transitions)
+        if question is not None:
+            return False
+        # UNBOUNDED from a pumpable cycle at p, closed by a shortest path
+        # back to p where it ends elsewhere; only analyze builds it
+        p, cycle = found[:2]
+        cycle = (cycle,) if st.smax == 0 else cycle.transitions
+        cycle += _bfs_path(rows, (t.transitions[cycle[-1]].dst,), {p})
+        return DeviationResult(
+            verdict=Verdict.UNBOUNDED,
+            bounds=bounds,
+            cycle_witness=_map_run(cycle, trans_map),
+            anchor_state=state_map[p],
+            cycle_prefix=_map_run(_bfs_path(rows, starts, {p}), trans_map),
+            cycle_suffix=_map_run(_bfs_path(rows, (p,), t.finals), trans_map),
+        )
     if inside:
         return True
+    if lower != upper and st.smax == 0:
+        # U is the deviation there, and the probe walks its path
+        raise AssertionError("witness must realize the computed deviation")
     if lower > upper:
         raise AssertionError("probe run outweighs the upper bound U")
     if lower == upper:
@@ -1008,10 +988,10 @@ def _analyze(
         # [L, floor]: it is L for analyze, whose witness is the probe, and
         # the interval lies inside [lo, hi] or misses it
         return bounded(probe, lower)
-    chains, g, past = found
+    chains, g = found
     steps = _unfold(t, rows, fusable, chains)
     value = hamming_distance(*run_words(t, Run(tuple(steps))))
-    if past:
+    if g > hi:
         if value <= hi:
             raise AssertionError("run heavier than the limit does not exceed it")
         return False

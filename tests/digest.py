@@ -40,7 +40,10 @@ that the walk's own trim is covered.  A seventh, `walk`, hashes the repr
 of analyze_deviation, and threshold and exact at k in {L, v - 1, v, v + 1,
 U}, on seeded gen_3sat and gen_sat_unsat gadgets and on T_n with a missed
 bridge (helpers.missed_family): the instances where the probe weighs L <
-U and the configuration walk runs.
+U and the configuration walk runs.  An eighth, `bracket`, hashes (L, U)
+for every instance above with a bounded deviation and b > 0, T_n among
+them, so that a change to the bound or the probe shows apart from the
+witnesses in `main`.
 """
 
 from __future__ import annotations
@@ -169,6 +172,16 @@ def walk_instances():
         yield f"missed{n}", missed_family(n)
 
 
+def bracket(t) -> tuple[int, int]:
+    """(L, U) for t with a finite deviation and b > 0: the weight of the
+    engine's probe and its upper bound."""
+    trimmed = trim(t)
+    rows = _state_rows(trimmed)
+    shift, _ = shift_assignment(trimmed)
+    upper, _, probe = engine_probe(trimmed, rows, shift)
+    return hamming_distance(*run_words(trimmed, Run(tuple(probe)))), upper
+
+
 def walk_lines(label: str, t) -> list[str]:
     """analyze_deviation's repr, and threshold and exact at L, v - 1, v,
     v + 1 and U, (L, U) being the probe's weight and the engine's upper
@@ -177,11 +190,7 @@ def walk_lines(label: str, t) -> list[str]:
     res = analyze_deviation(t)
     ks = question_ks(res)
     if res.verdict is Verdict.BOUNDED and res.bounds.b > 0:
-        trimmed = trim(t)
-        rows = _state_rows(trimmed)
-        shift, _ = shift_assignment(trimmed)
-        upper, _, probe = engine_probe(trimmed, rows, shift)
-        lower = hamming_distance(*run_words(trimmed, Run(tuple(probe))))
+        lower, upper = bracket(t)
         ks = sorted(k for k in {lower, res.value - 1, res.value, res.value + 1, upper} if k >= 0)
     lines = [label, repr(res)]
     lines += [f"threshold {k} {threshold(t, k)} exact {exact(t, k)}" for k in ks]
@@ -190,7 +199,7 @@ def walk_lines(label: str, t) -> list[str]:
 
 def outputs(label: str, t):
     """The strings hashed for one instance: (main, nlp_bounds, product,
-    bounded, oracle)."""
+    bounded, oracle, bracket)."""
     main, nlp, product = [label], [], []
     res = analyze_deviation(t)
     if res.verdict is Verdict.NOT_LENGTH_PRESERVING:
@@ -217,7 +226,10 @@ def outputs(label: str, t):
     oracle = []
     if label.startswith("corpus") or label.startswith("T") and int(label[1:]) <= ORACLE_MAX_FAMILY:
         oracle.append(f"{label} {brute_force_deviation(t, node_budget=ORACLE_NODE_BUDGET)!r}")
-    return main, nlp, product, [f"{label} {is_bounded(t)}"], oracle
+    brackets = []
+    if res.verdict is Verdict.BOUNDED and res.bounds.b > 0:
+        brackets.append("{} L={} U={}".format(label, *bracket(t)))
+    return main, nlp, product, [f"{label} {is_bounded(t)}"], oracle, brackets
 
 
 def main() -> None:
@@ -226,7 +238,9 @@ def main() -> None:
         "--lines", action="store_true", help="print every hashed line instead of the digests"
     )
     show = parser.parse_args().lines
-    names = ("main", "nlp-bounds", "product", "bounded", "oracle", "zero-shift", "walk")
+    names = (
+        "main", "nlp-bounds", "product", "bounded", "oracle", "bracket", "zero-shift", "walk"
+    )
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
 

@@ -35,6 +35,7 @@ from nftdev.engine import (
     _close_cycle,
     _components,
     _configurations,
+    _longest_paths,
     _parent_chain,
     _run_along,
     _state_rows,
@@ -806,10 +807,13 @@ def engine_probe(t: Nft, rows, shift: dict[int, int]):
     """The engine's (U, start, steps) for t trimmed and length-preserving,
     rows being _state_rows(t) and shift its potential: the upper bound U,
     the initial state the probe starts at and the probe's transitions, as
-    engine._analyze takes them from _upper_bound and _run_along."""
-    comp, order = _components(rows, range(t.num_states))
-    h, exits, bonus = _upper_bound(t, comp, order, shift)
-    start = max(sorted(t.initials), key=h.__getitem__)
+    engine._analyze takes them from _upper_bound's rows and bonus,
+    _longest_paths and _run_along."""
+    starts = sorted(t.initials)
+    comp, order = _components(rows, starts)
+    weights, bonus = _upper_bound(t, comp, shift)
+    h, exits, _ = _longest_paths(weights, comp, order, t.finals, bonus)
+    start = max(starts, key=h.__getitem__)
     return h[start], start, _run_along(t, rows, comp, exits, bonus, start)
 
 
@@ -1043,31 +1047,29 @@ def reference_shortest_cycle(rows, q: int, comp) -> tuple[int, ...]:
 
 def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
     """Reference for engine_probe, as a memoized recursion over the
-    condensation instead of one pass in pop order, on pairs (weight, sure)
-    compared in order rather than on scaled ints: leave(C) starts from
-    (0, 0) at C's first final member in node order, and takes strictly
-    heavier exits over the transitions leaving C, its members in node
-    order and each row in order, sure counting the mismatches a transition
-    compares between its own two words; enter(q) tests q's component for a
-    cycle, and every component's cycle comes from a breadth-first search,
-    a single state's too.  Returns the same (U, start, steps)."""
+    condensation instead of one pass in pop order: leave(C) starts from 0
+    at C's first final member in node order, and takes strictly heavier
+    exits over the transitions leaving C, its members in node order and
+    each row in order, a transition d from p weighing the lag letters it
+    compares, min(|s_p|, |fixed|), plus the mismatches it compares between
+    its own two words; enter(q) tests q's component for a cycle, and every
+    component's cycle comes from a breadth-first search, a single state's
+    too.  Returns the same (U, start, steps)."""
     members: dict[int, list[int]] = {}
     for q in range(t.num_states):
         members.setdefault(comp[q], []).append(q)
     cyclic = {comp[p] for p, _, _, q in t.transitions if comp[p] == comp[q]}
 
-    def enter(q: int) -> tuple[int, int]:
-        (weight, sure), _, _ = leave(comp[q])
-        return weight + abs(shift[q]) * (comp[q] in cyclic), sure
+    def enter(q: int) -> int:
+        return leave(comp[q])[0] + abs(shift[q]) * (comp[q] in cyclic)
 
     @cache
-    def leave(c: int) -> tuple[tuple[int, int], int | None, int | None]:
-        """((weight, sure), member, transition) of C's heaviest way to
-        acceptance."""
-        best: tuple[tuple[int, int], int | None, int | None] = ((-1, 0), None, None)
+    def leave(c: int) -> tuple[int, int | None, int | None]:
+        """(weight, member, transition) of C's heaviest way to acceptance."""
+        best: tuple[int, int | None, int | None] = (-1, None, None)
         for m in members[c]:
             if m in t.finals:
-                best = ((0, 0), m, None)
+                best = (0, m, None)
                 break
         for u in members[c]:
             for v, _, ti in rows[u]:
@@ -1076,18 +1078,16 @@ def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
                 p, x, y, _ = t.transitions[ti]
                 s = abs(shift[p])
                 joined, fixed = (x, y) if shift[p] >= 0 else (y, x)
-                after, sure = enter(v)
-                weight = min(s + len(joined), len(fixed)) + after
-                sure += sum(a != b for a, b in zip(joined, fixed[s:]))
-                if (weight, sure) > best[0]:
-                    best = ((weight, sure), u, ti)
+                weight = min(s, len(fixed)) + sum(a != b for a, b in zip(joined, fixed[s:]))
+                if weight + enter(v) > best[0]:
+                    best = (weight + enter(v), u, ti)
         return best
 
     # a path through every component recurses twice per component
     depth = sys.getrecursionlimit()
     sys.setrecursionlimit(max(depth, 3 * t.num_states + 1000))
     try:
-        start = q = max(sorted(t.initials), key=lambda q: enter(q)[0])
+        start = q = max(sorted(t.initials), key=enter)
     finally:
         sys.setrecursionlimit(depth)
     steps: list[int] = []
@@ -1101,7 +1101,7 @@ def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
         _, m, d = leave(c)
         steps += _bfs_path(rows, (q,), {m}, comp)
         if d is None:
-            return enter(start)[0], start, steps
+            return enter(start), start, steps
         steps.append(d)
         q = t.transitions[d].dst
 

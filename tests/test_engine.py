@@ -73,6 +73,7 @@ from nftdev.cli import main
 from nftdev.engine import (
     _components,
     _configurations,
+    _decide,
     _longest_paths,
     _nonconjugate_cycle,
     _state_rows,
@@ -980,9 +981,9 @@ def test_invariant_checks_survive_optimize():
     # makes the probe outweigh U once the search finds the deviation finite.
     # The probe's searches raise where they find nothing, also inside a
     # one-state component: state rows without their self-loops leave T_3's
-    # p_2 (s = 1) with no cycle, and components that put i with f, apart
-    # from x, which lies between them, leave the run along the exits no
-    # way from i to f inside its component (smax = 0).  With trim patched
+    # p_2 (s = 1) with no cycle, and components that put i with y, which
+    # leaves for f, give U = 1 and leave the run along the exits no way
+    # from i to y inside its component (smax = 0).  With trim patched
     # out, a dead state d at b > 0 makes the longest paths raise on every
     # route, is_bounded's included
     cases = [
@@ -1036,9 +1037,8 @@ def test_invariant_checks_survive_optimize():
             ["raised: no cycle through the state"] * 2,
         ),
         (
-            "engine._components = lambda rows, starts: ([0, 0, 1], [(0, 1), (2,)])\n"
-            "t = Nft(('i', 'f', 'x'), frozenset('ab'), {0}, {1},"
-            " [(0, 'a', 'b', 2), (2, 'a', 'a', 1)])\n"
+            "engine._components = lambda rows, starts: ([1, 1, 0], [(2,), (0, 1)])\n"
+            "t = Nft(('i', 'y', 'f'), frozenset('ab'), {0}, {2}, [(1, 'a', 'b', 2)])\n"
             "queries = [lambda: engine.analyze_deviation(t), lambda: engine.threshold(t, 0)]\n",
             ["raised: no path from the source to a target"] * 2,
         ),
@@ -1148,15 +1148,19 @@ def test_value_components_reports_inner_positive_edge():
 def test_value_components_requires_acceptance():
     # the longest paths leave a dead component at -1, and a positive edge
     # inside it does not pump; only the smax = 0 route, which does the
-    # trim, lets a component die, and at b > 0 _upper_bound raises on one.
-    # d (3) is dead, which trim would have removed
+    # trim, lets a component die, and at b > 0 every question raises on
+    # one.  d (3) is dead, which trim would have removed; a t said to be
+    # trim already is not trimmed again
     succ = [[(1, 0, 0)], [(0, 1, 1)]]
     comp, enter, exit, pumped = _longest_hand(succ, set())
     assert pumped is None and enter == [-1, -1] and exit == {} and comp[0] == comp[1]
     t = _nft("iqfd", {0}, {2}, [(0, "a", "", 1), (1, "", "a", 2), (1, "a", "a", 3)], "a")
-    comp, order = _components(_state_rows(t), range(t.num_states))
-    with pytest.raises(AssertionError, match="^state cannot reach acceptance$"):
-        _upper_bound(t, comp, order, {0: 0, 1: 1, 2: 0, 3: 1})
+    comp, order = _components(_state_rows(t), [0])
+    weights, bonus = _upper_bound(t, comp, {0: 0, 1: 1, 2: 0, 3: 1})
+    assert _longest_paths(weights, comp, order, t.finals, bonus)[0] == [1, 1, 0, -1]
+    for mode, k in (("bounded", None), ("threshold", 0), ("exact", 1)):
+        with pytest.raises(AssertionError, match="^state cannot reach acceptance$"):
+            _decide(t, mode, k, trimmed=True)
 
 
 @st.composite
@@ -1514,7 +1518,9 @@ def test_questions_build_no_unbounded_witness(monkeypatch):
 
 
 def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
-    names = ("_shift_potential", "_components", "_nonconjugate_cycle", "_upper_bound")
+    names = (
+        "_shift_potential", "_components", "_longest_paths", "_nonconjugate_cycle", "_upper_bound"
+    )
     calls = Counter()
     for name in names + ("_configurations",):
 
@@ -1531,15 +1537,15 @@ def test_smax_zero_skips_the_potential_the_graph_and_the_search(monkeypatch):
         threshold(t, 2)
         exact(t, 2)
         is_bounded(t)
-    # the components and their longest paths answer every question there
-    assert calls == {"_components": 12}
+    # the components and their longest paths, over the weighted state
+    # rows rather than U's own, answer every question there
+    assert calls == {"_components": 12, "_longest_paths": 12}
     calls.clear()
     # T_4 has deviation 10 = U = L: every question but is_bounded answers
     # from the probe, and threshold at 9 before the search; missed_family(4)
     # has L = 9, so threshold at 9 and exact at 10 walk and threshold at 10
     # answers from U.  is_bounded answers from the search alone, after
-    # the longest paths that _upper_bound runs to check every state
-    # reaches acceptance
+    # U's longest paths, which check that every state reaches acceptance
     every = dict.fromkeys(names + ("_configurations",), 1)
     queries = (analyze_deviation, lambda t: threshold(t, 9), lambda t: exact(t, 10))
     for query, searched in zip(queries, (True, False, True)):
@@ -1692,8 +1698,8 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
 
     def light(configurations, h, upper, lower, floor, hi):
         # the heaviest run, reported as exceeding hi
-        steps, g, _ = real(configurations, h, upper, lower, lower, INF)
-        return steps, g, True
+        steps, _ = real(configurations, h, upper, lower, lower, INF)
+        return steps, hi + 1
 
     # the unsatisfiable gadget has deviation 26 < U = 27: at k = 26 the
     # questions walk, and the heaviest run does not exceed 26, which the
@@ -1707,8 +1713,8 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
 
     def heavy(configurations, h, upper, lower, floor, hi):
         # the heaviest run as the goal, one heavier than it weighs
-        steps, g, _ = real(configurations, h, upper, lower, lower, INF)
-        return steps, g + 1, False
+        steps, g = real(configurations, h, upper, lower, lower, INF)
+        return steps, g + 1
 
     # analyze, and exact at k = U, take the goal's run as the witness of
     # the goal's g, so a run that weighs one less trips that check.  Both
@@ -1717,6 +1723,28 @@ def test_threshold_raises_on_a_too_light_early_run(monkeypatch):
     for query in (analyze_deviation, lambda t: exact(t, 27)):
         with pytest.raises(AssertionError, match="^witness must realize the computed deviation"):
             query(g)
+
+
+def test_smax_zero_answers_from_u_before_any_run(monkeypatch):
+    # at smax = 0 U is the deviation v, so is_bounded and threshold at k >=
+    # v answer from U with no run built, while analyze and exact at v build
+    # the probe and weigh it, and threshold below v refutes with it
+    chain = tuple((v, v + 1) for v in range(5))
+    t = gen_reach_threshold(Digraph(6, chain, s=0, t=5), 2).nft
+    assert stats(t).smax == 0 and analyze_deviation(t).value == 3
+    calls = Counter()
+    for name in ("_run_along", "hamming_distance"):
+
+        def counted(*args, _real=getattr(nftdev.engine, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(nftdev.engine, name, counted)
+    assert is_bounded(t) and threshold(t, 3) and threshold(t, 10**6)
+    assert exact(t, 4) is False
+    assert calls == {}
+    assert analyze_deviation(t).value == 3 and exact(t, 3) and threshold(t, 2) is False
+    assert calls == {"_run_along": 3, "hamming_distance": 3}
 
 
 def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
@@ -1759,7 +1787,7 @@ def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
     assert checked["draws"] >= 200 and checked["3-SAT"] == 31 and checked["product"] >= 40
     assert tight["3-SAT"] == sum(sat_brute_force(f) is not None for f in formulas) < 31
     assert 0 < tight["draws"] < checked["draws"]
-    assert probed["draws"] >= 42 and probed["product"] >= 17
+    assert tight["draws"] >= 77 and probed["draws"] >= 63 and probed["product"] >= 18
     # on T_n the probe answers analyze, threshold at v - 1 and exact at v
     # with no configuration graph
 
@@ -1781,7 +1809,7 @@ def _differential_fixtures() -> list[Nft]:
     states = ["i", "x", "y", "f", "g"]
     longer_loop_first = [(0, "a", "", 1), (1, "ab", "ab", 1), (1, "a", "a", 1), (1, "", "a", 3)]
     two_state_cycle = [(0, "a", "", 1), (1, "a", "a", 2), (2, "b", "b", 1), (1, "", "a", 3)]
-    later_exit = two_state_cycle + [(2, "", "b", 4), (4, "ab", "ab", 3)]
+    later_exit = two_state_cycle + [(2, "", "b", 4), (4, "ab", "ba", 3)]
     shapes = (longer_loop_first, two_state_cycle, later_exit)
     return [_nft(states, {0}, {3}, trans) for trans in shapes]
 

@@ -38,7 +38,8 @@ components, their values and tie-breaks, and the shortest paths of the
 witnesses are those of trim(t), whose ids keep t's order, and every
 answer is trim(t)'s in t's ids.  A positive transition inside a live
 component closes into a pumpable cycle: the first in pop order gives
-UNBOUNDED, and stands for the search below.  Otherwise L = U, and every
+UNBOUNDED, and stands for the search below, so no probe is built for it
+(no probe weight changes that answer).  Otherwise L = U, and every
 question answers by the shared steps below with no search and no
 configuration walked.  Trim is then needed only at smax > 0, where the
 shift potential needs it (trim(t) has smax = 0 whenever t does).  This
@@ -56,7 +57,14 @@ in polynomial time by one breadth-first search over (state, phase) pairs
 inside the strongly connected components of the state graph, a phase
 being idle, a confirmed mismatch, or one letter waiting on the other
 stream for its partner; a scan of the closed cycle's words then finds
-the positions.  A question that reaches the search (below) takes
+the positions.  A state whose one move inside its component is a
+self-loop (x, y) is its own component, and its cycles x^j / y^j have
+period |x| on both streams, so one period decides it in closed form: a
+conjugate one stays out of the search.  Keys of different components
+never meet and a left-out one confirms no mismatch, so every other key
+is popped in the same order with the same parent link and each answer
+is the full search's; on T_n, whose every cycle is such a loop, no pair
+is queued.  A question that reaches the search (below) takes
 UNBOUNDED from its cycle; analyze_deviation adds shortest state-graph
 paths as prefix and suffix, and the other questions, which answer False,
 build none.
@@ -780,11 +788,24 @@ def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] 
     component, and every violating cycle, iterated enough times, contains
     a pair at exact offset s_p, so the search is complete.  Each state's
     transitions inside its component are listed once, with their words,
-    in row order, and a popped pair whose state has none is skipped; the
-    search order and the parent links are those of reading each popped
-    state's whole row.  A pair is recorded by one setdefault, which keeps
-    the first link of a pair met before.  Its links keep only transitions;
-    _close_cycle finds the positions by a scan.
+    in row order; the search order and the parent links are those of
+    reading each popped state's whole row.  A pair is recorded by one
+    setdefault, which keeps the first link of a pair met before.  Its
+    links keep only transitions; _close_cycle finds the positions by a
+    scan.
+
+    A state q whose one move inside its component is a self-loop (x, y)
+    is decided in closed form: q is then its own component, |x| = |y|
+    since the potential is consistent, and its only cycles read x^j /
+    y^j, whose streams both have period |x|, so they are all conjugate
+    by s_q exactly when x[i] = y[(i + s_q) mod |x|] for every i < |x| (an
+    empty loop is).  Such a q is left out of the search, which is seeded
+    only with the states that keep a move, and returns None at once when
+    none does.  This keeps every answer: the keys of different components
+    never meet, and a left-out component never confirms a mismatch, so
+    every other key is popped in the same order with the same parent
+    link, and the (p, run, i, j) found is the same.  Where every cycle is
+    such a loop, as on T_n, no (state, phase) pair is queued at all.
     """
     # per state, its transitions inside its component as (dst, transition,
     # (output, input)), in transition order, which is row order
@@ -792,15 +813,22 @@ def _nonconjugate_cycle(t: Nft, rows, shift, comp) -> tuple[int, Run, int, int] 
     for ti, (src, x, y, dst) in enumerate(t.transitions):
         if comp[src] == comp[dst]:
             moves[src].append((dst, ti, (y, x)))
-    parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
+    for q, row in enumerate(moves):
+        if len(row) == 1 and row[0][0] == q:
+            # a lone self-loop (x, y), |x| = |y| by the consistent potential
+            y, x = row[0][2]
+            s = shift[q]
+            if all(a == y[(i + s) % len(y)] for i, a in enumerate(x)):
+                row.clear()
+    parent: dict[tuple, tuple | None] = {(q, None): None for q, row in enumerate(moves) if row}
+    if not parent:
+        return None
     queue = deque(parent)
     while queue:
         key = queue.popleft()
         state, phase = key
-        if not moves[state]:
-            continue
         if phase is None:
-            # staying idle is not a step: every (q, None) is a source
+            # staying idle is not a step: every seeded (q, None) is a source
             sq = shift[state]
             for dst, ti, words in moves[state]:
                 link = (key, ti)
@@ -931,9 +959,10 @@ def _analyze(
         # a finite deviation is at most U < lo (exact at k > U)
         return False
     # [0, U] lies inside [0, hi] (is_bounded, threshold at k >= U): the
-    # search alone answers, and no probe weight can change that answer
+    # search alone answers, and no probe weight can change that answer;
+    # nor can it at smax = 0 once an edge pumps
     inside = question is not None and lo == 0 and upper <= hi
-    if not inside:
+    if not inside and (st.smax > 0 or pumped is None):
         probe = _run_along(t, rows, comp, exits, bonus, start)
         first, last = start, start
         if probe:

@@ -43,7 +43,12 @@ bridge (helpers.missed_family): the instances where the probe weighs L <
 U and the configuration walk runs.  An eighth, `bracket`, hashes (L, U)
 for every instance above with a bounded deviation and b > 0, T_n among
 them, so that a change to the bound or the probe shows apart from the
-witnesses in `main`.
+witnesses in `main`.  A ninth, `search`, hashes the (p, run, i, j), or
+None, of engine._nonconjugate_cycle on the trim of every length-preserving
+instance among T_2..T_60, the seed 1-3 corpora, the products of the
+benchmark's `compare` queries (seed 1) and 2,000 seeded
+helpers.random_lone_loop_nft draws, so that a change to the search shows
+apart from the verdicts it feeds.
 """
 
 from __future__ import annotations
@@ -64,12 +69,14 @@ from helpers import (  # noqa: E402
     missed_family,
     random_cnf,
     random_length_preserving_nft,
+    random_lone_loop_nft,
     random_trimmed_nft,
     random_unsat_cnf,
     zero_shift_instances,
 )
 from test_acceptance import CORPUS_SEED  # noqa: E402
 from test_producers import COLLIDING, COLLIDING_DEAD  # noqa: E402
+from test_engine import _bench_workloads  # noqa: E402
 
 from nftdev import (  # noqa: E402
     StateBudgetExceeded,
@@ -94,7 +101,7 @@ from nftdev import (  # noqa: E402
     trim,
     union,
 )
-from nftdev.engine import _state_rows  # noqa: E402
+from nftdev.engine import _components, _nonconjugate_cycle, _state_rows  # noqa: E402
 
 BUDGET = 1000
 COMPARE_MAX_STATES = 64  # compares T_n up to n = 12 (4n states)
@@ -182,6 +189,34 @@ def bracket(t) -> tuple[int, int]:
     return hamming_distance(*run_words(trimmed, Run(tuple(probe)))), upper
 
 
+def search_instances():
+    """(label, Nft) for the search digest, in a fixed order."""
+    for n in range(2, 61):
+        yield f"T{n}", gen_family(n).nft
+    for seed in (1, 2, 3):
+        for i, t in enumerate(make_corpus(500, seed=seed)):
+            yield f"corpus{seed}#{i}", t
+    for q in _bench_workloads().build_compare(1):
+        yield f"compare {q.label}", comparison_to_deviation(*map(parse_nft, q.texts))
+    rng = random.Random(3535)
+    for i in range(2000):
+        yield f"loop#{i}", random_lone_loop_nft(rng)[0]
+
+
+def search_lines(label: str, t) -> list[str]:
+    """_nonconjugate_cycle's (p, run, i, j), or None, on trim(t) when it is
+    non-empty and length-preserving; no line otherwise."""
+    t = trim(t)
+    if t.num_states == 0:
+        return []
+    shift, unbalanced = shift_assignment(t)
+    if unbalanced is not None:
+        return []
+    rows = _state_rows(t)
+    comp, _ = _components(rows, range(t.num_states))
+    return [f"{label} {_nonconjugate_cycle(t, rows, shift, comp)!r}"]
+
+
 def walk_lines(label: str, t) -> list[str]:
     """analyze_deviation's repr, and threshold and exact at L, v - 1, v,
     v + 1 and U, (L, U) being the probe's weight and the engine's upper
@@ -239,7 +274,8 @@ def main() -> None:
     )
     show = parser.parse_args().lines
     names = (
-        "main", "nlp-bounds", "product", "bounded", "oracle", "bracket", "zero-shift", "walk"
+        "main", "nlp-bounds", "product", "bounded", "oracle", "bracket", "zero-shift", "walk",
+        "search",
     )
     digests = {name: hashlib.sha256() for name in names}
     counts = dict.fromkeys(digests, 0)
@@ -261,6 +297,8 @@ def main() -> None:
             add("zero-shift", zero_shift_lines(f"zero#{i}", t))
     for label, t in walk_instances():
         add("walk", walk_lines(label, t))
+    for label, t in search_instances():
+        add("search", search_lines(label, t))
     if not show:
         for name, h in digests.items():
             print(f"{name} {h.hexdigest()} ({counts[name]} lines)")

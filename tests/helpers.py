@@ -149,6 +149,48 @@ def random_equal_length_nft(rng: random.Random, max_states: int = 7):
     )
 
 
+def random_lone_loop_nft(rng: random.Random) -> tuple[Nft, bool]:
+    """i -> q -> f around a self-loop (x, y) at q, |x| = |y| <= 4 over "ab"
+    or "abc", with s_q in -4..4: i -> q reads a^s_q (or writes a^-s_q) and
+    q -> f gives it back.  Half the loops take y as x rotated by s_q, so
+    that the loop is conjugate by s_q, and half of those redraw one letter
+    of y.  A third of the draws give q a further inner move after the
+    loop: a second self-loop, or a ring q -> r -> q.  Also returns whether
+    the draw is small, every word of at most 2 letters and |s_q| <= 2."""
+    alphabet = rng.choice(("ab", "abc"))
+
+    def word(n: int) -> str:
+        return "".join(rng.choice(alphabet) for _ in range(n))
+
+    s, n = rng.randint(-4, 4), rng.randint(0, 4)
+    x = word(n)
+    if n and rng.random() < 0.5:
+        y = "".join(x[(j - s) % n] for j in range(n))
+        if rng.random() < 0.5:
+            j = rng.randrange(n)
+            y = y[:j] + word(1) + y[j + 1 :]
+    else:
+        y = word(n)
+    lag = ("a" * s, "") if s >= 0 else ("", "a" * -s)
+    transitions = [Transition(0, *lag, 1), Transition(1, x, y, 1)]
+    m, extra = rng.randint(1, 4), rng.random()
+    if extra < 1 / 6:
+        transitions.append(Transition(1, word(m), word(m), 1))
+    elif extra < 1 / 3:
+        transitions += [Transition(1, word(m), word(m), 3), Transition(3, "", "", 1)]
+    else:
+        m = 0
+    transitions.append(Transition(1, *lag[::-1], 2))
+    t = Nft(
+        states=("i", "q", "f", "r")[: 4 if len(transitions) == 5 else 3],
+        alphabet=frozenset(alphabet),
+        initials=frozenset({0}),
+        finals=frozenset({2}),
+        transitions=tuple(transitions),
+    )
+    return t, max(n, m) <= 2 and abs(s) <= 2
+
+
 def zero_shift_instances() -> list[Nft]:
     """3,000 seeded equal-length NFTs and reach and reach-k gadgets on 40
     seeded digraphs, untrimmed: every one has smax = 0."""
@@ -1108,9 +1150,10 @@ def reference_upper_bound(t: Nft, rows, comp, shift: dict[int, int]):
 
 def reference_nonconjugate_cycle(t: Nft, rows, shift, comp):
     """Reference for engine._nonconjugate_cycle, as it was before it listed
-    each state's inner transitions once: every pop reads the state's whole
-    row and skips the transitions that leave its component.  Returns the
-    same (p, run, i, j), or None."""
+    each state's inner transitions once and decided lone self-loops in
+    closed form: every state seeds the search, and every pop reads the
+    state's whole row and skips the transitions that leave its component.
+    Returns the same (p, run, i, j), or None."""
     parent: dict[tuple, tuple | None] = {(q, None): None for q in range(t.num_states)}
     queue = deque(parent)
     while queue:

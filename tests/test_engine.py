@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from helpers import (
     random_cnf,
     random_digraph,
     random_length_preserving_nft,
+    random_lone_loop_nft,
     random_unsat_cnf,
     reference_nonconjugate_cycle,
     reference_route,
@@ -1747,6 +1748,29 @@ def test_smax_zero_answers_from_u_before_any_run(monkeypatch):
     assert calls == {"_run_along": 3, "hamming_distance": 3}
 
 
+def test_smax_zero_takes_a_pumped_edge_before_any_run(monkeypatch):
+    # at smax = 0 a positive edge inside a live component answers UNBOUNDED,
+    # so analyze builds and weighs no probe for it, and its result is the
+    # pumped cycle closed by shortest paths, as before it skipped the probe
+    chain = tuple((v, v + 1) for v in range(5))
+    t = gen_reach_bounded(Digraph(6, chain, s=0, t=5)).nft
+    assert stats(t).smax == 0
+    calls = Counter()
+
+    def counted(*args, _real=nftdev.engine._run_along):
+        calls["_run_along"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(nftdev.engine, "_run_along", counted)
+    res = analyze_deviation(t)
+    assert res.verdict is Verdict.UNBOUNDED and res.anchor_state == 6
+    assert res.cycle_witness == Run((17, 12, 13, 14, 15, 16))
+    assert res.cycle_prefix == Run((5,)) and res.cycle_suffix == Run((11,))
+    _assert_pumps(t, res)
+    assert not is_bounded(t) and not threshold(t, 10**6) and not exact(t, 3)
+    assert calls == {}
+
+
 def test_upper_bound_lies_between_the_deviation_and_B(monkeypatch):
     # U >= v is what lets analyze and exact stop at the first run weighing
     # U; U <= B keeps the paper's bound; U = v on T_n, and U = n(m + 1) on
@@ -1817,7 +1841,8 @@ def _differential_fixtures() -> list[Nft]:
 def test_upper_bound_and_search_match_their_references():
     # the one longest-path pass in pop order behind U and the probe (with
     # the first self-loop as the shortest cycle), and _nonconjugate_cycle's
-    # shortcut (each state's inner transitions listed once), must give the
+    # shortcuts (each state's inner transitions listed once, lone self-loops
+    # decided in closed form), must give the
     # (U, start, steps) of a memoized recursion and the (p, run, i, j) of
     # reading whole rows exactly
     workloads = _bench_workloads()
@@ -1858,3 +1883,65 @@ def test_upper_bound_and_search_match_their_references():
     # self-loop (transition 1), and the cycle x -> y -> x (1, 2), once each,
     # and leaves {x, y} by the later exit y -> g (4)
     assert probes == [[0, 1, 3], [0, 1, 2, 3], [0, 1, 2, 1, 4, 5]]
+
+
+def test_lone_self_loops_match_the_reference_and_the_oracle():
+    # the search decides a state whose one inner move is a self-loop (x, y)
+    # by one period, x[i] = y[(i + s_q) mod |x|], and leaves it out when
+    # conjugate.  On these draws the offset's sign flipped, every such loop
+    # left out, and the closed form taken at a state with a further inner
+    # move each give another answer than the reference, which reads whole
+    # rows, or than the oracle.  The first instance is conjugate by -s_q
+    # only, and unbounded.
+    sign = _nft(["i", "q", "f"], {0}, {2}, [(0, "a", "", 1), (1, "aab", "aba", 1), (1, "", "a", 2)])
+    rng = random.Random(3434)
+    draws = [(sign, True)] + [random_lone_loop_nft(rng) for _ in range(2000)]
+    seen, oracle = Counter(), Counter()
+    for t, small in draws:
+        rows = _state_rows(t)
+        comp = _components(rows, range(t.num_states))[0]
+        shift, unbalanced = shift_assignment(t)
+        assert unbalanced is None
+        found = _nonconjugate_cycle(t, rows, shift, comp)
+        assert found == reference_nonconjugate_cycle(t, rows, shift, comp)
+        seen[len(t.transitions) == 3, found is None] += 1
+        if small:
+            res = analyze_deviation(t)
+            orc = brute_force_deviation(t, node_budget=20_000)
+            # an unbounded deviation shows past the quadratic bound B
+            assert is_bounded(t) is (found is None) is (orc.max_seen <= res.bounds.B)
+            if found is None and not orc.saturated:
+                assert orc.max_seen == res.value
+            oracle[found is None] += 1
+    assert is_bounded(sign) is False
+    # (lone loop?, conjugate?): every kind is well represented
+    assert min(seen.values()) >= 40 and min(oracle.values()) >= 100
+
+
+def test_family_search_queues_no_pair(monkeypatch):
+    # every cycle of T_n is a lone self-loop conjugate by its state's
+    # shift, so the search decides T_n in closed form and queues no
+    # (state, phase) pair; a non-conjugate loop still seeds the queue
+    queued = []
+
+    class Counted(deque):
+        def __init__(self, keys=()):
+            keys = list(keys)
+            queued.extend(keys)
+            super().__init__(keys)
+
+        def append(self, key):
+            queued.append(key)
+            super().append(key)
+
+    instances = []
+    for t in [gen_family(n).nft for n in range(2, 41)] + [_mismatch_loop()]:
+        rows = _state_rows(t)
+        comp = _components(rows, range(t.num_states))[0]
+        instances.append((t, rows, shift_assignment(t)[0], comp))
+    monkeypatch.setattr(nftdev.engine, "deque", Counted)
+    for args in instances[:-1]:
+        assert _nonconjugate_cycle(*args) is None
+    assert queued == []
+    assert _nonconjugate_cycle(*instances[-1]) is not None
+    assert queued == [(0, None)]
